@@ -58,6 +58,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!();
     println!("DVFS adds a consistent extra energy cut on top of early exits (paper Table III: EEx vs EEx_DVFS columns)");
-    bench_env!().write_json("ablation_dvfs", &rows);
+    bench_env!().write_json("ablation_dvfs", &rows)?;
     Ok(())
 }

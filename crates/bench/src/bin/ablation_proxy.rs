@@ -149,6 +149,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         retained * 100.0
     );
     println!("(paper: proxy cuts search time from 2-3 GPU days to ~1 with comparable results)");
-    bench_env!().write_json("ablation_proxy", &runs);
+    bench_env!().write_json("ablation_proxy", &runs)?;
     Ok(())
 }

@@ -63,6 +63,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (1.0 - pruned.ioe_invocations as f64 / full.ioe_invocations as f64) * 100.0,
         pruned.front_hv / full.front_hv * 100.0
     );
-    bench_env!().write_json("ablation_pruning", &runs);
+    bench_env!().write_json("ablation_pruning", &runs)?;
     Ok(())
 }

@@ -59,6 +59,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!();
     println!("NSGA-II wins hypervolume on {wins}/5 seeds — the evolutionary engine earns its keep");
-    bench_env!().write_json("ablation_random", &rows);
+    bench_env!().write_json("ablation_random", &rows)?;
     Ok(())
 }

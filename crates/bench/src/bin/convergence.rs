@@ -99,6 +99,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "on average the first third of the budget reaches {:.0}% of the final hypervolume",
         early_share * 100.0
     );
-    bench_env!().write_json("convergence", &panels);
+    bench_env!().write_json("convergence", &panels)?;
     Ok(())
 }

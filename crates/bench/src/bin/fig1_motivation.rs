@@ -118,7 +118,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 ("Dyn", bars.iter().map(|b| b.dyn_fitness.accuracy_pct).collect()),
             ],
         ),
-    );
+    )?;
     hadas_bench::svg::write_svg(
         &bench_env!().results_dir(),
         "fig1_energy",
@@ -132,7 +132,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 ("Dyn w/HW", bars.iter().map(|b| b.dyn_hw_fitness.energy_mj).collect()),
             ],
         ),
-    );
-    bench_env!().write_json("fig1_motivation", &bars);
+    )?;
+    bench_env!().write_json("fig1_motivation", &bars)?;
     Ok(())
 }

@@ -91,8 +91,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 &panel.hadas,
                 &panel.baselines,
             ),
-        );
+        )?;
     }
-    bench_env!().write_json("fig5_ioe", &panels);
+    bench_env!().write_json("fig5_ioe", &panels)?;
     Ok(())
 }

@@ -80,8 +80,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 &panel.hadas,
                 &panel.baselines,
             ),
-        );
+        )?;
     }
-    bench_env!().write_json("fig5_ooe", &panels);
+    bench_env!().write_json("fig5_ooe", &panels)?;
     Ok(())
 }

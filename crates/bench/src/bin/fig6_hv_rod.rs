@@ -83,7 +83,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 ("baselines", bars.iter().map(|b| b.baseline_hv * 100.0).collect()),
             ],
         ),
-    );
+    )?;
     hadas_bench::svg::write_svg(
         &bench_env!().results_dir(),
         "fig6_rod",
@@ -96,7 +96,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 ("baselines", bars.iter().map(|b| b.baseline_rod * 100.0).collect()),
             ],
         ),
-    );
-    bench_env!().write_json("fig6_hv_rod", &bars);
+    )?;
+    bench_env!().write_json("fig6_hv_rod", &bars)?;
     Ok(())
 }

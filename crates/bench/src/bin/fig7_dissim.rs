@@ -79,6 +79,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         best_with * 100.0,
         without.best_gain * 100.0
     );
-    bench_env!().write_json("fig7_dissim", &runs);
+    bench_env!().write_json("fig7_dissim", &runs)?;
     Ok(())
 }

@@ -13,7 +13,7 @@ struct Row {
     compatibility: bool,
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("TABLE I — comparison between related works and HADAS");
     println!(
         "{:<18} {:^13} {:^5} {:^6} {:^13}",
@@ -43,5 +43,6 @@ fn main() {
         TABLE_I.iter().filter(|w| w.capability_count() == 4).all(|w| w.name == "HADAS"),
         "HADAS must be the only framework with all four capabilities"
     );
-    bench_env!().write_json("table1_related", &rows);
+    bench_env!().write_json("table1_related", &rows)?;
+    Ok(())
 }

@@ -120,7 +120,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(DeviceModel::for_target(HwTarget::Tx2DenverCpu).ladder().compute_steps(), 12);
 
     let _ = Hadas::for_target(HwTarget::Tx2PascalGpu); // framework assembles
-    bench_env!().write_json("table2_spaces", &rows);
+    bench_env!().write_json("table2_spaces", &rows)?;
     println!("\nall Table II cardinalities match the paper");
     Ok(())
 }

@@ -119,6 +119,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             b1.eex_acc, a6.eex_acc
         );
     }
-    bench_env!().write_json("table3_dynns", &rows);
+    bench_env!().write_json("table3_dynns", &rows)?;
     Ok(())
 }

@@ -14,10 +14,11 @@
 
 pub mod svg;
 
-use hadas::{Hadas, HadasConfig, IoeOutcome};
+use hadas::{seal, Hadas, HadasConfig, IoeOutcome};
 use hadas_hw::HwTarget;
 use hadas_space::{baselines, Subnet};
 use serde::{Deserialize, Serialize};
+use std::error::Error;
 use std::path::PathBuf;
 
 /// Schema tag stamped on every `results/BENCH_*.json` record (see
@@ -102,18 +103,15 @@ impl BenchEnv {
     /// Writes an experiment record as pretty JSON under
     /// [`BenchEnv::results_dir`].
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on I/O or serialisation failure — the harness should fail
-    /// loudly rather than silently drop results.
-    pub fn write_json<T: Serialize>(&self, name: &str, data: &T) {
+    /// As [`BenchEnv::write_bench`].
+    pub fn write_json<T: Serialize>(&self, name: &str, data: &T) -> Result<(), Box<dyn Error>> {
         let record = hadas::report::Experiment::new(name, data);
-        let dir = self.results_dir();
-        std::fs::create_dir_all(&dir).expect("create results directory");
-        let path = dir.join(format!("{name}.json"));
-        std::fs::write(&path, record.to_json().expect("serialise experiment"))
-            .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+        let path = self.results_dir().join(format!("{name}.json"));
+        seal::write_atomic(&path, record.to_json()?.as_bytes())?;
         println!("[results] wrote {}", path.display());
+        Ok(())
     }
 
     /// Writes a `BENCH_*` record under [`BenchEnv::results_dir`] with
@@ -130,7 +128,7 @@ impl BenchEnv {
         name: &str,
         seed: u64,
         rows: &T,
-    ) -> Result<PathBuf, Box<dyn std::error::Error>> {
+    ) -> Result<PathBuf, Box<dyn Error>> {
         let record = BenchRecord {
             schema: BENCH_SCHEMA.to_string(),
             bench: name.to_string(),
@@ -138,10 +136,8 @@ impl BenchEnv {
             seed,
             rows,
         };
-        let dir = self.results_dir();
-        std::fs::create_dir_all(&dir)?;
-        let path = dir.join(format!("{name}.json"));
-        std::fs::write(&path, serde_json::to_string_pretty(&record)?)?;
+        let path = self.results_dir().join(format!("{name}.json"));
+        seal::write_atomic(&path, serde_json::to_string_pretty(&record)?.as_bytes())?;
         println!("[results] wrote {}", path.display());
         Ok(path)
     }

@@ -6,7 +6,9 @@
 //! charts (Fig. 1, Fig. 6).
 
 use hadas::report::ScatterPoint;
+use hadas::seal::{self, SealError};
 use std::fmt::Write as _;
+use std::path::Path;
 
 const W: f64 = 420.0;
 const H: f64 = 320.0;
@@ -201,14 +203,14 @@ pub fn grouped_bars(
 /// Writes an SVG next to the JSON records under `dir` (usually
 /// [`crate::BenchEnv::results_dir`]).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on I/O failure, like [`crate::BenchEnv::write_json`].
-pub fn write_svg(dir: &std::path::Path, name: &str, svg: &str) {
-    std::fs::create_dir_all(dir).expect("create results directory");
+/// Returns I/O failures, like [`crate::BenchEnv::write_json`].
+pub fn write_svg(dir: &Path, name: &str, svg: &str) -> Result<(), SealError> {
     let path = dir.join(format!("{name}.svg"));
-    std::fs::write(&path, svg).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    seal::write_atomic(&path, svg.as_bytes())?;
     println!("[results] wrote {}", path.display());
+    Ok(())
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //! `main`, a buffer in tests).
 
 use crate::Command;
-use hadas::{DeploymentPicker, Hadas, SearchCheckpoint, SearchOptions};
+use hadas::{seal, DeploymentPicker, Hadas, SearchCheckpoint, SearchOptions};
 use hadas_dataset::{CorruptionConfig, DatasetConfig, SyntheticDataset};
 use hadas_hw::{DeviceModel, HwTarget, ProxyCostModel};
 use hadas_runtime::{modes_from_pareto, FaultConfig, FaultInjector};
@@ -188,7 +188,7 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> Result<(), Box<dyn Error>> 
             let cfg = scale.config().with_seed(seed);
             let mut opts = SearchOptions::default();
             if let Some(path) = &resume {
-                let ckpt = SearchCheckpoint::load(Path::new(path))?;
+                let ckpt: SearchCheckpoint = seal::load(Path::new(path))?;
                 writeln!(
                     out,
                     "resuming from {path} (generation {} of {})",
@@ -605,7 +605,7 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> Result<(), Box<dyn Error>> 
                 )?;
             }
             if let Some(path) = json {
-                std::fs::write(&path, report.to_json()?)?;
+                seal::write(Path::new(&path), &report)?;
                 writeln!(out, "wrote serve report to {path}")?;
             }
         }
@@ -781,7 +781,7 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> Result<(), Box<dyn Error>> 
                 )?;
             }
             if let Some(path) = json {
-                std::fs::write(&path, report.to_json()?)?;
+                seal::write(Path::new(&path), report)?;
                 writeln!(out, "wrote fleet report to {path}")?;
             }
         }

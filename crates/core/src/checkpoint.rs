@@ -11,8 +11,9 @@
 //! the search space, exit placements rebuild from positions, and the RNG
 //! restarts from its four-word xoshiro state.
 //!
-//! Writes are atomic (temp file + rename) so a crash mid-write leaves
-//! the previous checkpoint intact rather than a torn JSON.
+//! The checkpoint is a sealed artifact ([`crate::seal`]): written
+//! atomically, and refused on load when its schema is stale or its
+//! content fingerprint does not match.
 
 use crate::{
     DynamicFitness, EvaluatedBackbone, HadasConfig, HadasError, IoeOutcome, IoeSolution,
@@ -20,12 +21,13 @@ use crate::{
 };
 use hadas_exits::ExitPlacement;
 use hadas_hw::DvfsSetting;
+use hadas_nn::seal::Sealed;
 use hadas_space::SearchSpace;
 use serde::{Deserialize, Serialize};
-use std::path::Path;
 
 /// Schema version of the checkpoint file; bump on breaking layout change.
-pub const CHECKPOINT_SCHEMA: u32 = 1;
+/// v2: sealed, with a content fingerprint.
+pub const CHECKPOINT_SCHEMA: u32 = 2;
 
 /// One serialized inner-engine solution.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -87,6 +89,9 @@ pub struct CheckpointBackbone {
 pub struct SearchCheckpoint {
     /// Layout version ([`CHECKPOINT_SCHEMA`]).
     pub schema: u32,
+    /// Content fingerprint, stamped when written ([`crate::seal`]); zero
+    /// in memory.
+    pub fingerprint: u64,
     /// The configuration the interrupted run used. Resume refuses a
     /// mismatched config — splicing streams would silently break the
     /// determinism contract.
@@ -112,6 +117,7 @@ impl SearchCheckpoint {
     ) -> Self {
         SearchCheckpoint {
             schema: CHECKPOINT_SCHEMA,
+            fingerprint: 0,
             config: config.clone(),
             generation,
             rng_state,
@@ -172,18 +178,14 @@ impl SearchCheckpoint {
         Ok(out)
     }
 
-    /// Checks that this checkpoint belongs to `config`.
+    /// Checks that this checkpoint belongs to `config`. The schema is
+    /// checked when the file loads.
     ///
     /// # Errors
     ///
-    /// Returns [`HadasError::Checkpoint`] on schema or config mismatch.
+    /// Returns [`HadasError::Checkpoint`] on a config mismatch or an
+    /// empty population.
     pub fn validate_against(&self, config: &HadasConfig) -> Result<(), HadasError> {
-        if self.schema != CHECKPOINT_SCHEMA {
-            return Err(HadasError::Checkpoint(format!(
-                "checkpoint schema {} unsupported (expected {CHECKPOINT_SCHEMA})",
-                self.schema
-            )));
-        }
         if &self.config != config {
             return Err(HadasError::Checkpoint(
                 "checkpoint was produced by a different configuration; \
@@ -196,48 +198,17 @@ impl SearchCheckpoint {
         }
         Ok(())
     }
+}
 
-    /// Atomically writes the checkpoint as pretty JSON: serialize to a
-    /// sibling temp file, then rename over `path`. A crash mid-write
-    /// leaves the previous checkpoint intact.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HadasError::Checkpoint`] on serialization or I/O errors.
-    pub fn write(&self, path: &Path) -> Result<(), HadasError> {
-        let payload = serde_json::to_string_pretty(self)
-            .map_err(|e| HadasError::Checkpoint(format!("serialize: {e}")))?;
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)
-                    .map_err(|e| HadasError::Checkpoint(format!("mkdir {}: {e}", dir.display())))?;
-            }
-        }
-        let tmp = path.with_extension("json.tmp");
-        std::fs::write(&tmp, payload)
-            .map_err(|e| HadasError::Checkpoint(format!("write {}: {e}", tmp.display())))?;
-        std::fs::rename(&tmp, path)
-            .map_err(|e| HadasError::Checkpoint(format!("rename to {}: {e}", path.display())))?;
-        Ok(())
-    }
-
-    /// Loads a checkpoint from disk.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HadasError::Checkpoint`] on I/O or parse errors.
-    pub fn load(path: &Path) -> Result<Self, HadasError> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| HadasError::Checkpoint(format!("read {}: {e}", path.display())))?;
-        serde_json::from_str(&text)
-            .map_err(|e| HadasError::Checkpoint(format!("parse {}: {e}", path.display())))
-    }
+impl Sealed for SearchCheckpoint {
+    const SCHEMA: u32 = CHECKPOINT_SCHEMA;
+    const NAME: &'static str = "search checkpoint";
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Hadas;
+    use crate::{seal, Hadas};
     use hadas_hw::HwTarget;
 
     fn roundtrip_path(tag: &str) -> std::path::PathBuf {
@@ -259,10 +230,11 @@ mod tests {
             SearchCheckpoint::capture(&config, 2, [1, 2, 3, 4], &population, outcome.backbones());
 
         let path = roundtrip_path("roundtrip");
-        ckpt.write(&path).unwrap();
-        let loaded = SearchCheckpoint::load(&path).unwrap();
+        seal::write(&path, &ckpt).unwrap();
+        let loaded: SearchCheckpoint = seal::load(&path).unwrap();
         std::fs::remove_file(&path).ok();
-        assert_eq!(ckpt, loaded);
+        assert_ne!(loaded.fingerprint, 0, "writing stamps a content fingerprint");
+        assert_eq!(SearchCheckpoint { fingerprint: loaded.fingerprint, ..ckpt }, loaded);
         loaded.validate_against(&config).unwrap();
 
         let restored = loaded.restore_history(hadas.space()).unwrap();
@@ -275,27 +247,35 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_mismatched_configs_and_schemas() {
+    fn validate_rejects_mismatched_configs_and_empty_populations() {
         let config = HadasConfig::smoke_test();
         let ckpt = SearchCheckpoint::capture(&config, 0, [0; 4], &[vec![0; 4]], &[]);
         assert!(ckpt.validate_against(&config).is_ok());
         assert!(ckpt.validate_against(&config.clone().with_seed(99)).is_err());
-        let mut wrong = ckpt.clone();
-        wrong.schema = 0;
-        assert!(wrong.validate_against(&config).is_err());
         let mut empty = ckpt;
         empty.population.clear();
         assert!(empty.validate_against(&config).is_err());
     }
 
+    /// Missing, unparsable and half-written files are refused by the seal
+    /// itself (`seal` tests); here a checkpoint with one genome digit
+    /// edited, or a stale schema tag, must be refused by name.
     #[test]
     fn load_surfaces_missing_and_corrupt_files() {
-        let missing = roundtrip_path("missing");
-        assert!(matches!(SearchCheckpoint::load(&missing), Err(HadasError::Checkpoint(_))));
-        let corrupt = roundtrip_path("corrupt");
-        std::fs::write(&corrupt, "{not json").unwrap();
-        let err = SearchCheckpoint::load(&corrupt);
-        std::fs::remove_file(&corrupt).ok();
-        assert!(matches!(err, Err(HadasError::Checkpoint(_))));
+        let config = HadasConfig::smoke_test();
+        let ckpt = SearchCheckpoint::capture(&config, 0, [0; 4], &[vec![1, 2, 3, 4]], &[]);
+        let path = roundtrip_path("corrupt");
+        seal::write(&path, &ckpt).unwrap();
+        let json = std::fs::read_to_string(&path).unwrap();
+        let genomes = json.find("\"population\"").unwrap();
+        let digit = genomes + json[genomes..].find(|c: char| c.is_ascii_digit()).unwrap();
+        let edited_genome = format!("{}9{}", &json[..digit], &json[digit + 1..]);
+        let stale_schema = json.replacen("\"schema\": 2", "\"schema\": 1", 1);
+        for (corrupt, refusal) in [(edited_genome, "fingerprint"), (stale_schema, "schema")] {
+            std::fs::write(&path, corrupt).unwrap();
+            let err = HadasError::from(seal::load::<SearchCheckpoint>(&path).unwrap_err());
+            assert!(matches!(&err, HadasError::Checkpoint(m) if m.contains(refusal)), "{err}");
+        }
+        std::fs::remove_file(&path).ok();
     }
 }

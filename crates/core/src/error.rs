@@ -64,6 +64,12 @@ impl Error for HadasError {
     }
 }
 
+impl From<hadas_nn::seal::SealError> for HadasError {
+    fn from(e: hadas_nn::seal::SealError) -> Self {
+        HadasError::Checkpoint(e.to_string())
+    }
+}
+
 impl From<hadas_space::SpaceError> for HadasError {
     fn from(e: hadas_space::SpaceError) -> Self {
         HadasError::Space(e)

@@ -68,6 +68,7 @@ pub use deployment::DeploymentPicker;
 pub use dynmodel::{DynamicEvaluation, DynamicModel};
 pub use error::HadasError;
 pub use executor::{ExecTelemetry, FateResolver};
+pub use hadas_nn::seal;
 pub use ioe::{Ioe, IoeOutcome, IoeSolution};
 pub use objectives::{DynamicFitness, StaticFitness};
 pub use ooe::{EvaluatedBackbone, JointModel, Ooe, OoeOutcome, SearchOptions};

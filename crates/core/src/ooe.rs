@@ -396,14 +396,14 @@ impl<'a> Ooe<'a> {
     ) -> Result<(), HadasError> {
         let Some(path) = &opts.checkpoint_path else { return Ok(()) };
         let genes: Vec<Vec<usize>> = state.population.iter().map(|g| g.genes().to_vec()).collect();
-        SearchCheckpoint::capture(
+        let ckpt = SearchCheckpoint::capture(
             &self.config,
             state.generation,
             state.rng.state(),
             &genes,
             &state.history,
-        )
-        .write(path)
+        );
+        Ok(crate::seal::write(path, &ckpt)?)
     }
 
     fn should_stop(opts: &SearchOptions, deadline: &Deadline, ran_this_call: usize) -> bool {

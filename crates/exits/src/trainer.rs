@@ -1,7 +1,7 @@
 use crate::{ExitError, ExitHead, FeatureSimulator};
 use hadas_dataset::DifficultyDistribution;
 use hadas_nn::{
-    accuracy, hybrid_exit_loss, GuardConfig, NnError, Sgd, TrainCheckpoint, TrainGuard,
+    accuracy, hybrid_exit_loss, seal, GuardConfig, NnError, Sgd, TrainCheckpoint, TrainGuard,
     TrainTelemetry,
 };
 use hadas_tensor::Tensor;
@@ -170,7 +170,7 @@ impl ExitTrainer {
         if opts.resume {
             if let Some(path) = &opts.checkpoint {
                 if path.exists() {
-                    let ckpt = TrainCheckpoint::load(path)?;
+                    let ckpt: TrainCheckpoint = seal::load(path).map_err(NnError::from)?;
                     ckpt.validate_against(fingerprint)?;
                     let mut params = head.net_mut().params_mut();
                     ckpt.restore(&mut params, &mut opt)?;
@@ -256,7 +256,7 @@ impl ExitTrainer {
                 .with_buffers(buffers)
             };
             if let Some(path) = &opts.checkpoint {
-                last_good.write(path)?;
+                seal::write(path, &last_good).map_err(NnError::from)?;
                 telemetry.checkpoints_written += 1;
             }
             if let Some(stop) = opts.stop_after_epochs {

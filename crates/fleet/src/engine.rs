@@ -32,14 +32,14 @@ use crate::{
     RouterSummary,
 };
 use hadas::executor::{run_supervised, ChaosPlan, JobSpec};
-use hadas::{CircuitBreaker, Hadas, HadasConfig, HadasError};
+use hadas::{CircuitBreaker, ExecTelemetry, Hadas, HadasConfig, HadasError};
 use hadas_hw::HwTarget;
 use hadas_runtime::{
     modes_from_pareto, FaultConfig, FaultInjector, GrayFaultConfig, Histogram, OperatingMode,
 };
 use hadas_serve::{
-    generate_requests, BrownoutConfig, EngineSnapshot, Request, ResilienceTelemetry, ServeConfig,
-    ServeEngine, ServeTrace, SessionState, SloSummary,
+    generate_requests, BrownoutConfig, EngineSnapshot, Request, ServeConfig, ServeEngine,
+    ServeTrace, SessionState, SloSummary,
 };
 
 /// One searched deployment plane: the HADAS engine, the pinned top-3
@@ -174,7 +174,7 @@ pub struct FleetRun {
     pub report: FleetReport,
     /// Fleet supervisor counters; the side channel where healed unit
     /// faults remain visible.
-    pub telemetry: ResilienceTelemetry,
+    pub telemetry: ExecTelemetry,
 }
 
 /// The fleet serving engine over a set of searched device planes.
@@ -464,7 +464,7 @@ impl<'a> FleetEngine<'a> {
         } else {
             ReconfigSummary::disabled(self.config.scenario_name())
         };
-        let mut telemetry = ResilienceTelemetry::default();
+        let mut telemetry = ExecTelemetry::default();
 
         // Detection state: one machine and one routing lane per device,
         // plus the re-dispatch carryover of quarantine drains.

@@ -1,14 +1,15 @@
 //! The serialized outcome of one fleet run.
 
 use crate::{DetectionSummary, DeviceHealthReport, DeviceSummary, ReconfigSummary, RouterSummary};
+use hadas::seal::{self, Sealed};
 use hadas::HadasError;
 use hadas_runtime::LatencySummary;
-use hadas_serve::{accounting_balances, fingerprint64, zero_fingerprint_field, SloSummary};
+use hadas_serve::{accounting_balances, SloSummary};
 use serde::{Deserialize, Serialize};
 
 /// Schema tag stamped into every serialized [`FleetReport`]. Bump on
 /// any report shape change; [`FleetReport::from_json`] refuses other
-/// versions, mirroring `SearchCheckpoint`'s gated restore.
+/// versions.
 /// v2: gray-failure detection summary, per-unit telemetry integrity and
 /// detector states, probe-assignment routing counter.
 pub const FLEET_REPORT_SCHEMA: u32 = 2;
@@ -28,11 +29,9 @@ pub struct FleetReport {
     /// Report schema version ([`FLEET_REPORT_SCHEMA`]); stamped by
     /// [`FleetReport::to_json`].
     pub schema: u32,
-    /// FNV-1a fingerprint of the serialized report with this field
-    /// zeroed; stamped by [`FleetReport::to_json`], checked by
-    /// [`FleetReport::from_json`]. Zero while in memory. Leads the
-    /// struct so fingerprint zeroing always targets the fleet-level
-    /// field.
+    /// Content fingerprint ([`hadas::seal`]); stamped by
+    /// [`FleetReport::to_json`], checked by [`FleetReport::from_json`].
+    /// Zero while in memory.
     pub fingerprint: u64,
     /// Device units in the fleet.
     pub devices: usize,
@@ -102,26 +101,25 @@ pub struct FleetReport {
     pub unhealthy_devices: usize,
 }
 
+impl Sealed for FleetReport {
+    const SCHEMA: u32 = FLEET_REPORT_SCHEMA;
+    const NAME: &'static str = "fleet report";
+}
+
 impl FleetReport {
-    /// Serialises the report as pretty JSON — the byte-identical
-    /// artifact the fleet determinism contract is stated over.
+    /// Serialises the report as sealed pretty JSON ([`seal::to_json`]) —
+    /// the byte-identical artifact the fleet determinism contract is
+    /// stated over.
     ///
     /// # Errors
     ///
     /// Propagates serialisation failures (none for this struct in
     /// practice).
     pub fn to_json(&self) -> Result<String, serde_json::Error> {
-        let mut stamped = self.clone();
-        stamped.schema = FLEET_REPORT_SCHEMA;
-        stamped.fingerprint = 0;
-        let zeroed = serde_json::to_string_pretty(&stamped)?;
-        stamped.fingerprint = fingerprint64(zeroed.as_bytes());
-        serde_json::to_string_pretty(&stamped)
+        seal::to_json(self)
     }
 
-    /// Parses a serialized fleet report, refusing stale schemas and
-    /// content whose fingerprint does not match the bytes — the same
-    /// gated restore contract as `SearchCheckpoint`.
+    /// Parses a sealed fleet report ([`seal::from_json`]).
     ///
     /// # Errors
     ///
@@ -129,25 +127,7 @@ impl FleetReport {
     /// other than [`FLEET_REPORT_SCHEMA`], or a fingerprint mismatch
     /// (tampered or truncated content).
     pub fn from_json(json: &str) -> Result<Self, HadasError> {
-        let report: FleetReport = serde_json::from_str(json)
-            .map_err(|e| HadasError::Checkpoint(format!("parse fleet report: {e}")))?;
-        if report.schema != FLEET_REPORT_SCHEMA {
-            return Err(HadasError::Checkpoint(format!(
-                "fleet report schema {} unsupported (expected {FLEET_REPORT_SCHEMA})",
-                report.schema
-            )));
-        }
-        let zeroed = zero_fingerprint_field(json).ok_or_else(|| {
-            HadasError::Checkpoint("fleet report carries no fingerprint field".to_string())
-        })?;
-        let expected = fingerprint64(zeroed.as_bytes());
-        if report.fingerprint != expected {
-            return Err(HadasError::Checkpoint(format!(
-                "fleet report fingerprint {:#018x} does not match its content ({expected:#018x})",
-                report.fingerprint
-            )));
-        }
-        Ok(report)
+        Ok(seal::from_json(json)?)
     }
 
     /// Whether the fleet-level request-conservation identity holds: the

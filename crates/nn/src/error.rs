@@ -77,6 +77,12 @@ impl From<NumericAnomaly> for NnError {
     }
 }
 
+impl From<crate::seal::SealError> for NnError {
+    fn from(e: crate::seal::SealError) -> Self {
+        NnError::Checkpoint(e.to_string())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

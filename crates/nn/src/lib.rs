@@ -48,6 +48,7 @@ mod optim;
 mod param;
 mod pool;
 mod schedule;
+pub mod seal;
 mod sequential;
 mod train_state;
 

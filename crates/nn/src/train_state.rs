@@ -1,9 +1,8 @@
 //! Epoch-boundary training checkpoints: the full resumable state of a
 //! guarded training loop — parameter values, SGD velocity buffers, the
 //! RNG's exact xoshiro256** stream position, the (possibly backed-off)
-//! learning rate, and the epoch/step counters — serialized as schema-
-//! versioned JSON with the same atomic temp-file + rename discipline as
-//! the search-plane `SearchCheckpoint`.
+//! learning rate, and the epoch/step counters — persisted as a sealed
+//! artifact ([`crate::seal`]), like the search-plane `SearchCheckpoint`.
 //!
 //! The contract the chaos tests pin: a training run killed at epoch `k`
 //! and resumed from its checkpoint produces **byte-identical** final
@@ -11,24 +10,29 @@
 //! the *in-memory* last-good-epoch snapshot that divergence rollback
 //! restores (no disk round-trip needed).
 
+use crate::seal::Sealed;
 use crate::{NnError, Param, Sgd};
 use hadas_tensor::Tensor;
 use serde::{Deserialize, Serialize};
-use std::path::Path;
 
 /// Schema version of the training-checkpoint file; bump on breaking
 /// layout change.
-pub const TRAIN_CHECKPOINT_SCHEMA: u32 = 1;
+/// v2: sealed, with a content fingerprint; the configuration hash moved
+/// to `config_fingerprint`.
+pub const TRAIN_CHECKPOINT_SCHEMA: u32 = 2;
 
 /// The whole resumable training state at one epoch boundary.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TrainCheckpoint {
     /// Layout version ([`TRAIN_CHECKPOINT_SCHEMA`]).
     pub schema: u32,
+    /// Content fingerprint, stamped when written ([`crate::seal`]); zero
+    /// in memory.
+    pub fingerprint: u64,
     /// Hash of the training configuration (model shape, schedule, seed,
     /// dataset size). Resume refuses a mismatched fingerprint — splicing
     /// two different runs would silently break determinism.
-    pub fingerprint: u64,
+    pub config_fingerprint: u64,
     /// The next epoch to execute (0-based).
     pub epoch: usize,
     /// Optimizer steps taken so far.
@@ -58,7 +62,7 @@ impl TrainCheckpoint {
     /// Captures the full training state from live parameters and
     /// optimizer.
     pub fn capture(
-        fingerprint: u64,
+        config_fingerprint: u64,
         epoch: usize,
         steps: usize,
         rollbacks: u32,
@@ -68,7 +72,8 @@ impl TrainCheckpoint {
     ) -> Self {
         TrainCheckpoint {
             schema: TRAIN_CHECKPOINT_SCHEMA,
-            fingerprint,
+            fingerprint: 0,
+            config_fingerprint,
             epoch,
             steps,
             lr: opt.lr(),
@@ -147,19 +152,13 @@ impl TrainCheckpoint {
     }
 
     /// Checks that this checkpoint belongs to the run described by
-    /// `fingerprint`.
+    /// `config_fingerprint`. The schema is checked when the file loads.
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::Checkpoint`] on schema or fingerprint mismatch.
-    pub fn validate_against(&self, fingerprint: u64) -> Result<(), NnError> {
-        if self.schema != TRAIN_CHECKPOINT_SCHEMA {
-            return Err(NnError::Checkpoint(format!(
-                "train checkpoint schema {} unsupported (expected {TRAIN_CHECKPOINT_SCHEMA})",
-                self.schema
-            )));
-        }
-        if self.fingerprint != fingerprint {
+    /// Returns [`NnError::Checkpoint`] on a configuration mismatch.
+    pub fn validate_against(&self, config_fingerprint: u64) -> Result<(), NnError> {
+        if self.config_fingerprint != config_fingerprint {
             return Err(NnError::Checkpoint(
                 "train checkpoint was produced by a different configuration; \
                  resume with the same model, schedule, seed, and data"
@@ -168,47 +167,17 @@ impl TrainCheckpoint {
         }
         Ok(())
     }
+}
 
-    /// Atomically writes the checkpoint as JSON: serialize to a sibling
-    /// temp file, then rename over `path`. A crash mid-write leaves the
-    /// previous checkpoint intact.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::Checkpoint`] on serialization or I/O errors.
-    pub fn write(&self, path: &Path) -> Result<(), NnError> {
-        let payload = serde_json::to_string(self)
-            .map_err(|e| NnError::Checkpoint(format!("serialize: {e}")))?;
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)
-                    .map_err(|e| NnError::Checkpoint(format!("mkdir {}: {e}", dir.display())))?;
-            }
-        }
-        let tmp = path.with_extension("json.tmp");
-        std::fs::write(&tmp, payload)
-            .map_err(|e| NnError::Checkpoint(format!("write {}: {e}", tmp.display())))?;
-        std::fs::rename(&tmp, path)
-            .map_err(|e| NnError::Checkpoint(format!("rename to {}: {e}", path.display())))?;
-        Ok(())
-    }
-
-    /// Loads a checkpoint from disk.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::Checkpoint`] on I/O or parse errors.
-    pub fn load(path: &Path) -> Result<Self, NnError> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| NnError::Checkpoint(format!("read {}: {e}", path.display())))?;
-        serde_json::from_str(&text)
-            .map_err(|e| NnError::Checkpoint(format!("parse {}: {e}", path.display())))
-    }
+impl Sealed for TrainCheckpoint {
+    const SCHEMA: u32 = TRAIN_CHECKPOINT_SCHEMA;
+    const NAME: &'static str = "train checkpoint";
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::seal;
     use hadas_tensor::Tensor;
 
     fn tmp(tag: &str) -> std::path::PathBuf {
@@ -253,21 +222,13 @@ mod tests {
         let refs: Vec<&mut Param> = params.iter_mut().collect();
         let ckpt = TrainCheckpoint::capture(7, 1, 4, 0, [1, 2, 3, 4], &refs, &opt);
         let path = tmp("roundtrip");
-        ckpt.write(&path).unwrap();
-        let loaded = TrainCheckpoint::load(&path).unwrap();
+        seal::write(&path, &ckpt).unwrap();
+        let loaded: TrainCheckpoint = seal::load(&path).unwrap();
         std::fs::remove_file(&path).ok();
-        assert_eq!(ckpt, loaded);
+        assert_ne!(loaded.fingerprint, 0, "writing stamps a content fingerprint");
+        assert_eq!(TrainCheckpoint { fingerprint: loaded.fingerprint, ..ckpt }, loaded);
         loaded.validate_against(7).unwrap();
         assert!(loaded.validate_against(8).is_err());
-    }
-
-    #[test]
-    fn schema_mismatch_is_refused() {
-        let (mut params, opt) = model();
-        let refs: Vec<&mut Param> = params.iter_mut().collect();
-        let mut ckpt = TrainCheckpoint::capture(7, 0, 0, 0, [0; 4], &refs, &opt);
-        ckpt.schema = 99;
-        assert!(matches!(ckpt.validate_against(7), Err(NnError::Checkpoint(_))));
     }
 
     #[test]
@@ -286,13 +247,25 @@ mod tests {
         }
     }
 
+    /// Missing, unparsable and half-written files are refused by the seal
+    /// itself (`seal` tests); here a checkpoint with one parameter digit
+    /// edited, or a stale schema tag, must be refused by name.
     #[test]
     fn load_surfaces_missing_and_corrupt_files() {
-        assert!(TrainCheckpoint::load(&tmp("missing")).is_err());
-        let corrupt = tmp("corrupt");
-        std::fs::write(&corrupt, "{not json").unwrap();
-        let err = TrainCheckpoint::load(&corrupt);
-        std::fs::remove_file(&corrupt).ok();
-        assert!(matches!(err, Err(NnError::Checkpoint(_))));
+        let (mut params, opt) = model();
+        let refs: Vec<&mut Param> = params.iter_mut().collect();
+        let ckpt = TrainCheckpoint::capture(7, 0, 0, 0, [0; 4], &refs, &opt);
+        let path = tmp("corrupt");
+        seal::write(&path, &ckpt).unwrap();
+        let json = std::fs::read_to_string(&path).unwrap();
+        let edited_param = json.replacen("1.5", "1.6", 1);
+        assert_ne!(edited_param, json);
+        let stale_schema = json.replacen("\"schema\": 2", "\"schema\": 1", 1);
+        for (corrupt, refusal) in [(edited_param, "fingerprint"), (stale_schema, "schema")] {
+            std::fs::write(&path, corrupt).unwrap();
+            let err = NnError::from(seal::load::<TrainCheckpoint>(&path).unwrap_err());
+            assert!(matches!(&err, NnError::Checkpoint(m) if m.contains(refusal)), "{err}");
+        }
+        std::fs::remove_file(&path).ok();
     }
 }

@@ -1,11 +1,11 @@
-use crate::pool::{run_pool, serve_chaos_plan, BatchJob, ResilienceTelemetry};
+use crate::pool::{run_pool, serve_chaos_plan, BatchJob};
 use crate::report::TelemetryIntegrity;
 use crate::{
     apply_brownout, build_governor, generate_requests, Batcher, BrownoutLadder, BrownoutState,
     BrownoutSummary, BrownoutTier, Request, ServeConfig, ServeReport, SloClass, SloSummary,
     TelemetryCounters, TelemetrySanitizer, IMPLAUSIBLE_QUEUE_DEPTH,
 };
-use hadas::{CircuitBreaker, Hadas, HadasError};
+use hadas::{CircuitBreaker, ExecTelemetry, Hadas, HadasError};
 use hadas_runtime::{
     enforce_thermal_cap, DegradePolicy, FaultInjector, GrayDefect, GrayFaultConfig, Histogram,
     OperatingMode, PolicyState, ScalingPolicy,
@@ -79,7 +79,7 @@ pub struct ServeTrace {
     pub health: Vec<HealthSample>,
     /// Supervisor counters (crashes healed, retries, hedges); not part
     /// of any deterministic payload.
-    pub telemetry: ResilienceTelemetry,
+    pub telemetry: ExecTelemetry,
 }
 
 /// The complete mid-run state of a [`ServeSession`], exported at a
@@ -229,7 +229,7 @@ pub struct ServeSession<'a, 'e> {
     batcher: Batcher,
     brownout: Option<BrownoutLadder>,
     state: SessionState,
-    telemetry: ResilienceTelemetry,
+    telemetry: ExecTelemetry,
 }
 
 impl<'a> ServeEngine<'a> {
@@ -397,7 +397,7 @@ impl<'a> ServeEngine<'a> {
             batcher,
             brownout,
             state,
-            telemetry: ResilienceTelemetry::default(),
+            telemetry: ExecTelemetry::default(),
         })
     }
 
@@ -416,7 +416,7 @@ impl<'a> ServeEngine<'a> {
     }
 
     /// Serves the configured arrival stream to completion, additionally
-    /// returning the supervisor's [`ResilienceTelemetry`] (crash/respawn/
+    /// returning the supervisor's [`ExecTelemetry`] (crash/respawn/
     /// retry/hedge counters). The telemetry is deliberately *not* part of
     /// the serialized report: recovery erases execution faults from the
     /// deterministic payload, and these counters are the place where the
@@ -428,7 +428,7 @@ impl<'a> ServeEngine<'a> {
     /// fault configuration, or [`HadasError::Internal`] if the worker
     /// pool broke its supervision protocol (a bug, since reductions are
     /// pure).
-    pub fn run_instrumented(&self) -> Result<(ServeReport, ResilienceTelemetry), HadasError> {
+    pub fn run_instrumented(&self) -> Result<(ServeReport, ExecTelemetry), HadasError> {
         let injector = match &self.config.faults {
             Some(f) => Some(FaultInjector::new(f.clone())?),
             None => None,
@@ -491,7 +491,7 @@ impl<'a, 'e> ServeSession<'a, 'e> {
     /// Supervisor counters accumulated across the segments served so
     /// far (out-of-band; resets when a session is resumed from a bare
     /// [`SessionState`]).
-    pub fn telemetry(&self) -> ResilienceTelemetry {
+    pub fn telemetry(&self) -> ExecTelemetry {
         self.telemetry
     }
 

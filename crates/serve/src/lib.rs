@@ -31,7 +31,7 @@
 //!   transient failures, and hedges stragglers — and the recovered report
 //!   stays byte-identical to the fault-free one whenever nothing
 //!   dead-letters ([`ServeEngine::run_instrumented`] exposes the healing
-//!   counters out-of-band as [`ResilienceTelemetry`]).
+//!   counters out-of-band as [`hadas::ExecTelemetry`]).
 //! * [`BrownoutLadder`] — explicit overload degradation tiers
 //!   (shed bulk → force early exits → reject admissions) with hysteresis,
 //!   keeping interactive tail latency bounded under bursts instead of
@@ -39,8 +39,8 @@
 //! * [`ServeSession`] / [`SessionState`] / [`EngineSnapshot`] — the
 //!   zero-drop swap protocol: a run pauses at a segment barrier, exports
 //!   its complete state (in-flight queues, batcher, brownout ladder,
-//!   histograms), optionally persists it as a schema-versioned and
-//!   fingerprinted snapshot, and resumes under a *different* operating
+//!   histograms), seals it as a schema-versioned, fingerprinted
+//!   snapshot ([`hadas::seal`]), and resumes under a *different* operating
 //!   ladder — without dropping a single queued request. The fleet plane's
 //!   live reconfiguration is built on exactly this seam.
 //!
@@ -77,10 +77,9 @@ pub use brownout::{
 pub use config::{GovernorKind, ServeConfig};
 pub use engine::{HealthSample, ServeEngine, ServeSession, ServeTrace, SessionState};
 pub use governor::{apply_brownout, build_governor, QueuePolicy};
-pub use pool::ResilienceTelemetry;
+pub use hadas::seal::fingerprint64;
 pub use report::{
-    accounting_balances, fingerprint64, zero_fingerprint_field, ServeReport, SloSummary,
-    TelemetryIntegrity, SERVE_REPORT_SCHEMA,
+    accounting_balances, ServeReport, SloSummary, TelemetryIntegrity, SERVE_REPORT_SCHEMA,
 };
 pub use request::{generate_requests, Request, SloClass};
 pub use snapshot::{EngineSnapshot, SWAP_SNAPSHOT_SCHEMA};

@@ -22,13 +22,10 @@
 
 use crate::Request;
 use hadas::executor::{run_supervised, JobSpec};
-use hadas::{CircuitBreaker, HadasError, RetryPolicy};
+use hadas::{CircuitBreaker, ExecTelemetry, HadasError, RetryPolicy};
 use hadas_runtime::{FaultInjector, ServeOutcome};
 
 pub(crate) use hadas::executor::ChaosPlan;
-/// Execution-plane resilience counters (the executor's schema, shared
-/// verbatim with the search plane and both benches).
-pub use hadas::executor::ExecTelemetry as ResilienceTelemetry;
 
 /// One scheduled batch: everything a worker needs to reduce it, fixed at
 /// schedule time so the reduction is a pure function of the job.
@@ -175,7 +172,7 @@ pub(crate) fn run_pool(
     workers: usize,
     exit_slots: usize,
     plan: Option<&ChaosPlan>,
-) -> Result<(Vec<BatchResult>, ResilienceTelemetry), HadasError> {
+) -> Result<(Vec<BatchResult>, ExecTelemetry), HadasError> {
     let (slots, mut stats) =
         run_supervised(&jobs, workers.max(1), |job| reduce_batch(job, exit_slots), plan)?;
     // Re-account dead letters in serving units: the executor counts
@@ -250,7 +247,7 @@ mod tests {
     fn pool_returns_results_in_schedule_order_for_any_worker_count() {
         let jobs: Vec<BatchJob> = (0..20).map(|s| job(s, 3)).collect();
         let (single, stats) = run_pool(jobs.clone(), 1, 3, None).unwrap();
-        assert_eq!(stats, ResilienceTelemetry::default(), "a clean run needs no healing");
+        assert_eq!(stats, ExecTelemetry::default(), "a clean run needs no healing");
         for workers in [2, 4, 7] {
             let (multi, _) = run_pool(jobs.clone(), workers, 3, None).unwrap();
             assert_eq!(single, multi, "reduction must not depend on thread count");

@@ -1,44 +1,14 @@
 use crate::{BrownoutSummary, TelemetryCounters};
-use hadas::HadasError;
+use hadas::seal::Sealed;
 use hadas_runtime::LatencySummary;
 use serde::{Deserialize, Serialize};
 
 /// Schema tag stamped into every serialized [`ServeReport`]. Bump on any
-/// report shape change; [`ServeReport::from_json`] refuses other
-/// versions, mirroring `SearchCheckpoint`'s gated restore.
+/// report shape change; [`hadas::seal::from_json`] refuses other
+/// versions.
 /// v2: telemetry-integrity summary (windows opened/emitted, sanitizer
 /// defect tallies).
 pub const SERVE_REPORT_SCHEMA: u32 = 2;
-
-/// FNV-1a 64-bit over raw bytes — the workspace's stable content
-/// fingerprint for persisted artifacts (reports, swap snapshots).
-/// Hand-rolled because `DefaultHasher` does not guarantee stability
-/// across Rust releases, and persisted fingerprints must.
-pub fn fingerprint64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// Rewrites the first `"fingerprint": <digits>` value in a serialized
-/// report to `0`, returning `None` when the field is missing. The
-/// schema/fingerprint pair leads every report struct, so the first
-/// occurrence is always the top-level field even when device reports
-/// nest. Fingerprints are computed over this zeroed text, which makes
-/// validation cover the exact bytes on disk without relying on
-/// parse→print float round-tripping.
-pub fn zero_fingerprint_field(json: &str) -> Option<String> {
-    let key = "\"fingerprint\": ";
-    let start = json.find(key)? + key.len();
-    let digits = json[start..].bytes().take_while(|b| b.is_ascii_digit()).count();
-    if digits == 0 {
-        return None;
-    }
-    Some(format!("{}0{}", &json[..start], &json[start + digits..]))
-}
 
 /// The request-conservation identity every serving plane obeys, stated
 /// once: every offered request is exactly one of served, shed at
@@ -107,11 +77,10 @@ pub struct TelemetryIntegrity {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServeReport {
     /// Report schema version ([`SERVE_REPORT_SCHEMA`]); stamped by
-    /// [`ServeReport::to_json`].
+    /// [`hadas::seal::to_json`].
     pub schema: u32,
-    /// FNV-1a fingerprint of the serialized report with this field
-    /// zeroed; stamped by [`ServeReport::to_json`], checked by
-    /// [`ServeReport::from_json`]. Zero while in memory.
+    /// Content fingerprint, stamped by [`hadas::seal::to_json`] and
+    /// checked by [`hadas::seal::from_json`]. Zero while in memory.
     pub fingerprint: u64,
     /// Governor name (e.g. `degrade(queue[8])`).
     pub governor: String,
@@ -179,54 +148,12 @@ pub struct ServeReport {
     pub telemetry: TelemetryIntegrity,
 }
 
+impl Sealed for ServeReport {
+    const SCHEMA: u32 = SERVE_REPORT_SCHEMA;
+    const NAME: &'static str = "serve report";
+}
+
 impl ServeReport {
-    /// Serialises the report as pretty JSON — the byte-identical artifact
-    /// the determinism contract is stated over.
-    ///
-    /// # Errors
-    ///
-    /// Propagates serialisation failures (none for this struct in
-    /// practice).
-    pub fn to_json(&self) -> Result<String, serde_json::Error> {
-        let mut stamped = self.clone();
-        stamped.schema = SERVE_REPORT_SCHEMA;
-        stamped.fingerprint = 0;
-        let zeroed = serde_json::to_string_pretty(&stamped)?;
-        stamped.fingerprint = fingerprint64(zeroed.as_bytes());
-        serde_json::to_string_pretty(&stamped)
-    }
-
-    /// Parses a serialized report, refusing stale schemas and content
-    /// whose fingerprint does not match the bytes — the same gated
-    /// restore contract as `SearchCheckpoint`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HadasError::Checkpoint`] for unparsable JSON, a schema
-    /// other than [`SERVE_REPORT_SCHEMA`], or a fingerprint mismatch
-    /// (tampered or truncated content).
-    pub fn from_json(json: &str) -> Result<Self, HadasError> {
-        let report: ServeReport = serde_json::from_str(json)
-            .map_err(|e| HadasError::Checkpoint(format!("parse serve report: {e}")))?;
-        if report.schema != SERVE_REPORT_SCHEMA {
-            return Err(HadasError::Checkpoint(format!(
-                "serve report schema {} unsupported (expected {SERVE_REPORT_SCHEMA})",
-                report.schema
-            )));
-        }
-        let zeroed = zero_fingerprint_field(json).ok_or_else(|| {
-            HadasError::Checkpoint("serve report carries no fingerprint field".to_string())
-        })?;
-        let expected = fingerprint64(zeroed.as_bytes());
-        if report.fingerprint != expected {
-            return Err(HadasError::Checkpoint(format!(
-                "serve report fingerprint {:#018x} does not match its content ({expected:#018x})",
-                report.fingerprint
-            )));
-        }
-        Ok(report)
-    }
-
     /// Whether this run satisfies the request-conservation identity
     /// [`accounting_balances`].
     pub fn accounting_balances(&self) -> bool {
@@ -237,6 +164,7 @@ impl ServeReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hadas::seal;
 
     #[test]
     fn conservation_identity_is_the_exact_sum() {
@@ -281,41 +209,28 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint64_is_the_reference_fnv1a() {
-        assert_eq!(fingerprint64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fingerprint64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_ne!(fingerprint64(b"ab"), fingerprint64(b"ba"), "order must matter");
-    }
-
-    #[test]
     fn json_round_trip_is_schema_and_fingerprint_gated() {
         let report = sample_report();
-        let json = report.to_json().expect("reports serialize");
-        let restored = ServeReport::from_json(&json).expect("a stamped report restores");
+        let json = seal::to_json(&report).expect("reports serialize");
+        let restored: ServeReport = seal::from_json(&json).expect("a stamped report restores");
         assert_eq!(restored.schema, SERVE_REPORT_SCHEMA);
-        assert_ne!(restored.fingerprint, 0, "to_json stamps a real fingerprint");
+        // The fingerprint hashes the whole text, so pinning it pins every
+        // byte of the report format.
+        assert_eq!(restored.fingerprint, 2_500_456_699_268_850_222, "golden report bytes");
         assert_eq!(restored.served, report.served);
 
         let tampered = json.replace("\"served\": 780", "\"served\": 781");
-        let err = ServeReport::from_json(&tampered).expect_err("tampering must be refused");
+        let err = seal::from_json::<ServeReport>(&tampered).expect_err("tampering must be refused");
         assert!(err.to_string().contains("fingerprint"), "{err}");
 
         let stale = json.replace(
             &format!("\"schema\": {SERVE_REPORT_SCHEMA}"),
             &format!("\"schema\": {}", SERVE_REPORT_SCHEMA + 1),
         );
-        let err = ServeReport::from_json(&stale).expect_err("stale schemas must be refused");
+        let err =
+            seal::from_json::<ServeReport>(&stale).expect_err("stale schemas must be refused");
         assert!(err.to_string().contains("schema"), "{err}");
 
-        assert!(ServeReport::from_json("not json").is_err());
-    }
-
-    #[test]
-    fn fingerprint_zeroing_targets_the_leading_field() {
-        let json = sample_report().to_json().expect("reports serialize");
-        let zeroed = zero_fingerprint_field(&json).expect("stamped reports carry the field");
-        assert!(zeroed.contains("\"fingerprint\": 0"));
-        assert_eq!(zero_fingerprint_field("{}"), None);
-        assert_eq!(zero_fingerprint_field("\"fingerprint\": "), None, "no digits, no zeroing");
+        assert!(seal::from_json::<ServeReport>("not json").is_err());
     }
 }

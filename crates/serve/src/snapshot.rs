@@ -3,19 +3,15 @@
 //! protocol.
 //!
 //! A [`crate::ServeSession`] exports its [`SessionState`] at a segment
-//! barrier; wrapping it in an [`EngineSnapshot`] stamps a schema version
-//! and an FNV-1a fingerprint over the canonical JSON of the state, so a
-//! restore can refuse a stale-schema or corrupted snapshot instead of
-//! silently resuming from garbage — mirroring `SearchCheckpoint`'s gated
-//! restore. Writes are atomic (sibling temp file + rename), so a crash
-//! mid-swap leaves the previous snapshot intact, which is exactly what
-//! the failed-swap rollback path restores from.
+//! barrier; wrapping it in an [`EngineSnapshot`] seals it
+//! ([`hadas::seal`]): a schema version and a content fingerprint, so a
+//! restore refuses a stale-schema or corrupted snapshot instead of
+//! silently resuming from garbage.
 
-use crate::report::fingerprint64;
 use crate::SessionState;
+use hadas::seal::{self, Sealed};
 use hadas::HadasError;
 use serde::{Deserialize, Serialize};
-use std::path::Path;
 
 /// Schema tag of the swap-snapshot payload. Bump on any
 /// [`SessionState`] shape change; restores refuse other versions.
@@ -23,16 +19,20 @@ use std::path::Path;
 /// defect counters, latency sum).
 pub const SWAP_SNAPSHOT_SCHEMA: u32 = 2;
 
-/// A validated, persistable snapshot of one serving session at a swap
-/// barrier.
+/// A sealed snapshot of one serving session at a swap barrier.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EngineSnapshot {
     /// Payload schema version ([`SWAP_SNAPSHOT_SCHEMA`]).
     pub schema: u32,
-    /// FNV-1a 64-bit fingerprint of the state's canonical JSON.
+    /// Content fingerprint ([`hadas::seal`]).
     pub fingerprint: u64,
     /// The complete mid-run session state.
     pub state: SessionState,
+}
+
+impl Sealed for EngineSnapshot {
+    const SCHEMA: u32 = SWAP_SNAPSHOT_SCHEMA;
+    const NAME: &'static str = "swap snapshot";
 }
 
 impl EngineSnapshot {
@@ -44,84 +44,22 @@ impl EngineSnapshot {
     /// Returns [`HadasError::Checkpoint`] if the state fails to
     /// serialize (never in practice).
     pub fn capture(state: SessionState) -> Result<Self, HadasError> {
-        let fingerprint = Self::fingerprint_of(&state)?;
-        Ok(EngineSnapshot { schema: SWAP_SNAPSHOT_SCHEMA, fingerprint, state })
+        let mut snapshot = EngineSnapshot { schema: SWAP_SNAPSHOT_SCHEMA, fingerprint: 0, state };
+        snapshot.fingerprint = seal::fingerprint(&snapshot)?;
+        Ok(snapshot)
     }
 
-    fn fingerprint_of(state: &SessionState) -> Result<u64, HadasError> {
-        let json = serde_json::to_string(state)
-            .map_err(|e| HadasError::Checkpoint(format!("serialize swap snapshot: {e}")))?;
-        Ok(fingerprint64(json.as_bytes()))
-    }
-
-    /// Checks the schema version and recomputes the fingerprint.
+    /// Verifies the seal ([`seal::verify`]) and unwraps the session
+    /// state for [`crate::ServeEngine::resume`].
     ///
     /// # Errors
     ///
     /// Returns [`HadasError::Checkpoint`] on a schema or fingerprint
     /// mismatch — the snapshot is stale or corrupted and must not be
     /// restored.
-    pub fn validate(&self) -> Result<(), HadasError> {
-        if self.schema != SWAP_SNAPSHOT_SCHEMA {
-            return Err(HadasError::Checkpoint(format!(
-                "swap snapshot schema {} unsupported (expected {SWAP_SNAPSHOT_SCHEMA})",
-                self.schema
-            )));
-        }
-        let expected = Self::fingerprint_of(&self.state)?;
-        if self.fingerprint != expected {
-            return Err(HadasError::Checkpoint(format!(
-                "swap snapshot fingerprint {:#018x} does not match its state ({expected:#018x}) \
-                 — refusing a corrupted restore",
-                self.fingerprint
-            )));
-        }
-        Ok(())
-    }
-
-    /// Validates the snapshot and unwraps the session state for
-    /// [`crate::ServeEngine::resume`].
-    ///
-    /// # Errors
-    ///
-    /// As [`EngineSnapshot::validate`].
     pub fn into_state(self) -> Result<SessionState, HadasError> {
-        self.validate()?;
+        seal::verify(&self)?;
         Ok(self.state)
-    }
-
-    /// Persists the snapshot as pretty JSON: write a sibling temp file,
-    /// then rename over `path`. A crash mid-write leaves any previous
-    /// snapshot untouched.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HadasError::Checkpoint`] on serialisation or I/O
-    /// failure.
-    pub fn save(&self, path: &Path) -> Result<(), HadasError> {
-        let payload = serde_json::to_string_pretty(self)
-            .map_err(|e| HadasError::Checkpoint(format!("serialize swap snapshot: {e}")))?;
-        let tmp = path.with_extension("json.tmp");
-        std::fs::write(&tmp, payload)
-            .map_err(|e| HadasError::Checkpoint(format!("write {}: {e}", tmp.display())))?;
-        std::fs::rename(&tmp, path)
-            .map_err(|e| HadasError::Checkpoint(format!("rename to {}: {e}", path.display())))?;
-        Ok(())
-    }
-
-    /// Loads and validates a persisted snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HadasError::Checkpoint`] for a missing or unparsable
-    /// file, an unsupported schema, or a fingerprint mismatch.
-    pub fn load(path: &Path) -> Result<Self, HadasError> {
-        let payload = std::fs::read_to_string(path)
-            .map_err(|e| HadasError::Checkpoint(format!("read {}: {e}", path.display())))?;
-        let snapshot: EngineSnapshot = serde_json::from_str(&payload)
-            .map_err(|e| HadasError::Checkpoint(format!("parse {}: {e}", path.display())))?;
-        snapshot.validate()?;
-        Ok(snapshot)
     }
 }
 
@@ -193,7 +131,7 @@ mod tests {
         let state = sample_state();
         let snapshot = EngineSnapshot::capture(state.clone()).expect("states serialize");
         assert_eq!(snapshot.schema, SWAP_SNAPSHOT_SCHEMA);
-        snapshot.validate().expect("a fresh capture validates");
+        seal::verify(&snapshot).expect("a fresh capture validates");
         assert_eq!(snapshot.clone().into_state().expect("valid snapshots unwrap"), state);
     }
 
@@ -201,39 +139,12 @@ mod tests {
     fn tampered_or_stale_snapshots_are_refused() {
         let mut snapshot = EngineSnapshot::capture(sample_state()).expect("states serialize");
         snapshot.state.served += 1;
-        let err = snapshot.validate().expect_err("a mutated state must be refused");
+        let err = snapshot.into_state().expect_err("a mutated state must be refused");
         assert!(err.to_string().contains("fingerprint"), "{err}");
 
         let mut stale = EngineSnapshot::capture(sample_state()).expect("states serialize");
         stale.schema += 1;
         let err = stale.into_state().expect_err("a stale schema must be refused");
         assert!(err.to_string().contains("schema"), "{err}");
-    }
-
-    #[test]
-    fn save_and_load_are_atomic_and_gated() {
-        let dir = std::env::temp_dir().join(format!(
-            "hadas_swap_snapshot_{}_{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("swap.json");
-
-        let snapshot = EngineSnapshot::capture(sample_state()).expect("states serialize");
-        snapshot.save(&path).expect("snapshots persist");
-        assert!(!dir.join("swap.json.tmp").exists(), "the temp file must be renamed away");
-        let loaded = EngineSnapshot::load(&path).expect("persisted snapshots load");
-        assert_eq!(loaded, snapshot, "disk round trip is bit-identical");
-
-        let tampered = std::fs::read_to_string(&path)
-            .expect("snapshot file reads")
-            .replace("\"served\": 35", "\"served\": 36");
-        std::fs::write(&path, tampered).expect("tamper write");
-        let err = EngineSnapshot::load(&path).expect_err("tampered files must be refused");
-        assert!(err.to_string().contains("fingerprint"), "{err}");
-
-        assert!(EngineSnapshot::load(&dir.join("missing.json")).is_err());
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

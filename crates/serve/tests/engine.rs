@@ -3,7 +3,7 @@
 //! throughput that scales with the pool, and governors that actually
 //! move the mode ladder under load.
 
-use hadas::{Hadas, HadasConfig};
+use hadas::{seal, Hadas, HadasConfig};
 use hadas_hw::HwTarget;
 use hadas_runtime::{modes_from_pareto, FaultConfig, OperatingMode};
 use hadas_serve::{GovernorKind, ServeConfig, ServeEngine};
@@ -35,8 +35,8 @@ fn reports_are_byte_identical_across_runs() {
         let b = ServeEngine::new(&hadas, modes.clone(), cfg).unwrap().run().unwrap();
         assert_eq!(a, b);
         assert_eq!(
-            a.to_json().unwrap(),
-            b.to_json().unwrap(),
+            seal::to_json(&a).unwrap(),
+            seal::to_json(&b).unwrap(),
             "same seed + config must serialise byte-identically (workers={workers})"
         );
     }
@@ -49,7 +49,7 @@ fn faulty_runs_are_byte_identical_too() {
     cfg.faults = Some(FaultConfig { horizon_s: 8.0, episode_s: 2.0, ..FaultConfig::chaos(11) });
     let a = ServeEngine::new(&hadas, modes.clone(), cfg.clone()).unwrap().run().unwrap();
     let b = ServeEngine::new(&hadas, modes, cfg).unwrap().run().unwrap();
-    assert_eq!(a.to_json().unwrap(), b.to_json().unwrap());
+    assert_eq!(seal::to_json(&a).unwrap(), seal::to_json(&b).unwrap());
     assert!(a.throttled_windows > 0 || a.sag_energy_j > 0.0, "chaos must be visible");
 }
 
@@ -128,8 +128,8 @@ fn chaos_recovery_is_byte_identical_to_fault_free() {
             ServeEngine::new(&hadas, modes.clone(), chaos_cfg).unwrap().run_instrumented().unwrap();
         assert_eq!(healed.dead_lettered, 0, "the chaos preset must heal ({workers} workers)");
         assert_eq!(
-            healed.to_json().unwrap(),
-            clean.to_json().unwrap(),
+            seal::to_json(&healed).unwrap(),
+            seal::to_json(&clean).unwrap(),
             "supervised recovery must be invisible in the report ({workers} workers)"
         );
         assert!(

@@ -239,7 +239,7 @@ proptest! {
     fn swap_snapshots_round_trip_any_session_state(state in session_state_strategy()) {
         let snapshot = EngineSnapshot::capture(state.clone()).expect("states serialize");
         prop_assert_eq!(snapshot.schema, SWAP_SNAPSHOT_SCHEMA);
-        snapshot.validate().expect("a fresh capture validates");
+        hadas::seal::verify(&snapshot).expect("a fresh capture validates");
 
         let json = serde_json::to_string_pretty(&snapshot).expect("snapshots serialize");
         let parsed: EngineSnapshot = serde_json::from_str(&json).expect("snapshots parse");

@@ -3,7 +3,8 @@ use crate::{
 };
 use hadas_dataset::SyntheticDataset;
 use hadas_nn::{
-    accuracy, nll_loss, Layer, NnError, Relu, Sgd, TrainCheckpoint, TrainGuard, TrainTelemetry,
+    accuracy, nll_loss, seal, Layer, NnError, Relu, Sgd, TrainCheckpoint, TrainGuard,
+    TrainTelemetry,
 };
 use hadas_tensor::Tensor;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -224,7 +225,8 @@ impl MicroSupernet {
         if opts.resume {
             if let Some(path) = &opts.checkpoint {
                 if path.exists() {
-                    let ckpt = TrainCheckpoint::load(path).map_err(SupernetError::Nn)?;
+                    let ckpt: TrainCheckpoint =
+                        seal::load(path).map_err(|e| SupernetError::Nn(e.into()))?;
                     ckpt.validate_against(fingerprint).map_err(SupernetError::Nn)?;
                     let mut params = self.all_params();
                     ckpt.restore(&mut params, &mut opt).map_err(SupernetError::Nn)?;
@@ -328,7 +330,7 @@ impl MicroSupernet {
                 )
             };
             if let Some(path) = &opts.checkpoint {
-                last_good.write(path).map_err(SupernetError::Nn)?;
+                seal::write(path, &last_good).map_err(|e| SupernetError::Nn(e.into()))?;
                 telemetry.checkpoints_written += 1;
             }
             if let Some(stop) = opts.stop_after_epochs {

@@ -63,7 +63,7 @@
 //!    artifacts. The CI `chaos-gray` matrix pins one fault kind per
 //!    job via `HADAS_CHAOS_GRAY_KIND`; locally two run by default.
 
-use hadas_suite::core::{Hadas, HadasConfig, SearchCheckpoint, SearchOptions};
+use hadas_suite::core::{seal, Hadas, HadasConfig, SearchCheckpoint, SearchOptions};
 use hadas_suite::dataset::{CorruptionConfig, DatasetConfig, SyntheticDataset};
 use hadas_suite::hw::HwTarget;
 use hadas_suite::runtime::{
@@ -144,7 +144,8 @@ fn killed_and_resumed(seed: u64, kill_after: usize, base: &SearchOptions, tag: &
         exec_chaos: base.exec_chaos.clone(),
         checkpoint_path: Some(path.clone()),
         resume_from: Some(
-            SearchCheckpoint::load(&path).expect("checkpoint written at the kill point loads"),
+            seal::load::<SearchCheckpoint>(&path)
+                .expect("checkpoint written at the kill point loads"),
         ),
         ..SearchOptions::default()
     };
@@ -217,7 +218,7 @@ fn a_stale_checkpoint_is_refused_not_mangled() {
     // Resuming under a different seed must fail loudly instead of
     // silently splicing two unrelated searches together.
     let resumed = SearchOptions {
-        resume_from: Some(SearchCheckpoint::load(&path).expect("loads")),
+        resume_from: Some(seal::load::<SearchCheckpoint>(&path).expect("loads")),
         ..SearchOptions::default()
     };
     let err = hadas.run_with(&HadasConfig::smoke_test().with_seed(6), &resumed);
@@ -373,7 +374,7 @@ fn serve_run(
     modes: &[hadas_suite::runtime::OperatingMode],
     workers: usize,
     chaos_seed: Option<u64>,
-) -> (hadas_suite::serve::ServeReport, hadas_suite::serve::ResilienceTelemetry) {
+) -> (hadas_suite::serve::ServeReport, hadas_suite::core::ExecTelemetry) {
     use hadas_suite::serve::{ServeConfig, ServeEngine};
     let config = ServeConfig {
         seed: 42,
@@ -409,7 +410,7 @@ fn supervised_serving_heals_back_to_the_fault_free_report() {
         for workers in [1usize, 2, 3] {
             let (clean, calm) = serve_run(&hadas, &modes, workers, None);
             assert_eq!(calm, Default::default(), "a fault-free run reports no healing activity");
-            let clean_json = clean.to_json().expect("report serializes");
+            let clean_json = seal::to_json(&clean).expect("report serializes");
 
             let (healed, telemetry) = serve_run(&hadas, &modes, workers, Some(seed));
             assert_eq!(
@@ -420,7 +421,7 @@ fn supervised_serving_heals_back_to_the_fault_free_report() {
                 healed.accounting_balances(),
                 "request accounting must balance (seed {seed}, {workers} workers)"
             );
-            let healed_json = healed.to_json().expect("report serializes");
+            let healed_json = seal::to_json(&healed).expect("report serializes");
             if healed_json != clean_json {
                 dump_serve_diff(&format!("{seed}_{workers}w"), &clean_json, &healed_json);
             }
