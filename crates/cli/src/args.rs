@@ -257,6 +257,27 @@ fn parse_scale(s: &str) -> Result<Scale, ParseCliError> {
     }
 }
 
+/// Every flag `hadas fleet` accepts; the help text documents each one.
+pub(crate) const FLEET_FLAGS: &[&str] = &[
+    "devices",
+    "scale",
+    "seed",
+    "users",
+    "rps",
+    "workers",
+    "slo-ms",
+    "governor",
+    "energy-weight",
+    "faults",
+    "chaos",
+    "scenario",
+    "reconfigure",
+    "gray-faults",
+    "gray-kind",
+    "detection",
+    "json",
+];
+
 /// Reads `--flag value` pairs out of `rest`, erroring on unknown flags.
 fn take_flags<'a>(
     rest: &'a [String],
@@ -617,28 +638,7 @@ impl Command {
                 })
             }
             "fleet" => {
-                let flags = take_flags(
-                    rest,
-                    &[
-                        "devices",
-                        "scale",
-                        "seed",
-                        "users",
-                        "rps",
-                        "workers",
-                        "slo-ms",
-                        "governor",
-                        "energy-weight",
-                        "faults",
-                        "chaos",
-                        "scenario",
-                        "reconfigure",
-                        "gray-faults",
-                        "gray-kind",
-                        "detection",
-                        "json",
-                    ],
-                )?;
+                let flags = take_flags(rest, FLEET_FLAGS)?;
                 let devices = hadas_fleet::parse_device_spec(
                     flag(&flags, "devices").unwrap_or("mixed:8"),
                 )

@@ -41,7 +41,8 @@ USAGE:
                   [--rps R] [--workers N] [--slo-ms MS]
                   [--governor static|latency|queue] [--energy-weight W]
                   [--faults SEED] [--chaos SEED] [--scenario NAME]
-                  [--reconfigure on|off] [--json PATH]
+                  [--reconfigure on|off] [--gray-faults SEED]
+                  [--gray-kind KIND] [--detection on|off] [--json PATH]
 
 TARGETS: agx-gpu, agx-cpu, tx2-gpu, tx2-cpu
 
@@ -118,6 +119,16 @@ FLEET:
                          window along its searched Pareto front through
                          zero-drop validated snapshot swaps; substrate
                          swap failures roll back onto the old window
+  --gray-faults SEED     gray failures: a seeded subset of devices keeps
+                         serving, ~6x slower, while its health telemetry
+                         lies per --gray-kind
+  --gray-kind KIND       how gray telemetry lies: stale, corrupt, drop,
+                         slow, flap, or mix (default mix)
+  --detection on|off     online health plane: epoch-barrier evidence
+                         drives a per-device health state machine; the
+                         router quarantines suspect devices, probes them
+                         with a bulk trickle, and re-dispatches their
+                         drained queues with zero loss
 ";
 
 /// Executes a parsed command, writing the report to `out`.
@@ -259,7 +270,8 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> Result<(), Box<dyn Error>> 
                         })
                     })
                     .collect();
-                std::fs::write(&path, serde_json::to_string_pretty(&payload)?)?;
+                let json = serde_json::to_string_pretty(&payload)?;
+                seal::write_atomic(Path::new(&path), json.as_bytes())?;
                 writeln!(out, "wrote {} models to {path}", models.len())?;
             }
             if faults.is_some() {
@@ -407,7 +419,8 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> Result<(), Box<dyn Error>> 
                         "interrupted": telemetry.interrupted,
                     },
                 });
-                std::fs::write(&path, serde_json::to_string_pretty(&payload)?)?;
+                let json = serde_json::to_string_pretty(&payload)?;
+                seal::write_atomic(Path::new(&path), json.as_bytes())?;
                 writeln!(out, "wrote train report to {path}")?;
             }
         }
@@ -826,6 +839,10 @@ mod tests {
         let text = run(Command::Help);
         assert!(text.contains("USAGE"));
         assert!(text.contains("tx2-gpu"));
+        let fleet = &text[text.find("hadas fleet").unwrap()..text.find("TARGETS:").unwrap()];
+        for flag in crate::args::FLEET_FLAGS {
+            assert!(fleet.contains(&format!("[--{flag} ")), "fleet synopsis omits --{flag}");
+        }
     }
 
     #[test]

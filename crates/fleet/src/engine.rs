@@ -1,32 +1,34 @@
 //! The fleet engine: N heterogeneous device units in shared virtual
 //! time, supervised through the core executor, under the global router.
 //!
-//! One run is two deterministic passes. First the *scheduling pass*,
-//! single-threaded: generate the fleet-wide arrival stream (drift
-//! scenario included), route every request to a device (or fleet-reject
-//! it), and fix each unit's serve configuration. Then the *execution
-//! pass*: each unit becomes one supervised executor job — spawned on a
-//! fleet worker lane, monitored (crashes surface as lane deaths,
-//! retried with seq-preserving re-dispatch of the unit's whole
-//! in-flight substream), and reduced by the pure per-unit serve run.
-//! Results fold in device-index order, so the serialized
-//! [`FleetReport`] is byte-identical across fleet worker counts and
-//! under injected unit crashes that heal with zero dead letters.
+//! One run generates the fleet-wide arrival stream (drift scenario
+//! included) and serves it in epochs. Every epoch is two deterministic
+//! passes. First the *scheduling pass*, single-threaded: route the
+//! epoch's stream slice to the devices (or fleet-reject it) under each
+//! device's current estimate. Then the *execution pass*: each device
+//! serves its slice as one supervised executor job — spawned on a fleet
+//! worker lane, monitored (crashes surface as lane deaths, retried with
+//! seq-preserving re-dispatch of the unit's whole in-flight substream),
+//! and reduced by a pure session segment (state in, state out; the
+//! final epoch drains and finishes the session). Results fold in
+//! device-index order, so the serialized [`FleetReport`] is
+//! byte-identical across fleet worker counts and under injected unit
+//! crashes that heal with zero dead letters.
 //!
-//! With `FleetConfig::reconfigure` on, the run is segmented into epochs
-//! (see [`crate::ReconfigConfig`]): each epoch routes its stream slice
-//! under refreshed estimates, serves every device one segment forward,
-//! and the controller slides per-device mode windows along the full
-//! Pareto front via zero-drop snapshot swaps — the same two-pass
-//! structure applied per epoch, so every byte-identity contract above
-//! carries over, and a mid-swap unit crash heals exactly like any other
-//! unit crash.
+//! Between epochs a single-threaded barrier runs the online gray-failure
+//! detector (see `crate::health`) and the reconfiguration controller
+//! (see [`crate::ReconfigConfig`]), which slides per-device mode windows
+//! along the Pareto staircase via zero-drop snapshot swaps, so a
+//! mid-swap unit crash heals exactly like any other unit crash. A fleet
+//! with reconfiguration, gray injection and detection all off has
+//! nothing to watch at a barrier: it runs as one epoch on each device's
+//! pinned top-3 ladder.
 
 use crate::health::{
     judge, DetectionSummary, EpochEvidence, HealthMachine, HealthTransition, Verdict,
 };
 use crate::reconfig::{decide_anchor, AnchorDecision, EpochPressure, RECONFIG_WINDOW};
-use crate::router::{route, DeviceEstimate, LaneState, Router};
+use crate::router::{DeviceEstimate, LaneState, Router};
 use crate::{
     DeviceHealthReport, DeviceSummary, FleetConfig, FleetReport, HealthState, ReconfigSummary,
     RouterSummary,
@@ -79,10 +81,10 @@ impl DevicePlane {
     /// The contiguous [`RECONFIG_WINDOW`]-mode slice of the staircase
     /// at `anchor` (clipped to the staircase's end, so the deepest
     /// anchors run shrunken windows down to a single mode).
-    pub(crate) fn window(&self, anchor: usize) -> Vec<OperatingMode> {
+    fn window(&self, anchor: usize) -> &[OperatingMode] {
         let lo = anchor.min(self.front.len() - 1);
         let hi = (lo + RECONFIG_WINDOW).min(self.front.len());
-        self.front[lo..hi].to_vec()
+        &self.front[lo..hi]
     }
 
     /// The deepest window anchor this staircase admits.
@@ -134,35 +136,33 @@ pub fn build_planes(
     Ok(planes)
 }
 
-/// One device unit as a supervised executor job: everything the pure
-/// unit run needs, fixed at schedule time.
-#[derive(Debug, Clone)]
-struct DeviceJob {
+/// One device × epoch segment as a supervised executor job: the
+/// session state rides in; the post-segment state rides out, or the
+/// finished trace after the final (draining) epoch.
+#[derive(Debug)]
+struct EpochJob<'p> {
     device: usize,
-    plane: usize,
-    config: ServeConfig,
-    requests: Vec<Request>,
-}
-
-/// One device × epoch segment as a supervised executor job under the
-/// reconfiguration plane: the session state rides in, the post-segment
-/// state rides out.
-#[derive(Debug, Clone)]
-struct EpochJob {
-    device: usize,
-    plane: usize,
-    anchor: usize,
-    config: ServeConfig,
+    plane: &'p DevicePlane,
+    modes: &'p [OperatingMode],
+    config: &'p ServeConfig,
     state: SessionState,
     requests: Vec<Request>,
     drain: bool,
 }
 
-/// What one device contributed to the fold: a completed trace, or a
-/// dead unit whose assignment became dead letters.
-enum UnitOutcome {
-    Dead { assigned: usize },
-    Done { assigned: usize, trace: Box<ServeTrace> },
+impl EpochJob<'_> {
+    /// A serve engine over the job's mode list.
+    fn engine(&self) -> Result<ServeEngine<'_>, HadasError> {
+        ServeEngine::new(&self.plane.hadas, self.modes.to_vec(), self.config.clone())
+    }
+}
+
+/// Where one epoch job leaves its device.
+enum SegmentEnd {
+    /// Mid-run, at an epoch barrier.
+    Barrier(SessionState),
+    /// Drained and finished.
+    Finished(ServeTrace),
 }
 
 /// The outcome of one fleet run: the deterministic report plus the
@@ -213,21 +213,31 @@ impl<'a> FleetEngine<'a> {
         &self.config
     }
 
-    /// The router's modeled per-request cost of device `d` under the
-    /// pinned ladder: the plane's mode-0 (most accurate) serve cost at
-    /// nominal difficulty.
-    fn estimate_of(&self, d: usize) -> DeviceEstimate {
-        let outcome = self.planes[self.plane_ix[d]].modes[0].serve(0.5);
-        DeviceEstimate { service_s: outcome.cost.latency_s, energy_j: outcome.cost.energy_j }
+    /// Whether the fleet stops at epoch barriers: the reconfiguration
+    /// controller, gray injection and online detection all need
+    /// windowed evidence. Without them the run is one epoch on the
+    /// pinned ladders.
+    fn segmented(&self) -> bool {
+        self.config.reconfigure || self.config.gray.is_some() || self.config.detection.enabled
+    }
+
+    /// The mode list device `d` serves at window `anchor`: the pinned
+    /// top-3 ladder on an unsegmented fleet, else the staircase window.
+    fn modes_at(&self, d: usize, anchor: usize) -> &'a [OperatingMode] {
+        let plane = &self.planes[self.plane_ix[d]];
+        if self.segmented() {
+            plane.window(anchor)
+        } else {
+            &plane.modes
+        }
     }
 
     /// The router's modeled per-request cost of device `d` at window
-    /// `anchor` — refreshed after every swap so routing sees the
+    /// `anchor`: its mode list's most accurate mode at nominal
+    /// difficulty, refreshed after every swap so routing sees the
     /// device's *current* operating point.
     fn estimate_at(&self, d: usize, anchor: usize) -> DeviceEstimate {
-        let plane = &self.planes[self.plane_ix[d]];
-        let mode = &plane.front[anchor.min(plane.front.len() - 1)];
-        let outcome = mode.serve(0.5);
+        let outcome = self.modes_at(d, anchor)[0].serve(0.5);
         DeviceEstimate { service_s: outcome.cost.latency_s, energy_j: outcome.cost.energy_j }
     }
 
@@ -278,10 +288,8 @@ impl<'a> FleetEngine<'a> {
         }
     }
 
-    /// Runs the fleet to completion (see module docs for the two-pass
-    /// structure and the determinism contract): the pinned-mode path,
-    /// or the epoch-wise reconfiguration path when
-    /// `FleetConfig::reconfigure` is on.
+    /// Runs the fleet to completion (see module docs for the epoch loop
+    /// and the determinism contract).
     ///
     /// # Errors
     ///
@@ -289,108 +297,10 @@ impl<'a> FleetEngine<'a> {
     /// configurations, or [`HadasError::Internal`] if a unit breaks the
     /// request-conservation identity or the supervisor breaks protocol.
     pub fn run(&self) -> Result<FleetRun, HadasError> {
-        // Gray injection and online detection both need the epoch
-        // machinery (windowed evidence, per-epoch lanes) even when the
-        // reconfiguration controller itself stays off.
-        if self.config.reconfigure || self.config.gray.is_some() || self.config.detection.enabled {
-            self.run_epochs()
-        } else {
-            self.run_pinned()
-        }
-    }
-
-    /// The pinned-mode fleet: one routing pass, one supervised
-    /// execution pass, every device on its fixed top-3 ladder.
-    fn run_pinned(&self) -> Result<FleetRun, HadasError> {
-        let duration_s = self.config.duration_s();
-        let n = self.config.devices.len();
-
-        // Scheduling pass: one fleet-wide arrival stream, routed.
-        let requests = generate_requests(&self.gen_config(duration_s), None);
-        let offered = requests.len();
-        let estimates: Vec<DeviceEstimate> = (0..n).map(|d| self.estimate_of(d)).collect();
-        let routing = route(&self.config, &estimates, requests);
-
-        let jobs: Vec<DeviceJob> = routing
-            .substreams
-            .into_iter()
-            .enumerate()
-            .map(|(d, substream)| DeviceJob {
-                device: d,
-                plane: self.plane_ix[d],
-                config: self.device_config(d, duration_s),
-                requests: substream,
-            })
-            .collect();
-        for job in &jobs {
-            job.config.validate()?;
-        }
-
-        // Unit-level chaos script: pure in (seed, schedule), so the
-        // recovery replay is identical at any fleet worker count.
-        let plan = match &self.config.chaos {
-            Some(c) => {
-                let injector =
-                    FaultInjector::new(FaultConfig { horizon_s: duration_s, ..c.clone() })?;
-                let specs: Vec<JobSpec> = jobs
-                    .iter()
-                    .map(|j| JobSpec {
-                        key: j.device as u64,
-                        est_ms: estimates[j.device].service_s * 1e3 * j.requests.len() as f64,
-                        weight: j.requests.len(),
-                    })
-                    .collect();
-                Some(ChaosPlan::build(
-                    &injector,
-                    &self.config.retry,
-                    CircuitBreaker::new(
-                        self.config.breaker_threshold,
-                        self.config.breaker_cooldown,
-                    ),
-                    self.config.hedge_factor,
-                    &specs,
-                ))
-            }
-            None => None,
-        };
-
-        // Execution pass: device units as supervised jobs.
-        let planes = self.planes;
-        let run_unit = |job: &DeviceJob| -> Result<ServeTrace, HadasError> {
-            let plane = &planes[job.plane];
-            ServeEngine::new(&plane.hadas, plane.modes.clone(), job.config.clone())?
-                .run_requests(job.requests.clone())
-        };
-        let (slots, telemetry) =
-            run_supervised(&jobs, self.config.workers, run_unit, plan.as_ref())?;
-
-        let mut outcomes = Vec::with_capacity(n);
-        for (job, slot) in jobs.iter().zip(slots) {
-            let assigned = job.requests.len();
-            match slot {
-                None => outcomes.push(UnitOutcome::Dead { assigned }),
-                Some(Err(e)) => return Err(e),
-                Some(Ok(trace)) => {
-                    outcomes.push(UnitOutcome::Done { assigned, trace: Box::new(trace) });
-                }
-            }
-        }
-
-        let reconfig = ReconfigSummary::disabled(self.config.scenario_name());
-        let detection = DetectionSummary::disabled(n);
-        let report = self.fold_report(offered, routing.summary, outcomes, reconfig, detection)?;
-        Ok(FleetRun { report, telemetry })
-    }
-
-    /// The epoch-segmented fleet: per-epoch routing under live lane
-    /// states, the online gray-failure detector at every barrier
-    /// (see `crate::health`), and — with `FleetConfig::reconfigure`
-    /// on — zero-drop operating-point swaps (see `crate::reconfig`).
-    fn run_epochs(&self) -> Result<FleetRun, HadasError> {
         let duration_s = self.config.duration_s();
         let n = self.config.devices.len();
         let rc = self.config.reconfig.clone();
-        let epochs = rc.epochs;
+        let epochs = if self.segmented() { rc.epochs } else { 1 };
         let detection = self.config.detection.clone();
         let detect = detection.enabled;
 
@@ -423,7 +333,7 @@ impl<'a> FleetEngine<'a> {
         let mut states: Vec<SessionState> = Vec::with_capacity(n);
         for (d, cfg) in device_cfgs.iter().enumerate() {
             let plane = &self.planes[self.plane_ix[d]];
-            let engine = ServeEngine::new(&plane.hadas, plane.window(0), cfg.clone())?;
+            let engine = ServeEngine::new(&plane.hadas, self.modes_at(d, 0).to_vec(), cfg.clone())?;
             states.push(engine.session()?.state());
         }
 
@@ -475,6 +385,7 @@ impl<'a> FleetEngine<'a> {
         let mut dirty_epochs = 0usize;
         let mut redispatched = 0usize;
         let mut carryover: Vec<Request> = Vec::new();
+        let mut traces: Vec<ServeTrace> = Vec::with_capacity(n);
 
         let epoch_len = duration_s / epochs as f64;
         let mut lo = 0usize;
@@ -493,31 +404,35 @@ impl<'a> FleetEngine<'a> {
             // merged into the slice in (time, id) order.
             let estimates: Vec<DeviceEstimate> =
                 (0..n).map(|d| self.estimate_at(d, anchors[d])).collect();
-            let slice: Vec<Request> = if carryover.is_empty() {
-                requests[lo..hi].to_vec()
+            let merged;
+            let slice = if carryover.is_empty() {
+                &requests[lo..hi]
             } else {
-                let mut merged = std::mem::take(&mut carryover);
-                merged.extend_from_slice(&requests[lo..hi]);
-                merged.sort_by(|a, b| a.time_s.total_cmp(&b.time_s).then(a.id.cmp(&b.id)));
-                merged
+                carryover.extend_from_slice(&requests[lo..hi]);
+                carryover.sort_by(|a, b| a.time_s.total_cmp(&b.time_s).then(a.id.cmp(&b.id)));
+                merged = std::mem::take(&mut carryover);
+                &merged[..]
             };
-            let substreams = router.route_slice(&estimates, &lanes, &slice);
+            let substreams = router.route_slice(&estimates, &lanes, slice);
             lo = hi;
 
             let jobs: Vec<EpochJob> = substreams
                 .into_iter()
+                .zip(states.drain(..))
                 .enumerate()
-                .map(|(d, substream)| EpochJob {
+                .map(|(d, (substream, state))| EpochJob {
                     device: d,
-                    plane: self.plane_ix[d],
-                    anchor: anchors[d],
-                    config: device_cfgs[d].clone(),
-                    state: states[d].clone(),
+                    plane: &self.planes[self.plane_ix[d]],
+                    modes: self.modes_at(d, anchors[d]),
+                    config: &device_cfgs[d],
+                    state,
                     requests: substream,
                     drain,
                 })
                 .collect();
 
+            // Unit-level chaos script: pure in (seed, schedule), so the
+            // recovery replay is identical at any fleet worker count.
             let plan = match &chaos_injector {
                 Some(injector) => {
                     let specs: Vec<JobSpec> = jobs
@@ -543,34 +458,40 @@ impl<'a> FleetEngine<'a> {
             };
 
             // Execution pass: one pure segment per device.
-            let planes = self.planes;
-            let run_unit = |job: &EpochJob| -> Result<SessionState, HadasError> {
-                let plane = &planes[job.plane];
-                let engine =
-                    ServeEngine::new(&plane.hadas, plane.window(job.anchor), job.config.clone())?;
+            let run_unit = |job: &EpochJob| -> Result<SegmentEnd, HadasError> {
+                let engine = job.engine()?;
                 let mut session = engine.resume(job.state.clone())?;
                 session.serve_segment(&job.requests, job.drain)?;
-                Ok(session.state())
+                Ok(if job.drain {
+                    SegmentEnd::Finished(session.finish())
+                } else {
+                    SegmentEnd::Barrier(session.state())
+                })
             };
             let (slots, t) = run_supervised(&jobs, self.config.workers, run_unit, plan.as_ref())?;
             telemetry.merge(&t);
 
             // Fold the epoch in device order.
             for (job, slot) in jobs.iter().zip(slots) {
-                let d = job.device;
                 match slot {
                     None => {
                         // The unit died for the whole epoch: its
                         // in-flight queue and the epoch's substream are
-                        // dead letters; the pre-epoch state carries on.
+                        // dead letters; the pre-epoch state carries on,
+                        // or is finished here after the final epoch.
                         let mut st = job.state.clone();
                         st.dead_letter_queue();
                         st.offered += job.requests.len();
                         st.dead_lettered += job.requests.len();
-                        states[d] = st;
+                        if drain {
+                            traces.push(job.engine()?.resume(st)?.finish());
+                        } else {
+                            states.push(st);
+                        }
                     }
                     Some(Err(err)) => return Err(err),
-                    Some(Ok(st)) => states[d] = st,
+                    Some(Ok(SegmentEnd::Barrier(st))) => states.push(st),
+                    Some(Ok(SegmentEnd::Finished(trace))) => traces.push(trace),
                 }
             }
 
@@ -733,7 +654,6 @@ impl<'a> FleetEngine<'a> {
             }
         }
 
-        // Close every session under its final window and fold.
         if self.config.reconfigure {
             summary.final_anchors = anchors.clone();
         }
@@ -755,29 +675,17 @@ impl<'a> FleetEngine<'a> {
         } else {
             DetectionSummary::disabled(n)
         };
-        let mut outcomes = Vec::with_capacity(n);
-        for (d, state) in states.into_iter().enumerate() {
-            let plane = &self.planes[self.plane_ix[d]];
-            let engine =
-                ServeEngine::new(&plane.hadas, plane.window(anchors[d]), device_cfgs[d].clone())?;
-            let trace = engine.resume(state)?.finish();
-            outcomes.push(UnitOutcome::Done {
-                assigned: router_summary.assigned[d],
-                trace: Box::new(trace),
-            });
-        }
-        let report = self.fold_report(offered, router_summary, outcomes, summary, det_summary)?;
+        let report = self.fold_report(offered, router_summary, &traces, summary, det_summary)?;
         Ok(FleetRun { report, telemetry })
     }
 
-    /// Folds per-unit outcomes into the fleet report, in device order —
-    /// shared by both run paths, so a reconfigured report and a pinned
-    /// report are built by the same accounting.
+    /// Folds the finished per-device traces into the fleet report, in
+    /// device order.
     fn fold_report(
         &self,
         offered: usize,
         router_summary: RouterSummary,
-        outcomes: Vec<UnitOutcome>,
+        traces: &[ServeTrace],
         reconfig: ReconfigSummary,
         detection: DetectionSummary,
     ) -> Result<FleetReport, HadasError> {
@@ -796,78 +704,55 @@ impl<'a> FleetEngine<'a> {
         let mut bulk = (0usize, 0usize);
         let mut per_device = Vec::with_capacity(n);
         let mut health = Vec::with_capacity(n);
-        for (d, outcome) in outcomes.into_iter().enumerate() {
+        for (d, trace) in traces.iter().enumerate() {
             let target = self.planes[self.plane_ix[d]].target.cli_name();
             let governor = self.config.governor_of(d).name();
             let state =
                 detection.final_states.get(d).map_or(HealthState::Healthy.name(), String::as_str);
-            match outcome {
-                UnitOutcome::Dead { assigned } => {
-                    // The unit's whole substream died with it: account
-                    // it as dead letters, never silently lost.
-                    dead_lettered += assigned;
-                    per_device.push(DeviceSummary {
-                        device: d,
-                        target: target.to_string(),
-                        governor: governor.to_string(),
-                        assigned,
-                        served: 0,
-                        shed: 0,
-                        rejected: 0,
-                        dead_lettered: assigned,
-                        mode_switches: 0,
-                        energy_j: 0.0,
-                        slo_violations: 0,
-                        p99_ms: 0.0,
-                    });
-                    health.push(DeviceHealthReport::dead_unit(d, target, governor, assigned));
-                }
-                UnitOutcome::Done { assigned, trace } => {
-                    let r = &trace.report;
-                    if !r.accounting_balances() || r.offered != assigned {
-                        return Err(HadasError::Internal(format!(
-                            "device {d} broke request conservation \
-                             ({} + {} + {} + {} vs {assigned} assigned)",
-                            r.served, r.shed, r.rejected, r.dead_lettered
-                        )));
-                    }
-                    served += r.served;
-                    shed += r.shed;
-                    rejected += r.rejected;
-                    dead_lettered += r.dead_lettered;
-                    energy += r.energy_j;
-                    sag_energy += r.sag_energy_j;
-                    makespan = makespan.max(r.makespan_s);
-                    global.merge(&trace.latencies);
-                    violations += r.slo.violations;
-                    interactive.0 += r.slo.interactive_served;
-                    interactive.1 += r.slo.interactive_violations;
-                    bulk.0 += r.slo.bulk_served;
-                    bulk.1 += r.slo.bulk_violations;
-                    per_device.push(DeviceSummary {
-                        device: d,
-                        target: target.to_string(),
-                        governor: governor.to_string(),
-                        assigned,
-                        served: r.served,
-                        shed: r.shed,
-                        rejected: r.rejected,
-                        dead_lettered: r.dead_lettered,
-                        mode_switches: r.mode_switches,
-                        energy_j: r.energy_j,
-                        slo_violations: r.slo.violations,
-                        p99_ms: r.latency.p99_ms,
-                    });
-                    health.push(DeviceHealthReport::from_trace(
-                        d,
-                        target,
-                        governor,
-                        &trace,
-                        &self.config.health,
-                        state,
-                    ));
-                }
+            let assigned = router_summary.assigned[d];
+            let r = &trace.report;
+            if !r.accounting_balances() || r.offered != assigned {
+                return Err(HadasError::Internal(format!(
+                    "device {d} broke request conservation \
+                     ({} + {} + {} + {} vs {assigned} assigned)",
+                    r.served, r.shed, r.rejected, r.dead_lettered
+                )));
             }
+            served += r.served;
+            shed += r.shed;
+            rejected += r.rejected;
+            dead_lettered += r.dead_lettered;
+            energy += r.energy_j;
+            sag_energy += r.sag_energy_j;
+            makespan = makespan.max(r.makespan_s);
+            global.merge(&trace.latencies);
+            violations += r.slo.violations;
+            interactive.0 += r.slo.interactive_served;
+            interactive.1 += r.slo.interactive_violations;
+            bulk.0 += r.slo.bulk_served;
+            bulk.1 += r.slo.bulk_violations;
+            per_device.push(DeviceSummary {
+                device: d,
+                target: target.to_string(),
+                governor: governor.to_string(),
+                assigned,
+                served: r.served,
+                shed: r.shed,
+                rejected: r.rejected,
+                dead_lettered: r.dead_lettered,
+                mode_switches: r.mode_switches,
+                energy_j: r.energy_j,
+                slo_violations: r.slo.violations,
+                p99_ms: r.latency.p99_ms,
+            });
+            health.push(DeviceHealthReport::from_trace(
+                d,
+                target,
+                governor,
+                trace,
+                &self.config.health,
+                state,
+            ));
         }
 
         let routed = router_summary.routed();
@@ -920,6 +805,7 @@ impl<'a> FleetEngine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DetectionConfig;
     use hadas_runtime::{FaultConfig, Scenario};
 
     fn planes() -> Vec<DevicePlane> {
@@ -951,21 +837,33 @@ mod tests {
         }
     }
 
+    /// The sealed fingerprint of a report's serialized bytes: a golden
+    /// value pins the report itself, not just agreement between runs.
+    fn golden(report: &FleetReport) -> u64 {
+        FleetReport::from_json(&report.to_json().unwrap()).unwrap().fingerprint
+    }
+
     #[test]
     fn reports_are_byte_identical_across_fleet_worker_counts() {
         let planes = planes();
-        let base = FleetEngine::new(&planes, small_config()).unwrap().run().unwrap();
-        let base_json = base.report.to_json().unwrap();
-        assert!(base.report.accounting_balances());
-        assert!(base.report.served > 0, "the fleet must serve");
-        for workers in [2usize, 4, 8] {
-            let cfg = FleetConfig { workers, ..small_config() };
-            let run = FleetEngine::new(&planes, cfg).unwrap().run().unwrap();
-            assert_eq!(
-                run.report.to_json().unwrap(),
-                base_json,
-                "fleet worker count {workers} must not leak into the report"
-            );
+        let detecting = FleetConfig { detection: DetectionConfig::enabled(), ..small_config() };
+        for (config, fingerprint) in
+            [(small_config(), 12034346352125354398u64), (detecting, 1363057358791390922)]
+        {
+            let base = FleetEngine::new(&planes, config.clone()).unwrap().run().unwrap();
+            let base_json = base.report.to_json().unwrap();
+            assert!(base.report.accounting_balances());
+            assert!(base.report.served > 0, "the fleet must serve");
+            assert_eq!(golden(&base.report), fingerprint, "golden fleet report");
+            for workers in [2usize, 4, 8] {
+                let cfg = FleetConfig { workers, ..config.clone() };
+                let run = FleetEngine::new(&planes, cfg).unwrap().run().unwrap();
+                assert_eq!(
+                    run.report.to_json().unwrap(),
+                    base_json,
+                    "fleet worker count {workers} must not leak into the report"
+                );
+            }
         }
     }
 
@@ -1106,6 +1004,9 @@ mod tests {
             run.report.health.iter().filter(|h| !h.healthy).count()
         );
         assert!(run.report.health.iter().any(|h| !h.healthy));
+        assert_eq!(run.report.dead_lettered, 576);
+        assert_eq!(run.report.unhealthy_devices, 3);
+        assert_eq!(golden(&run.report), 2958488930028293873, "golden dead-unit report");
     }
 
     #[test]

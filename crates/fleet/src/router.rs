@@ -82,16 +82,6 @@ impl RouterSummary {
     }
 }
 
-/// The outcome of routing one arrival stream: per-device substreams (in
-/// arrival order, original ids and times preserved) plus the accounting.
-#[derive(Debug, Clone)]
-pub(crate) struct RoutingOutcome {
-    /// `substreams[d]` = the requests admitted to device `d`.
-    pub substreams: Vec<Vec<Request>>,
-    /// The serialized routing accounting.
-    pub summary: RouterSummary,
-}
-
 /// Modeled per-device admission state: the backlog of estimated finish
 /// times, drained as virtual time advances.
 struct ModeledDevice {
@@ -100,10 +90,10 @@ struct ModeledDevice {
 }
 
 /// A persistent fleet router: the modeled per-device backlogs survive
-/// across [`Router::route_slice`] calls, so the reconfiguration plane
-/// can route one epoch at a time under *refreshed* device estimates
-/// while the modeled state stays continuous — routing the whole stream
-/// in one slice with fixed estimates is exactly [`route`].
+/// across [`Router::route_slice`] calls, so the fleet can route one
+/// epoch at a time under *refreshed* device estimates while the modeled
+/// state stays continuous — routing the stream in slices under fixed
+/// estimates is exactly routing it in one pass.
 pub(crate) struct Router {
     energy_weight: f64,
     ladder: BrownoutConfig,
@@ -282,19 +272,6 @@ impl Router {
     }
 }
 
-/// Routes the whole fleet-wide arrival stream over the devices in one
-/// pass under fixed estimates (the pinned-mode fleet path).
-pub(crate) fn route(
-    config: &FleetConfig,
-    estimates: &[DeviceEstimate],
-    requests: Vec<Request>,
-) -> RoutingOutcome {
-    let mut router = Router::new(config, estimates.len());
-    let lanes = vec![LaneState::Open; estimates.len()];
-    let substreams = router.route_slice(estimates, &lanes, &requests);
-    RoutingOutcome { substreams, summary: router.into_summary() }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -310,6 +287,30 @@ mod tests {
             energy_weight: 0.0,
             ..FleetConfig::default()
         }
+    }
+
+    /// The outcome of routing one arrival stream: per-device substreams
+    /// (in arrival order, original ids and times preserved) plus the
+    /// accounting.
+    struct RoutingOutcome {
+        /// `substreams[d]` = the requests admitted to device `d`.
+        substreams: Vec<Vec<Request>>,
+        /// The serialized routing accounting.
+        summary: RouterSummary,
+    }
+
+    /// Routes a whole arrival stream over open lanes in one pass under
+    /// fixed estimates: the one-pass reference the slice tests compare
+    /// against.
+    fn route(
+        config: &FleetConfig,
+        estimates: &[DeviceEstimate],
+        requests: Vec<Request>,
+    ) -> RoutingOutcome {
+        let mut router = Router::new(config, estimates.len());
+        let lanes = vec![LaneState::Open; estimates.len()];
+        let substreams = router.route_slice(estimates, &lanes, &requests);
+        RoutingOutcome { substreams, summary: router.into_summary() }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! fleet report. Both are scheduling-plane quantities, byte-identical
 //! across fleet worker counts and recovered unit crashes.
 
-use crate::{HealthPolicy, HealthState};
+use crate::HealthPolicy;
 use hadas_serve::ServeTrace;
 use serde::{Deserialize, Serialize};
 
@@ -58,10 +58,6 @@ pub struct DeviceHealthReport {
     pub healthy: bool,
 }
 
-fn default_state() -> String {
-    HealthState::Healthy.name().to_string()
-}
-
 impl DeviceHealthReport {
     /// Condenses a unit's serve trace into its health report under the
     /// fleet's shared verdict policy.
@@ -99,27 +95,6 @@ impl DeviceHealthReport {
             healthy: policy.trace_healthy(worst_tier, min_cap, dead),
         }
     }
-
-    /// The report of a unit whose every supervised attempt failed: its
-    /// assigned requests are dead letters and the unit is unhealthy.
-    pub(crate) fn dead_unit(device: usize, target: &str, governor: &str, assigned: usize) -> Self {
-        DeviceHealthReport {
-            device,
-            target: target.to_string(),
-            governor: governor.to_string(),
-            windows: 0,
-            max_queue_depth: 0,
-            worst_tier: 0,
-            min_thermal_cap: 1.0,
-            throttled_windows: 0,
-            sag_energy_j: 0.0,
-            dead_lettered: assigned,
-            telemetry_defects: 0,
-            dropped_windows: 0,
-            state: default_state(),
-            healthy: false,
-        }
-    }
 }
 
 /// Per-unit request accounting and headline costs inside the fleet
@@ -151,20 +126,4 @@ pub struct DeviceSummary {
     pub slo_violations: usize,
     /// The unit's p99 completion latency (ms; 0 when nothing served).
     pub p99_ms: f64,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn dead_unit_reports_are_unhealthy_and_carry_their_assignment() {
-        let r = DeviceHealthReport::dead_unit(3, "tx2-gpu", "queue", 120);
-        assert!(!r.healthy);
-        assert_eq!(r.dead_lettered, 120);
-        assert_eq!(r.windows, 0);
-        assert_eq!(r.device, 3);
-        assert_eq!(r.state, "healthy", "detection state defaults to healthy");
-        assert_eq!(r.telemetry_defects + r.dropped_windows, 0);
-    }
 }
