@@ -9,8 +9,8 @@
 //! queries each search consumed.
 
 use hadas::{Hadas, HadasConfig};
-use hadas_bench::bench_env;
-use hadas_evo::{fast_non_dominated_sort, hypervolume_2d};
+use hadas_bench::{bench_env, front_points};
+use hadas_evo::hypervolume_2d;
 use hadas_hw::{CostModel, DeviceModel, HwTarget, ProxyCostModel};
 use hadas_space::SearchSpace;
 use serde::Serialize;
@@ -85,10 +85,7 @@ fn true_front_hv(
             )?;
         axes.push(vec![eval.fitness.energy_gain, eval.fitness.accuracy_pct / 100.0]);
     }
-    let fronts = fast_non_dominated_sort(&axes);
-    let front: Vec<Vec<f64>> =
-        fronts.first().map(|f| f.iter().map(|&i| axes[i].clone()).collect()).unwrap_or_default();
-    Ok(hypervolume_2d(&front, &[-0.5, 0.0]))
+    Ok(hypervolume_2d(&front_points(&axes), &[-0.5, 0.0]))
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

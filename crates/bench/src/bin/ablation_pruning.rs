@@ -4,8 +4,8 @@
 //! quality and the number of IOE invocations (the dominant search cost).
 
 use hadas::Hadas;
-use hadas_bench::bench_env;
-use hadas_evo::{fast_non_dominated_sort, hypervolume_2d};
+use hadas_bench::{bench_env, front_points};
+use hadas_evo::hypervolume_2d;
 use hadas_hw::HwTarget;
 use serde::Serialize;
 
@@ -28,14 +28,11 @@ fn run(prune_fraction: f64) -> Result<PruningRun, hadas::HadasError> {
         .iter()
         .map(|m| vec![m.dynamic.energy_gain, m.dynamic.accuracy_pct / 100.0])
         .collect();
-    let fronts = fast_non_dominated_sort(&axes);
-    let front: Vec<Vec<f64>> =
-        fronts.first().map(|f| f.iter().map(|&i| axes[i].clone()).collect()).unwrap_or_default();
     Ok(PruningRun {
         prune_fraction,
         ioe_invocations,
         joint_models: models.len(),
-        front_hv: hypervolume_2d(&front, &[-0.5, 0.0]),
+        front_hv: hypervolume_2d(&front_points(&axes), &[-0.5, 0.0]),
     })
 }
 

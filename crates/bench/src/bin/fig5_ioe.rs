@@ -5,12 +5,11 @@
 
 use hadas::report::{Fig5Panel, ScatterPoint};
 use hadas::Hadas;
-use hadas_bench::{all_targets, bench_env, optimized_baselines};
-use hadas_evo::{fast_non_dominated_sort, ratio_of_dominance};
+use hadas_bench::{all_targets, bench_env, front_points, optimized_baselines};
+use hadas_evo::{pareto_indices, ratio_of_dominance};
 
 fn to_points(axes: &[Vec<f64>]) -> Vec<ScatterPoint> {
-    let fronts = fast_non_dominated_sort(axes);
-    let front: Vec<usize> = fronts.first().cloned().unwrap_or_default();
+    let front = pareto_indices(axes);
     axes.iter()
         .enumerate()
         .map(|(i, a)| ScatterPoint { x: a[0], y: a[1], pareto: front.contains(&i) })
@@ -40,14 +39,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             baseline_axes.extend(ioe.history_axes());
         }
 
-        let hadas_front: Vec<Vec<f64>> = {
-            let fronts = fast_non_dominated_sort(&hadas_axes);
-            fronts[0].iter().map(|&i| hadas_axes[i].clone()).collect()
-        };
-        let base_front: Vec<Vec<f64>> = {
-            let fronts = fast_non_dominated_sort(&baseline_axes);
-            fronts[0].iter().map(|&i| baseline_axes[i].clone()).collect()
-        };
+        let hadas_front = front_points(&hadas_axes);
+        let base_front = front_points(&baseline_axes);
         let rod = ratio_of_dominance(&hadas_front, &base_front);
         rod_sum += rod;
 

@@ -4,16 +4,8 @@
 
 use hadas::report::Fig6Bar;
 use hadas::Hadas;
-use hadas_bench::{all_targets, bench_env, optimized_baselines};
-use hadas_evo::{fast_non_dominated_sort, hypervolume_2d, ratio_of_dominance};
-
-fn front(axes: &[Vec<f64>]) -> Vec<Vec<f64>> {
-    if axes.is_empty() {
-        return Vec::new();
-    }
-    let fronts = fast_non_dominated_sort(axes);
-    fronts[0].iter().map(|&i| axes[i].clone()).collect()
-}
+use hadas_bench::{all_targets, bench_env, front_points, optimized_baselines};
+use hadas_evo::{hypervolume_2d, ratio_of_dominance};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = bench_env!().scaled_config();
@@ -40,8 +32,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for (_, ioe) in optimized_baselines(&hadas, &cfg) {
             baseline_axes.extend(ioe.history_axes());
         }
-        let hf = front(&hadas_axes);
-        let bf = front(&baseline_axes);
+        let hf = front_points(&hadas_axes);
+        let bf = front_points(&baseline_axes);
         let bar = Fig6Bar {
             hardware: target.name().to_string(),
             hadas_hv: hypervolume_2d(&hf, &reference),

@@ -3,8 +3,8 @@
 //! enabled, over a low and a high range of γ.
 
 use hadas::Hadas;
-use hadas_bench::bench_env;
-use hadas_evo::{fast_non_dominated_sort, ratio_of_dominance};
+use hadas_bench::{bench_env, front_points};
+use hadas_evo::ratio_of_dominance;
 use hadas_hw::HwTarget;
 use serde::Serialize;
 
@@ -16,11 +16,6 @@ struct AblationRun {
     front: Vec<Vec<f64>>, // (energy gain, mean N_i)
     best_gain: f64,
     best_mean_n: f64,
-}
-
-fn front_of(axes: &[Vec<f64>]) -> Vec<Vec<f64>> {
-    let fronts = fast_non_dominated_sort(axes);
-    fronts.first().map(|f| f.iter().map(|&i| axes[i].clone()).collect()).unwrap_or_default()
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -42,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let cfg = base_cfg.clone().with_dissimilarity(dissim, gamma);
         let ioe = hadas.run_ioe(&subnet, &cfg, 0xF167)?;
         let axes = ioe.history_axes();
-        let front = front_of(&axes);
+        let front = front_points(&axes);
         let best_gain = front.iter().map(|p| p[0]).fold(f64::MIN, f64::max);
         let best_mean_n = front.iter().map(|p| p[1]).fold(f64::MIN, f64::max);
         runs.push(AblationRun { label, gamma, dissim, front, best_gain, best_mean_n });

@@ -195,6 +195,11 @@ pub fn select_solution(
         .pick(ioe)
 }
 
+/// The non-dominated points of `axes` (maximised), in input order.
+pub fn front_points(axes: &[Vec<f64>]) -> Vec<Vec<f64>> {
+    hadas_evo::pareto_indices(axes).into_iter().map(|i| axes[i].clone()).collect()
+}
+
 /// Pretty percent formatting helper.
 pub fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)

@@ -6,6 +6,7 @@ use hadas_hw::DvfsSetting;
 use hadas_space::Subnet;
 use rand::{rngs::StdRng, Rng, RngCore, SeedableRng};
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 
 /// One explored point of the inner space: an exit placement, a DVFS
 /// setting, and its dynamic fitness.
@@ -84,6 +85,10 @@ struct IoeProblem<'a> {
     /// Fault-handling counters for this run. `Nsga2::run` drives
     /// `evaluate` from a single thread, so a `RefCell` suffices.
     telemetry: RefCell<SearchTelemetry>,
+    /// This run's exact measurement of every genome evaluated so far,
+    /// keyed by the full genome: the search and the reporting pass share
+    /// one evaluation per distinct candidate.
+    exact: RefCell<BTreeMap<Vec<usize>, IoeSolution>>,
 }
 
 impl IoeProblem<'_> {
@@ -115,6 +120,50 @@ impl IoeProblem<'_> {
         Ok(DynamicModel::new(self.subnet.clone(), placement, dvfs))
     }
 
+    /// The exact, fault- and chaos-free measurement of one candidate,
+    /// memoised per run. Errors are not memoised: they recur on every
+    /// call, so the reporting pass still surfaces them.
+    fn exact(&self, genome: &[usize]) -> Result<IoeSolution, HadasError> {
+        if let Some(solution) = self.exact.borrow().get(genome) {
+            return Ok(solution.clone());
+        }
+        let model = self.decode(genome)?;
+        let eval = model.evaluate(
+            self.hadas.accuracy(),
+            self.hadas.device(),
+            self.gamma,
+            self.use_dissimilarity,
+        )?;
+        let solution = IoeSolution {
+            placement: model.placement().clone(),
+            dvfs: *model.dvfs(),
+            fitness: eval.fitness,
+        };
+        self.exact.borrow_mut().insert(genome.to_vec(), solution.clone());
+        Ok(solution)
+    }
+
+    /// Reports a search result by its exact measurements and keeps the
+    /// truly non-dominated front (the engine selected under noisy quality
+    /// estimates; reporting always uses the exact measurement, which the
+    /// search already memoised for every genome it evaluated).
+    fn outcome(
+        &self,
+        result: &hadas_evo::SearchResult<Vec<usize>>,
+    ) -> Result<IoeOutcome, HadasError> {
+        let history: Vec<IoeSolution> =
+            result.history().iter().map(|e| self.exact(&e.genome)).collect::<Result<_, _>>()?;
+        let candidates: Vec<IoeSolution> = result
+            .pareto_front()
+            .iter()
+            .map(|e| self.exact(&e.genome))
+            .collect::<Result<_, _>>()?;
+        let exact: Vec<Vec<f64>> = candidates.iter().map(|s| s.fitness.to_maximisation()).collect();
+        let pareto: Vec<IoeSolution> =
+            hadas_evo::pareto_indices(&exact).into_iter().map(|i| candidates[i].clone()).collect();
+        Ok(IoeOutcome { history, pareto })
+    }
+
     /// The fault-stream identity of one candidate: a hash of the genome,
     /// the backbone, and this run's salt. Pure, so a resumed search
     /// replays identical fault histories for identical candidates.
@@ -133,32 +182,24 @@ impl IoeProblem<'_> {
         // The repair in `decode` makes infeasible genomes unreachable in
         // practice; if one slips through anyway it gets a finite worst-case
         // fitness and is selected away, rather than panicking mid-search.
-        let Ok(model) = self.decode(genome) else {
+        let Ok(solution) = self.exact(genome) else {
             return vec![Self::INFEASIBLE_PENALTY; 3];
         };
-        let Ok(eval) = model.evaluate(
-            self.hadas.accuracy(),
-            self.hadas.device(),
-            self.gamma,
-            self.use_dissimilarity,
-        ) else {
-            return vec![Self::INFEASIBLE_PENALTY; 3];
-        };
-        let mut objectives = eval.fitness.to_maximisation();
+        let mut objectives = solution.fitness.to_maximisation();
         // Search-time accuracy estimates are noisy: in the paper, every
         // N_i comes from training real exit heads and measuring them on a
         // finite validation set, so the quality objective the engine sees
         // is a noisy estimate of the true one (hardware measurements are
         // comparatively exact). The noise is a deterministic function of
         // the candidate, so runs stay reproducible; reported solutions
-        // are re-measured exactly. This is precisely the regime where the
+        // use the exact measurement. This is precisely the regime where the
         // dissimilarity prior earns its keep (Fig. 7): it stops the
         // engine from overfitting redundant exit stacks to lucky
         // estimates.
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
         genome.hash(&mut h);
-        model.subnet().genome().genes().hash(&mut h);
+        self.subnet.genome().genes().hash(&mut h);
         let u = (h.finish() % 10_000) as f64 / 10_000.0;
         objectives[0] += (u * 2.0 - 1.0) * Self::QUALITY_NOISE;
         // Data chaos: a poisoned measurement comes back NaN. The
@@ -264,6 +305,7 @@ impl<'a> Ioe<'a> {
             fault_salt,
             data_chaos,
             telemetry: RefCell::new(SearchTelemetry::default()),
+            exact: RefCell::new(BTreeMap::new()),
         }
     }
 
@@ -286,8 +328,8 @@ impl<'a> Ioe<'a> {
     /// instead of killing the run. Returns the outcome together with the
     /// run's fault-handling telemetry.
     ///
-    /// The final reporting pass re-measures solutions *exactly* and
-    /// fault-free: faults perturb what the search engine sees, never the
+    /// The final reporting pass uses each solution's *exact*, fault-free
+    /// measurement: faults perturb what the search engine sees, never the
     /// numbers reported to the OOE.
     ///
     /// # Errors
@@ -331,7 +373,7 @@ impl<'a> Ioe<'a> {
         let mut rng = StdRng::seed_from_u64(seed);
         let result = nsga.run(&problem, &mut rng);
 
-        let outcome = self.outcome_from(&problem, &result)?;
+        let outcome = problem.outcome(&result)?;
         let telemetry = problem.telemetry.into_inner();
         Ok((outcome, telemetry))
     }
@@ -349,45 +391,7 @@ impl<'a> Ioe<'a> {
         let problem = self.problem_with(&NoFaults, &retry, seed, None);
         let mut rng = StdRng::seed_from_u64(seed);
         let result = hadas_evo::random_search(&problem, self.config.ioe.iterations, &mut rng);
-        self.outcome_from(&problem, &result)
-    }
-
-    /// Re-measures a search result exactly and keeps the truly
-    /// non-dominated front (the engine selected under noisy quality
-    /// estimates; reporting always uses the exact measurement pass).
-    fn outcome_from(
-        &self,
-        problem: &IoeProblem<'_>,
-        result: &hadas_evo::SearchResult<Vec<usize>>,
-    ) -> Result<IoeOutcome, HadasError> {
-        let to_solution = |genome: &Vec<usize>| -> Result<IoeSolution, HadasError> {
-            let model = problem.decode(genome)?;
-            let eval = model.evaluate(
-                self.hadas.accuracy(),
-                self.hadas.device(),
-                self.config.gamma,
-                self.config.use_dissimilarity,
-            )?;
-            Ok(IoeSolution {
-                placement: model.placement().clone(),
-                dvfs: *model.dvfs(),
-                fitness: eval.fitness,
-            })
-        };
-        let history: Vec<IoeSolution> =
-            result.history().iter().map(|e| to_solution(&e.genome)).collect::<Result<_, _>>()?;
-        let candidates: Vec<IoeSolution> = result
-            .pareto_front()
-            .iter()
-            .map(|e| to_solution(&e.genome))
-            .collect::<Result<_, _>>()?;
-        let exact: Vec<Vec<f64>> = candidates.iter().map(|s| s.fitness.to_maximisation()).collect();
-        let fronts = hadas_evo::fast_non_dominated_sort(&exact);
-        let pareto: Vec<IoeSolution> = fronts
-            .first()
-            .map(|f| f.iter().map(|&i| candidates[i].clone()).collect())
-            .unwrap_or_default();
-        Ok(IoeOutcome { history, pareto })
+        problem.outcome(&result)
     }
 }
 

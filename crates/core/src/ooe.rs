@@ -5,7 +5,7 @@ use crate::executor::{
 };
 use crate::resilience::{CircuitBreaker, FaultModel, NoFaults, RetryPolicy, SearchTelemetry};
 use crate::{DynamicFitness, Hadas, HadasConfig, HadasError, Ioe, IoeOutcome, StaticFitness};
-use hadas_evo::{crowding_distance, discrete, fast_non_dominated_sort};
+use hadas_evo::{crowding_distance, discrete, fast_non_dominated_sort, pareto_indices};
 use hadas_exits::ExitPlacement;
 use hadas_hw::DvfsSetting;
 use hadas_space::{Genome, Subnet};
@@ -230,12 +230,7 @@ impl OoeOutcome {
 
     /// The static Pareto front over `[accuracy, −energy]` (Fig. 5 top).
     pub fn static_pareto(&self) -> Vec<&EvaluatedBackbone> {
-        let axes = self.static_axes();
-        let fronts = fast_non_dominated_sort(&axes);
-        match fronts.first() {
-            Some(front) => front.iter().map(|&i| &self.backbones[i]).collect(),
-            None => Vec::new(),
-        }
+        pareto_indices(&self.static_axes()).into_iter().map(|i| &self.backbones[i]).collect()
     }
 
     /// All `(b, x, f)` combinations discovered by the nested IOEs.
@@ -263,13 +258,9 @@ impl OoeOutcome {
     /// evaluated so far — graceful degradation, never an empty panic.
     pub fn pareto_models(&self) -> Vec<JointModel> {
         let all = self.joint_models();
-        if all.is_empty() {
-            return all;
-        }
         let axes: Vec<Vec<f64>> =
             all.iter().map(|m| vec![m.dynamic.accuracy_pct, -m.dynamic.energy_mj]).collect();
-        let fronts = fast_non_dominated_sort(&axes);
-        fronts[0].iter().map(|&i| all[i].clone()).collect()
+        pareto_indices(&axes).into_iter().map(|i| all[i].clone()).collect()
     }
 }
 

@@ -23,58 +23,100 @@
 /// spaces is a programming error.
 pub fn dominates(a: &[f64], b: &[f64]) -> bool {
     assert_eq!(a.len(), b.len(), "objective dimensionality mismatch");
-    let a_finite = a.iter().all(|v| v.is_finite());
-    let b_finite = b.iter().all(|v| v.is_finite());
-    let result = match (a_finite, b_finite) {
-        (true, true) => dominates_unchecked(a, b),
-        // A healthy point always dominates a poisoned one; a poisoned
-        // point dominates nothing (including other poisoned points).
-        (true, false) => true,
-        (false, _) => false,
-    };
-    if cfg!(debug_assertions) && a_finite && b_finite {
-        debug_assert!(!(result && a == b), "dominance must be irreflexive: {a:?}");
-        debug_assert!(
-            !(result && dominates_unchecked(b, a)),
-            "dominance must be antisymmetric: {a:?} vs {b:?}"
-        );
-    }
-    result
+    compare(a, is_finite(a), b, is_finite(b)).0
 }
 
-/// The raw dominance test over finite points, without the quarantine or
-/// the debug-mode relation checks.
-fn dominates_unchecked(a: &[f64], b: &[f64]) -> bool {
-    let mut strictly_better = false;
-    for (&x, &y) in a.iter().zip(b.iter()) {
-        if x < y {
-            return false;
-        }
-        if x > y {
-            strictly_better = true;
-        }
+/// Whether every objective of `p` is finite (not quarantined).
+fn is_finite(p: &[f64]) -> bool {
+    p.iter().all(|v| v.is_finite())
+}
+
+/// Compares two equal-length points in one pass and returns
+/// `(a ≻ b, b ≻ a)` under the quarantine of [`dominates`], given each
+/// point's finiteness. At most one of the two is `true`.
+fn compare(a: &[f64], a_finite: bool, b: &[f64], b_finite: bool) -> (bool, bool) {
+    if !(a_finite && b_finite) {
+        // A healthy point always dominates a poisoned one; a poisoned
+        // point dominates nothing (including other poisoned points).
+        return (a_finite, b_finite);
     }
-    strictly_better
+    // Branch-free over the objectives: the comparisons are data-dependent
+    // and mispredict badly when branched on.
+    let (mut a_better, mut b_better) = (false, false);
+    for (&x, &y) in a.iter().zip(b) {
+        a_better |= x > y;
+        b_better |= x < y;
+    }
+    (a_better && !b_better, b_better && !a_better)
+}
+
+/// Each point's finiteness, after checking that all points share one
+/// dimensionality.
+///
+/// # Panics
+///
+/// Panics on mixed dimensionality, as [`dominates`] does.
+fn finiteness(points: &[Vec<f64>]) -> Vec<bool> {
+    let dims = points.first().map_or(0, Vec::len);
+    assert!(points.iter().all(|p| p.len() == dims), "objective dimensionality mismatch");
+    points.iter().map(|p| is_finite(p)).collect()
+}
+
+/// Indices of the non-dominated points — exactly
+/// `fast_non_dominated_sort(points)[0]`, in the same ascending order, for
+/// O(N·|front|) instead of O(N²) comparisons.
+///
+/// Keeps an archive: a point some archive member dominates is skipped;
+/// otherwise the members it dominates leave and it joins. Dominance
+/// (quarantine included) is transitive, so every point is in the archive
+/// or dominated by a member of it, and the archive ends up as the set
+/// nothing dominates.
+///
+/// # Panics
+///
+/// Panics if the points have different dimensionality.
+pub fn pareto_indices(points: &[Vec<f64>]) -> Vec<usize> {
+    let finite = finiteness(points);
+    let beats = |i: usize, j: usize| compare(&points[i], finite[i], &points[j], finite[j]).0;
+    let mut archive: Vec<usize> = Vec::new();
+    for i in 0..points.len() {
+        if archive.iter().any(|&m| beats(m, i)) {
+            continue;
+        }
+        archive.retain(|&m| !beats(i, m));
+        archive.push(i);
+    }
+    archive
 }
 
 /// Deb's fast non-dominated sort: partitions point indices into fronts,
 /// front 0 being the Pareto-optimal set, front 1 the set that becomes
-/// optimal once front 0 is removed, and so on.
+/// optimal once front 0 is removed, and so on. Each front lists its
+/// points in the order the peeling reaches them; front 0 is ascending.
+///
+/// # Panics
+///
+/// Panics if the points have different dimensionality.
 pub fn fast_non_dominated_sort(points: &[Vec<f64>]) -> Vec<Vec<usize>> {
     let n = points.len();
     if n == 0 {
         return Vec::new();
     }
+    let finite = finiteness(points);
     let mut dominated_by: Vec<Vec<usize>> = vec![Vec::new(); n]; // i dominates these
     let mut domination_count = vec![0usize; n]; // how many dominate i
     for i in 0..n {
         for j in (i + 1)..n {
-            if dominates(&points[i], &points[j]) {
-                dominated_by[i].push(j);
-                domination_count[j] += 1;
-            } else if dominates(&points[j], &points[i]) {
-                dominated_by[j].push(i);
-                domination_count[i] += 1;
+            match compare(&points[i], finite[i], &points[j], finite[j]) {
+                (true, _) => {
+                    dominated_by[i].push(j);
+                    domination_count[j] += 1;
+                }
+                (_, true) => {
+                    dominated_by[j].push(i);
+                    domination_count[i] += 1;
+                }
+                _ => {}
             }
         }
     }
@@ -182,6 +224,33 @@ mod tests {
     #[should_panic(expected = "dimensionality")]
     fn dominates_rejects_mixed_dims() {
         let _ = dominates(&[1.0], &[1.0, 2.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "dimensionality")]
+    fn sort_rejects_mixed_dims() {
+        let _ = fast_non_dominated_sort(&[vec![1.0, 2.0], vec![1.0], vec![0.0, 0.0]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "dimensionality")]
+    fn pareto_indices_rejects_mixed_dims() {
+        let _ = pareto_indices(&[vec![1.0, 2.0], vec![1.0]]);
+    }
+
+    #[test]
+    fn pareto_indices_keeps_front_zero_in_index_order() {
+        let pts = vec![
+            vec![1.0, 1.0],      // dominated by the later [2, 2]
+            vec![f64::NAN, 9.0], // quarantined
+            vec![0.0, 5.0],      // front 0
+            vec![2.0, 2.0],      // front 0
+            vec![2.0, 2.0],      // duplicate: also front 0
+            vec![3.0, 0.0],      // front 0
+        ];
+        assert_eq!(pareto_indices(&pts), vec![2, 3, 4, 5]);
+        assert_eq!(pareto_indices(&pts), fast_non_dominated_sort(&pts)[0]);
+        assert!(pareto_indices(&[]).is_empty());
     }
 
     #[test]

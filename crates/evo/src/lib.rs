@@ -1,8 +1,8 @@
 //! # hadas-evo
 //!
 //! The evolutionary-search substrate of the HADAS reproduction: a generic
-//! NSGA-II implementation (fast non-dominated sorting, crowding distance,
-//! binary tournament selection) plus the two comparison metrics the paper
+//! NSGA-II implementation (fast non-dominated sorting, a front-0 filter,
+//! crowding distance, binary tournament selection) plus the two comparison metrics the paper
 //! reports in Fig. 6 — **hypervolume** and **ratio of dominance**.
 //!
 //! Both the outer optimization engine (over backbones **B**) and the inner
@@ -43,7 +43,7 @@ mod metrics;
 mod nsga2;
 mod random;
 
-pub use dominance::{crowding_distance, dominates, fast_non_dominated_sort};
+pub use dominance::{crowding_distance, dominates, fast_non_dominated_sort, pareto_indices};
 pub use metrics::{hypervolume, hypervolume_2d, ratio_of_dominance};
 pub use nsga2::{Evaluated, Nsga2, Nsga2Config, Problem, SearchResult};
 pub use random::random_search;

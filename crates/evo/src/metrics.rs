@@ -1,7 +1,7 @@
 //! Search-quality metrics: hypervolume and ratio of dominance (paper
 //! Fig. 6).
 
-use crate::dominance::{dominates, fast_non_dominated_sort};
+use crate::dominance::{dominates, pareto_indices};
 
 /// Hypervolume of a 2-D maximisation front with respect to a reference
 /// point that every front member must dominate (i.e. `reference` is a
@@ -54,10 +54,9 @@ pub fn hypervolume(points: &[Vec<f64>], reference: &[f64]) -> f64 {
         return hypervolume_2d(points, &[reference[0], reference[1]]);
     }
     // Reduce to the first (Pareto) front, clipped to the reference box.
-    let fronts = fast_non_dominated_sort(points);
-    let front: Vec<Vec<f64>> = fronts[0]
-        .iter()
-        .map(|&i| points[i].clone())
+    let front: Vec<Vec<f64>> = pareto_indices(points)
+        .into_iter()
+        .map(|i| points[i].clone())
         .filter(|p| p.iter().zip(reference.iter()).all(|(&v, &r)| v > r))
         .collect();
     let n = front.len();

@@ -1,4 +1,4 @@
-use crate::dominance::{crowding_distance, dominates, fast_non_dominated_sort};
+use crate::dominance::{crowding_distance, fast_non_dominated_sort, pareto_indices};
 use rand::{Rng, RngCore};
 
 /// An optimisation problem NSGA-II can drive.
@@ -104,20 +104,14 @@ impl<G: Clone> SearchResult<G> {
     /// final population): the Pareto front the run discovered.
     pub fn pareto_front(&self) -> Vec<&Evaluated<G>> {
         let pts: Vec<Vec<f64>> = self.history.iter().map(|e| e.objectives.clone()).collect();
-        let fronts = fast_non_dominated_sort(&pts);
-        match fronts.first() {
-            Some(front) => {
-                // Deduplicate identical objective vectors to keep fronts tidy.
-                let mut out: Vec<&Evaluated<G>> = Vec::new();
-                for &i in front {
-                    if !out.iter().any(|e| e.objectives == self.history[i].objectives) {
-                        out.push(&self.history[i]);
-                    }
-                }
-                out
+        // Deduplicate identical objective vectors to keep fronts tidy.
+        let mut out: Vec<&Evaluated<G>> = Vec::new();
+        for i in pareto_indices(&pts) {
+            if !out.iter().any(|e| e.objectives == self.history[i].objectives) {
+                out.push(&self.history[i]);
             }
-            None => Vec::new(),
         }
+        out
     }
 
     /// Objective vectors of the Pareto front.
@@ -239,15 +233,10 @@ impl Nsga2 {
     }
 }
 
-/// Returns whether `candidate` is non-dominated within `points`.
-#[allow(dead_code)]
-pub(crate) fn is_non_dominated(candidate: &[f64], points: &[Vec<f64>]) -> bool {
-    !points.iter().any(|p| dominates(p, candidate))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dominance::dominates;
     use rand::{rngs::StdRng, SeedableRng};
 
     /// Discrete two-objective knapsack-ish toy: maximise (sum of chosen
@@ -330,12 +319,5 @@ mod tests {
     #[should_panic(expected = "population")]
     fn tiny_population_rejected() {
         let _ = Nsga2Config::new(1, 5);
-    }
-
-    #[test]
-    fn is_non_dominated_helper() {
-        let pts = vec![vec![2.0, 2.0]];
-        assert!(is_non_dominated(&[3.0, 1.0], &pts));
-        assert!(!is_non_dominated(&[1.0, 1.0], &pts));
     }
 }

@@ -4,12 +4,71 @@
 
 use hadas_evo::{
     crowding_distance, dominates, fast_non_dominated_sort, hypervolume, hypervolume_2d,
-    ratio_of_dominance,
+    pareto_indices, ratio_of_dominance,
 };
 use proptest::prelude::*;
 
 fn points_strategy(dims: usize, max_n: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
     proptest::collection::vec(proptest::collection::vec(0.0f64..10.0, dims), 1..max_n)
+}
+
+/// Grid-valued points (values 0..4, so ties and duplicates are common)
+/// of one dimensionality in 2..=3, with NaN and ±inf injected.
+fn grid_points_strategy() -> impl Strategy<Value = Vec<Vec<f64>>> {
+    let value = || {
+        (0u8..16).prop_map(|k| match k {
+            13 => f64::NAN,
+            14 => f64::INFINITY,
+            15 => f64::NEG_INFINITY,
+            k => f64::from(k % 4),
+        })
+    };
+    (2usize..4).prop_flat_map(move |dims| {
+        proptest::collection::vec(proptest::collection::vec(value(), dims), 0..60)
+    })
+}
+
+/// Deb's peeling written directly from `dominates`: a point's count is
+/// the number of points dominating it, and each front releases, in its
+/// own order, the points whose last dominator it holds, in index order.
+fn naive_fronts(points: &[Vec<f64>]) -> Vec<Vec<usize>> {
+    let n = points.len();
+    let beats = |i: usize, j: usize| dominates(&points[i], &points[j]);
+    let mut count: Vec<usize> = (0..n).map(|j| (0..n).filter(|&i| beats(i, j)).count()).collect();
+    let mut fronts = Vec::new();
+    let mut current: Vec<usize> = (0..n).filter(|&j| count[j] == 0).collect();
+    while !current.is_empty() {
+        let mut next = Vec::new();
+        for &i in &current {
+            for j in (0..n).filter(|&j| beats(i, j)) {
+                count[j] -= 1;
+                if count[j] == 0 {
+                    next.push(j);
+                }
+            }
+        }
+        fronts.push(std::mem::replace(&mut current, next));
+    }
+    fronts
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The archive filter returns exactly front 0 of the sort, in order.
+    #[test]
+    fn pareto_indices_is_front_zero(pts in grid_points_strategy()) {
+        let fronts = fast_non_dominated_sort(&pts);
+        let front0 = fronts.first().cloned().unwrap_or_default();
+        prop_assert_eq!(pareto_indices(&pts), front0);
+    }
+
+    /// The one-pass sort returns the reference's fronts, element order
+    /// included.
+    #[test]
+    fn sort_matches_the_naive_reference(pts in grid_points_strategy()) {
+        prop_assert_eq!(fast_non_dominated_sort(&pts), naive_fronts(&pts));
+    }
 }
 
 proptest! {

@@ -5,10 +5,21 @@
 //! `seeded-rng-only` pass forbids every ambient entropy source — so two runs
 //! with the same `HadasConfig::seed` must produce *byte-identical* results,
 //! not merely statistically similar ones. This test pins that contract at
-//! the coarsest observable level: the serialized OOE Pareto front.
+//! the coarsest observable level: the serialized OOE Pareto front. Golden
+//! fingerprints of that front for two seeds also pin its content, which
+//! run-to-run and worker-count identity cannot: a change that shifted
+//! every front alike would pass those.
 
 use hadas::{Hadas, HadasConfig};
 use hadas_hw::HwTarget;
+
+/// `hadas::seal::fingerprint64` of `pareto_json(5)` and `pareto_json(6)`.
+const GOLDEN_SEED_5: u64 = 10379453551654270141;
+const GOLDEN_SEED_6: u64 = 13705707438066776108;
+
+fn fingerprint(json: &str) -> u64 {
+    hadas::seal::fingerprint64(json.as_bytes())
+}
 
 /// Run the smoke-test OOE search and serialize its Pareto front with the
 /// same JSON shape the `hadas search` CLI writes to `results/`.
@@ -42,6 +53,7 @@ fn same_seed_gives_byte_identical_pareto_fronts() {
     assert_eq!(first, second, "two OOE runs with the same seed must serialize to identical bytes");
     // The front must be non-trivial, otherwise the equality above is vacuous.
     assert!(first.contains("\"genome\""), "pareto front should not be empty: {first}");
+    assert_eq!(fingerprint(&first), GOLDEN_SEED_5, "seed-5 front moved: {first}");
 }
 
 #[test]
@@ -49,5 +61,8 @@ fn different_seeds_explore_differently() {
     // Not a strict requirement of the algorithm, but if two different seeds
     // ever produced byte-identical fronts on the smoke budget, the seed
     // plumbing would almost certainly be broken (e.g. a hard-coded seed).
-    assert_ne!(pareto_json(5), pareto_json(6), "distinct seeds should differ somewhere");
+    let (five, six) = (pareto_json(5), pareto_json(6));
+    assert_ne!(five, six, "distinct seeds should differ somewhere");
+    assert_eq!(fingerprint(&five), GOLDEN_SEED_5, "seed-5 front moved: {five}");
+    assert_eq!(fingerprint(&six), GOLDEN_SEED_6, "seed-6 front moved: {six}");
 }

@@ -3,7 +3,7 @@
 //! surrogate and the hardware simulator against regressions.
 
 use hadas_suite::core::{EngineBudget, Hadas, HadasConfig};
-use hadas_suite::evo::{fast_non_dominated_sort, hypervolume_2d, ratio_of_dominance};
+use hadas_suite::evo::{hypervolume_2d, pareto_indices, ratio_of_dominance};
 use hadas_suite::hw::{DeviceModel, HwTarget};
 use hadas_suite::space::baselines;
 
@@ -15,11 +15,7 @@ fn mid() -> HadasConfig {
 }
 
 fn front(axes: &[Vec<f64>]) -> Vec<Vec<f64>> {
-    if axes.is_empty() {
-        return Vec::new();
-    }
-    let fronts = fast_non_dominated_sort(axes);
-    fronts[0].iter().map(|&i| axes[i].clone()).collect()
+    pareto_indices(axes).into_iter().map(|i| axes[i].clone()).collect()
 }
 
 /// Table III anchors: a0 and a6 static energies on the TX2 Pascal GPU.
