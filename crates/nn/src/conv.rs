@@ -1,8 +1,9 @@
 use crate::{Layer, NnError, Param};
-use hadas_tensor::{col2im, im2col, kaiming_uniform, Conv2dGeometry, Tensor};
+use hadas_tensor::{kaiming_uniform, Conv2dGeometry, ConvKernel, Tensor};
 use rand::Rng;
 
-/// A 2-D convolution over NCHW inputs, implemented as `im2col` + matmul.
+/// A 2-D convolution over NCHW inputs, run on the channel-major
+/// [`ConvKernel`].
 ///
 /// The kernel bank has shape `(c_out, c_in, k, k)`; the layer owns its
 /// geometry, so input spatial dimensions are fixed at construction (which is
@@ -11,11 +12,8 @@ use rand::Rng;
 pub struct Conv2d {
     weight: Param,
     bias: Param,
-    c_in: usize,
-    c_out: usize,
-    geo: Conv2dGeometry,
+    kernel: ConvKernel,
     cached_cols: Option<Tensor>,
-    cached_batch: usize,
 }
 
 impl Conv2d {
@@ -39,96 +37,33 @@ impl Conv2d {
         let fan_in = c_in * kernel * kernel;
         let weight = Param::new(kaiming_uniform(rng, &[c_out, c_in * kernel * kernel], fan_in));
         let bias = Param::new(Tensor::zeros(&[c_out]));
-        Ok(Conv2d { weight, bias, c_in, c_out, geo, cached_cols: None, cached_batch: 0 })
+        let kernel = ConvKernel::new(geo, c_in, c_out, c_in);
+        Ok(Conv2d { weight, bias, kernel, cached_cols: None })
     }
 
     /// The convolution geometry (spatial sizes, kernel, stride, padding).
     pub fn geometry(&self) -> &Conv2dGeometry {
-        &self.geo
+        self.kernel.geometry()
     }
 
     /// Output channel count.
     pub fn c_out(&self) -> usize {
-        self.c_out
+        self.kernel.c_out()
     }
 }
 
 impl Layer for Conv2d {
     fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
-        let dims = input.shape().dims();
-        if dims.len() != 4 || dims[1] != self.c_in {
-            return Err(NnError::Tensor(hadas_tensor::TensorError::ShapeMismatch {
-                left: dims.to_vec(),
-                right: vec![0, self.c_in, self.geo.in_h(), self.geo.in_w()],
-            }));
-        }
-        let n = dims[0];
-        let cols = im2col(input, &self.geo)?;
-        // (n*oh*ow, cin*k*k) · (cin*k*k, cout) = (n*oh*ow, cout)
-        let wt = self.weight.value().transpose()?;
-        let mut y = cols.matmul(&wt)?;
-        let rows = y.shape().dims()[0];
-        {
-            let b = self.bias.value().as_slice().to_vec();
-            let data = y.as_mut_slice();
-            for r in 0..rows {
-                for c in 0..self.c_out {
-                    data[r * self.c_out + c] += b[c];
-                }
-            }
-        }
+        let (y, cols) = self.kernel.forward(input, self.weight.value(), self.bias.value())?;
         self.cached_cols = Some(cols);
-        self.cached_batch = n;
-        // Reorder (n, oh, ow, cout) -> (n, cout, oh, ow).
-        let (oh, ow) = (self.geo.out_h(), self.geo.out_w());
-        let src = y.as_slice();
-        let mut out = vec![0.0f32; n * self.c_out * oh * ow];
-        for img in 0..n {
-            for p in 0..oh * ow {
-                for c in 0..self.c_out {
-                    out[((img * self.c_out + c) * oh * ow) + p] =
-                        src[(img * oh * ow + p) * self.c_out + c];
-                }
-            }
-        }
-        Ok(Tensor::from_vec(out, &[n, self.c_out, oh, ow])?)
+        Ok(y)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
         let cols =
             self.cached_cols.take().ok_or(NnError::BackwardBeforeForward { layer: "Conv2d" })?;
-        let n = self.cached_batch;
-        let (oh, ow) = (self.geo.out_h(), self.geo.out_w());
-        // Reorder grad (n, cout, oh, ow) -> (n*oh*ow, cout).
-        let g = grad_out.as_slice();
-        let mut gm = vec![0.0f32; n * oh * ow * self.c_out];
-        for img in 0..n {
-            for c in 0..self.c_out {
-                for p in 0..oh * ow {
-                    gm[(img * oh * ow + p) * self.c_out + c] =
-                        g[(img * self.c_out + c) * oh * ow + p];
-                }
-            }
-        }
-        let grad_mat = Tensor::from_vec(gm, &[n * oh * ow, self.c_out])?;
-        // dW = grad_matᵀ · cols  -> (cout, cin*k*k)
-        let grad_w = grad_mat.transpose()?.matmul(&cols)?;
-        self.weight.grad_mut().axpy(1.0, &grad_w)?;
-        // db = column sums of grad_mat.
-        {
-            let db = self.bias.grad_mut().as_mut_slice();
-            let gm = grad_mat.as_slice();
-            let rows = n * oh * ow;
-            for r in 0..rows {
-                for c in 0..self.c_out {
-                    db[c] += gm[r * self.c_out + c];
-                }
-            }
-        }
-        // dX = col2im(grad_mat · W).
-        let grad_cols = grad_mat.matmul(self.weight.value())?;
-        let grad_in = col2im(&grad_cols, n, self.c_in, &self.geo)?;
-        Ok(grad_in)
+        let (weight, weight_grad) = self.weight.value_and_grad_mut();
+        Ok(self.kernel.backward(grad_out, &cols, weight, weight_grad, self.bias.grad_mut())?)
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {

@@ -38,6 +38,13 @@ impl Param {
         &mut self.grad
     }
 
+    /// The value and, mutably, the gradient at once: what a layer's
+    /// backward pass needs when it reads its weights while accumulating
+    /// into their gradient.
+    pub fn value_and_grad_mut(&mut self) -> (&Tensor, &mut Tensor) {
+        (&self.value, &mut self.grad)
+    }
+
     /// Resets the gradient to zero, keeping the value.
     pub fn zero_grad(&mut self) {
         for g in self.grad.as_mut_slice() {

@@ -6,12 +6,12 @@
 //! per-channel column blocks), and its gradients accumulate back into the
 //! same slice of the shared parameter. The weight layout puts each output
 //! filter's `(c_in_max, k, k)` block in row-major channel order, so an
-//! input-channel prefix is a *contiguous* column prefix — slicing is a
-//! cheap copy.
+//! input-channel prefix is a *contiguous* column prefix, which the
+//! shared [`hadas_tensor::ConvKernel`] reads in place.
 
 use crate::SupernetError;
 use hadas_nn::Param;
-use hadas_tensor::{col2im, im2col, kaiming_uniform, Conv2dGeometry, Tensor};
+use hadas_tensor::{kaiming_uniform, Conv2dGeometry, ConvKernel, Tensor};
 use rand::Rng;
 
 /// A convolution whose weights are shared across channel-sliced subnets.
@@ -22,16 +22,7 @@ pub struct SharedConv2d {
     c_in_max: usize,
     c_out_max: usize,
     kernel: usize,
-    cache: Option<ConvCache>,
-}
-
-#[derive(Debug)]
-struct ConvCache {
-    cols: Tensor,
-    geo: Conv2dGeometry,
-    n: usize,
-    c_in: usize,
-    c_out: usize,
+    cache: Option<(ConvKernel, Tensor)>,
 }
 
 impl SharedConv2d {
@@ -63,22 +54,9 @@ impl SharedConv2d {
         vec![&mut self.weight, &mut self.bias]
     }
 
-    /// Copies the active weight slice `(c_out × c_in·k²)` out of the
-    /// shared tensor.
-    fn sliced_weight(&self, c_in: usize, c_out: usize) -> Result<Tensor, SupernetError> {
-        let k2 = self.kernel * self.kernel;
-        let full_cols = self.c_in_max * k2;
-        let cols = c_in * k2;
-        let src = self.weight.value().as_slice();
-        let mut out = Vec::with_capacity(c_out * cols);
-        for r in 0..c_out {
-            out.extend_from_slice(&src[r * full_cols..r * full_cols + cols]);
-        }
-        Ok(Tensor::from_vec(out, &[c_out, cols])?)
-    }
-
     /// Sliced forward pass: `x` is `(n, c_in, h, w)` with `c_in ≤
-    /// c_in_max`; produces `(n, c_out, h, w)` (stride 1, same padding).
+    /// c_in_max`; produces `(n, c_out, h, w)` (stride 1, same padding)
+    /// from the top-left `(c_out × c_in·k²)` slice of the shared weights.
     ///
     /// # Errors
     ///
@@ -92,7 +70,7 @@ impl SharedConv2d {
                 dims.len()
             )));
         }
-        let (n, c_in, h, w) = (dims[0], dims[1], dims[2], dims[3]);
+        let (c_in, h, w) = (dims[1], dims[2], dims[3]);
         if c_in > self.c_in_max || c_out > self.c_out_max || c_out == 0 {
             return Err(SupernetError::InvalidChoice(format!(
                 "slice {c_in}->{c_out} exceeds shared {}->{}",
@@ -100,32 +78,10 @@ impl SharedConv2d {
             )));
         }
         let geo = Conv2dGeometry::new(h, w, self.kernel, 1, self.kernel / 2)?;
-        let cols = im2col(x, &geo)?;
-        let w_s = self.sliced_weight(c_in, c_out)?;
-        let mut y = cols.matmul(&w_s.transpose()?)?;
-        let rows = y.shape().dims()[0];
-        {
-            let b = &self.bias.value().as_slice()[..c_out].to_vec();
-            let data = y.as_mut_slice();
-            for r in 0..rows {
-                for c in 0..c_out {
-                    data[r * c_out + c] += b[c];
-                }
-            }
-        }
-        // (n*oh*ow, c_out) -> (n, c_out, oh, ow)
-        let (oh, ow) = (geo.out_h(), geo.out_w());
-        let src = y.as_slice();
-        let mut out = vec![0.0f32; n * c_out * oh * ow];
-        for img in 0..n {
-            for p in 0..oh * ow {
-                for c in 0..c_out {
-                    out[(img * c_out + c) * oh * ow + p] = src[(img * oh * ow + p) * c_out + c];
-                }
-            }
-        }
-        self.cache = Some(ConvCache { cols, geo, n, c_in, c_out });
-        Ok(Tensor::from_vec(out, &[n, c_out, oh, ow])?)
+        let kernel = ConvKernel::new(geo, c_in, c_out, self.c_in_max);
+        let (y, cols) = kernel.forward(x, self.weight.value(), self.bias.value())?;
+        self.cache = Some((kernel, cols));
+        Ok(y)
     }
 
     /// Sliced backward pass: accumulates gradients into the shared weight
@@ -135,48 +91,11 @@ impl SharedConv2d {
     ///
     /// Returns an error if called before [`SharedConv2d::forward_slice`].
     pub fn backward_slice(&mut self, grad_out: &Tensor) -> Result<Tensor, SupernetError> {
-        let cache = self.cache.take().ok_or(SupernetError::Nn(
+        let (kernel, cols) = self.cache.take().ok_or(SupernetError::Nn(
             hadas_nn::NnError::BackwardBeforeForward { layer: "SharedConv2d" },
         ))?;
-        let (n, c_in, c_out) = (cache.n, cache.c_in, cache.c_out);
-        let (oh, ow) = (cache.geo.out_h(), cache.geo.out_w());
-        let g = grad_out.as_slice();
-        // (n, c_out, oh, ow) -> (n*oh*ow, c_out)
-        let mut gm = vec![0.0f32; n * oh * ow * c_out];
-        for img in 0..n {
-            for c in 0..c_out {
-                for p in 0..oh * ow {
-                    gm[(img * oh * ow + p) * c_out + c] = g[(img * c_out + c) * oh * ow + p];
-                }
-            }
-        }
-        let grad_mat = Tensor::from_vec(gm, &[n * oh * ow, c_out])?;
-        // dW_slice = grad_matᵀ · cols, accumulated into the shared rows.
-        let grad_w = grad_mat.transpose()?.matmul(&cache.cols)?;
-        let k2 = self.kernel * self.kernel;
-        let full_cols = self.c_in_max * k2;
-        let slice_cols = c_in * k2;
-        {
-            let dst = self.weight.grad_mut().as_mut_slice();
-            let src = grad_w.as_slice();
-            for r in 0..c_out {
-                for c in 0..slice_cols {
-                    dst[r * full_cols + c] += src[r * slice_cols + c];
-                }
-            }
-        }
-        {
-            let db = self.bias.grad_mut().as_mut_slice();
-            let gm = grad_mat.as_slice();
-            for r in 0..n * oh * ow {
-                for c in 0..c_out {
-                    db[c] += gm[r * c_out + c];
-                }
-            }
-        }
-        let w_s = self.sliced_weight(c_in, c_out)?;
-        let grad_cols = grad_mat.matmul(&w_s)?;
-        Ok(col2im(&grad_cols, n, c_in, &cache.geo)?)
+        let (weight, weight_grad) = self.weight.value_and_grad_mut();
+        Ok(kernel.backward(grad_out, &cols, weight, weight_grad, self.bias.grad_mut())?)
     }
 
     /// Zeroes the shared gradients.

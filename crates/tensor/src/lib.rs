@@ -2,14 +2,22 @@
 //!
 //! A small, dependency-light dense tensor library used as the numeric
 //! substrate of the HADAS reproduction. It provides exactly the primitives
-//! the micro neural-network framework (`hadas-nn`) needs to train early
-//! exit heads on synthetic data: shaped `f32` buffers, element-wise maps,
-//! reductions, matrix multiplication, and the `im2col`/`col2im` transforms
-//! behind 2-D convolution.
+//! the micro neural-network framework (`hadas-nn`) and the weight-sharing
+//! supernet (`hadas-supernet`) need to train on synthetic data: shaped
+//! `f32` buffers, element-wise maps, reductions, matrix multiplication,
+//! and 2-D convolution.
 //!
-//! The library favours clarity and determinism over raw speed: every
-//! operation is plain safe Rust over contiguous buffers, and all random
-//! initialisation goes through a caller-supplied seeded RNG.
+//! Convolution runs on [`ConvKernel`]: the input is unfolded
+//! channel-major ([`unfold`]: one row per kernel tap, one column per
+//! output pixel of the batch), so the output is `W · cols`, one row of
+//! `n·oh·ow` pixels per output channel, and the inner loops run over
+//! pixels rather than over a few channels. [`fold`] is its adjoint. The
+//! row-major [`im2col`]/[`col2im`] remain as the reference they equal,
+//! transposed, bit for bit.
+//!
+//! Every operation is plain safe Rust over contiguous buffers with a
+//! fixed summation order, so results are deterministic to the bit, and
+//! all random initialisation goes through a caller-supplied seeded RNG.
 //!
 //! ```
 //! use hadas_tensor::Tensor;
@@ -30,7 +38,7 @@ mod linalg;
 mod shape;
 mod tensor;
 
-pub use conv::{col2im, im2col, Conv2dGeometry};
+pub use conv::{col2im, fold, im2col, unfold, Conv2dGeometry, ConvKernel};
 pub use error::TensorError;
 pub use init::{kaiming_uniform, normal, uniform};
 pub use shape::Shape;

@@ -3,8 +3,12 @@ use crate::{Tensor, TensorError};
 impl Tensor {
     /// Dense matrix product of two rank-2 tensors: `(m×k) · (k×n) = (m×n)`.
     ///
-    /// Uses a cache-friendly i-k-j loop order with an accumulator row, which
-    /// is adequate for the small matrices that appear in exit-head training.
+    /// Uses a cache-friendly i-k-j loop order with an accumulator row: each
+    /// output element sums its terms in ascending inner index, starting
+    /// from `+0.0`. A term whose left-hand factor is zero is skipped, so a
+    /// zero times an infinite or NaN right-hand value contributes nothing
+    /// (where a plain product would contribute NaN); for finite operands
+    /// the skip is bit-neutral.
     ///
     /// # Errors
     ///
@@ -98,6 +102,104 @@ impl Tensor {
     }
 }
 
+/// A read-only strided matrix view: element `(i, j)` of a `rows × cols`
+/// matrix sits at `data[i·row_stride + j·col_stride]`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MatRef<'a> {
+    pub(crate) data: &'a [f32],
+    pub(crate) rows: usize,
+    pub(crate) cols: usize,
+    pub(crate) row_stride: usize,
+    pub(crate) col_stride: usize,
+}
+
+impl<'a> MatRef<'a> {
+    /// A row-major view whose rows are `row_stride` apart.
+    pub(crate) fn rows(data: &'a [f32], rows: usize, cols: usize, row_stride: usize) -> Self {
+        MatRef { data, rows, cols, row_stride, col_stride: 1 }
+    }
+
+    /// The same elements seen as the transposed matrix.
+    pub(crate) fn t(self) -> Self {
+        MatRef {
+            rows: self.cols,
+            cols: self.rows,
+            row_stride: self.col_stride,
+            col_stride: self.row_stride,
+            ..self
+        }
+    }
+
+    fn at(&self, i: usize, j: usize) -> f32 {
+        self.data[i * self.row_stride + j * self.col_stride]
+    }
+}
+
+/// Rows of `a` one register tile of [`gemm`] covers.
+const MR: usize = 4;
+/// Columns of `b` one register tile of [`gemm`] covers.
+const NR: usize = 8;
+
+/// `c = a · b`, written into `c` with rows `ldc` apart; `b` must have unit
+/// column stride.
+///
+/// Every output element sums its terms in ascending inner index, starting
+/// from `+0.0`, one multiply and one add per term, with no term skipped.
+/// [`Tensor::matmul`] sums in the same order but skips a zero left-hand
+/// factor, so for finite operands the two agree bit for bit.
+///
+/// The work is done in `MR × NR` tiles that stay in registers across the
+/// whole inner dimension: the tile's `MR` rows of `a` are first packed
+/// into one contiguous `inner × MR` panel, and each step of the inner
+/// loop reads one `NR`-wide run of a `b` row.
+pub(crate) fn gemm(a: MatRef<'_>, b: MatRef<'_>, c: &mut [f32], ldc: usize) {
+    debug_assert_eq!(a.cols, b.rows);
+    debug_assert_eq!(b.col_stride, 1);
+    let (m, inner, n) = (a.rows, a.cols, b.cols);
+    let mut panel = vec![0.0f32; inner * MR];
+    for i0 in (0..m).step_by(MR) {
+        let rows = MR.min(m - i0);
+        for (p, lane) in panel.chunks_exact_mut(MR).enumerate() {
+            for (q, v) in lane.iter_mut().enumerate() {
+                *v = if q < rows { a.at(i0 + q, p) } else { 0.0 };
+            }
+        }
+        let mut j0 = 0;
+        while j0 + NR <= n {
+            let acc = tile(&panel, b, j0);
+            for (q, acc_row) in acc.iter().take(rows).enumerate() {
+                c[(i0 + q) * ldc + j0..][..NR].copy_from_slice(acc_row);
+            }
+            j0 += NR;
+        }
+        for j in j0..n {
+            for q in 0..rows {
+                let mut sum = 0.0f32;
+                for (p, lane) in panel.chunks_exact(MR).enumerate() {
+                    sum += lane[q] * b.data[p * b.row_stride + j];
+                }
+                c[(i0 + q) * ldc + j] = sum;
+            }
+        }
+    }
+}
+
+/// One `MR × NR` register tile of [`gemm`]: rows of the packed `panel`
+/// times columns `j0..j0 + NR` of `b`.
+#[inline(always)]
+fn tile(panel: &[f32], b: MatRef<'_>, j0: usize) -> [[f32; NR]; MR] {
+    let mut acc = [[0.0f32; NR]; MR];
+    for (p, lane) in panel.chunks_exact(MR).enumerate() {
+        let run = &b.data[p * b.row_stride + j0..][..NR];
+        for (acc_row, &w) in acc.iter_mut().zip(lane) {
+            for (o, &x) in acc_row.iter_mut().zip(run) {
+                *o += w * x;
+            }
+        }
+    }
+    acc
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,6 +239,17 @@ mod tests {
         let b = Tensor::from_vec(vec![0.5, -0.5], &[2]).unwrap();
         let y = x.linear(&w, &b).unwrap();
         assert_eq!(y.as_slice(), &[2.5, -0.5]);
+    }
+
+    /// The zero-skip contract: a zero left-hand factor adds nothing, even
+    /// against an infinite right-hand value, where `0 · inf` would be NaN.
+    #[test]
+    fn matmul_skips_zero_left_terms() {
+        let a = Tensor::from_vec(vec![0.0, 1.0, -0.0, 2.0], &[2, 2]).unwrap();
+        let b = Tensor::from_vec(vec![f32::INFINITY, f32::NAN, 3.0, 4.0], &[2, 2]).unwrap();
+        let c = a.matmul(&b).unwrap();
+        assert_eq!(c.as_slice(), &[3.0, 4.0, 6.0, 8.0]);
+        assert!((0.0 * f32::INFINITY).is_nan());
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Property-based tests for the tensor substrate: algebraic identities of
-//! matmul/transpose, softmax invariants, and the im2col/col2im adjoint
-//! relation over random geometries.
+//! matmul/transpose, softmax invariants, the im2col/col2im adjoint
+//! relation over random geometries, and bit-for-bit agreement of the
+//! channel-major convolution with the row-major path it replaced.
 
-use hadas_tensor::{col2im, im2col, Conv2dGeometry, Tensor};
+use hadas_tensor::{col2im, fold, im2col, unfold, Conv2dGeometry, ConvKernel, Tensor};
 use proptest::prelude::*;
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
 fn tensor_strategy(rows: usize, cols: usize) -> impl Strategy<Value = Tensor> {
     proptest::collection::vec(-10.0f32..10.0, rows * cols)
@@ -84,7 +86,6 @@ proptest! {
     ) {
         prop_assume!(size + 2 * padding >= kernel);
         let geo = Conv2dGeometry::new(size, size, kernel, stride, padding).unwrap();
-        use rand::{rngs::StdRng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(seed);
         let x = hadas_tensor::uniform(&mut rng, &[1, channels, size, size], -2.0, 2.0);
         let m = im2col(&x, &geo).unwrap();
@@ -121,5 +122,216 @@ proptest! {
         let t = Tensor::from_vec(v, &[2, 3, 4]).unwrap();
         let r = t.reshape(&[4, 6]).unwrap();
         prop_assert_eq!(t.as_slice(), r.as_slice());
+    }
+}
+
+/// Values in `[-2, 2)` of which about half are exact zeros, some of them
+/// `-0.0`: the zeros a ReLU and zero padding leave in activations and
+/// gradients, where the row-major path skipped terms.
+fn sparse(rng: &mut StdRng, dims: &[usize]) -> Tensor {
+    let len = dims.iter().product();
+    let v = (0..len)
+        .map(|_| match rng.gen_range(0..8u32) {
+            0..=2 => 0.0,
+            3 => -0.0,
+            _ => rng.gen_range(-2.0f32..2.0),
+        })
+        .collect();
+    Tensor::from_vec(v, dims).unwrap()
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// The row-major convolution both conv layers ran before the
+/// channel-major kernel, kept here as the reference: `im2col`, then
+/// `cols · Wᵀ` with the bias added per row and the rows reordered to
+/// NCHW; backward reorders the gradient to `(n·oh·ow, c_out)`, adds
+/// `Gᵀ · cols` into the weight slice, column sums into the bias, and
+/// returns `col2im(G · W)`. `W` is the leading `c_out × c_in·k²` block of
+/// a bank whose rows hold `c_in_max·k²` taps.
+struct RowMajorConv {
+    geo: Conv2dGeometry,
+    c_in: usize,
+    c_out: usize,
+    c_in_max: usize,
+}
+
+impl RowMajorConv {
+    fn sliced_weight(&self, bank: &Tensor) -> Tensor {
+        let k2 = self.geo.kernel() * self.geo.kernel();
+        let (full, cols) = (self.c_in_max * k2, self.c_in * k2);
+        let src = bank.as_slice();
+        let mut out = Vec::with_capacity(self.c_out * cols);
+        for r in 0..self.c_out {
+            out.extend_from_slice(&src[r * full..r * full + cols]);
+        }
+        Tensor::from_vec(out, &[self.c_out, cols]).unwrap()
+    }
+
+    fn forward(&self, x: &Tensor, bank: &Tensor, bias: &Tensor) -> Tensor {
+        let n = x.shape().dims()[0];
+        let c_out = self.c_out;
+        let cols = im2col(x, &self.geo).unwrap();
+        let mut y = cols.matmul(&self.sliced_weight(bank).transpose().unwrap()).unwrap();
+        let rows = y.shape().dims()[0];
+        let b = bias.as_slice().to_vec();
+        let data = y.as_mut_slice();
+        for r in 0..rows {
+            for c in 0..c_out {
+                data[r * c_out + c] += b[c];
+            }
+        }
+        let (oh, ow) = (self.geo.out_h(), self.geo.out_w());
+        let src = y.as_slice();
+        let mut out = vec![0.0f32; n * c_out * oh * ow];
+        for img in 0..n {
+            for p in 0..oh * ow {
+                for c in 0..c_out {
+                    out[(img * c_out + c) * oh * ow + p] = src[(img * oh * ow + p) * c_out + c];
+                }
+            }
+        }
+        Tensor::from_vec(out, &[n, c_out, oh, ow]).unwrap()
+    }
+
+    fn backward(
+        &self,
+        x: &Tensor,
+        g: &Tensor,
+        bank: &Tensor,
+        gw: &mut Tensor,
+        gb: &mut Tensor,
+    ) -> Tensor {
+        let n = x.shape().dims()[0];
+        let c_out = self.c_out;
+        let cols = im2col(x, &self.geo).unwrap();
+        let plane = self.geo.out_h() * self.geo.out_w();
+        let src = g.as_slice();
+        let mut gm = vec![0.0f32; n * plane * c_out];
+        for img in 0..n {
+            for c in 0..c_out {
+                for p in 0..plane {
+                    gm[(img * plane + p) * c_out + c] = src[(img * c_out + c) * plane + p];
+                }
+            }
+        }
+        let grad_mat = Tensor::from_vec(gm, &[n * plane, c_out]).unwrap();
+        let grad_w = grad_mat.transpose().unwrap().matmul(&cols).unwrap();
+        let k2 = self.geo.kernel() * self.geo.kernel();
+        let (full, slice) = (self.c_in_max * k2, self.c_in * k2);
+        let dst = gw.as_mut_slice();
+        for r in 0..c_out {
+            for c in 0..slice {
+                dst[r * full + c] += grad_w.as_slice()[r * slice + c];
+            }
+        }
+        let db = gb.as_mut_slice();
+        for r in 0..n * plane {
+            for (c, d) in db.iter_mut().enumerate().take(c_out) {
+                *d += grad_mat.as_slice()[r * c_out + c];
+            }
+        }
+        let grad_cols = grad_mat.matmul(&self.sliced_weight(bank)).unwrap();
+        col2im(&grad_cols, n, self.c_in, &self.geo).unwrap()
+    }
+}
+
+/// A random geometry with kernel 1–3, stride 1–2, padding 0–2 and a
+/// possibly non-square input, if the padded input fits the kernel.
+fn geometry(
+    h: usize,
+    w: usize,
+    kernel: usize,
+    stride: usize,
+    padding: usize,
+) -> Option<Conv2dGeometry> {
+    Conv2dGeometry::new(h, w, kernel, stride, padding).ok()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The channel-major unfold is `im2col` transposed, bit for bit.
+    #[test]
+    fn unfold_is_im2col_transposed(
+        n in 1usize..4, c in 1usize..5, h in 1usize..7, w in 1usize..7,
+        kernel in 1usize..4, stride in 1usize..3, padding in 0usize..3,
+        seed in 0u64..10_000,
+    ) {
+        let geo = geometry(h, w, kernel, stride, padding);
+        prop_assume!(geo.is_some());
+        let geo = geo.unwrap();
+        let x = sparse(&mut StdRng::seed_from_u64(seed), &[n, c, h, w]);
+        let expected = im2col(&x, &geo).unwrap().transpose().unwrap();
+        let got = unfold(&x, &geo).unwrap();
+        prop_assert_eq!(got.shape().dims(), expected.shape().dims());
+        prop_assert_eq!(bits(&got), bits(&expected));
+    }
+
+    /// The channel-major fold is `col2im` of the transposed columns, bit
+    /// for bit: every input pixel sums its contributions in the same
+    /// order.
+    #[test]
+    fn fold_is_col2im_of_the_transpose(
+        n in 1usize..4, c in 1usize..5, h in 1usize..7, w in 1usize..7,
+        kernel in 1usize..4, stride in 1usize..3, padding in 0usize..3,
+        seed in 0u64..10_000,
+    ) {
+        let geo = geometry(h, w, kernel, stride, padding);
+        prop_assume!(geo.is_some());
+        let geo = geo.unwrap();
+        let taps = c * kernel * kernel;
+        let width = n * geo.out_h() * geo.out_w();
+        let cols = sparse(&mut StdRng::seed_from_u64(seed), &[taps, width]);
+        let expected = col2im(&cols.transpose().unwrap(), n, c, &geo).unwrap();
+        let got = fold(&cols, n, c, &geo).unwrap();
+        prop_assert_eq!(got.shape().dims(), expected.shape().dims());
+        prop_assert_eq!(bits(&got), bits(&expected));
+    }
+
+    /// The channel-major kernel's forward output, weight and bias
+    /// gradients (accumulated onto non-zero gradients already present)
+    /// and input gradient equal the row-major path's bit for bit, on a
+    /// weight bank wider than the active input-channel slice.
+    #[test]
+    fn conv_kernel_matches_the_row_major_path(
+        n in 1usize..4, c_in in 1usize..5, extra_in in 0usize..2,
+        c_out_max in 1usize..11, c_out_cut in 0usize..3,
+        h in 1usize..7, w in 1usize..7,
+        kernel in 1usize..4, stride in 1usize..3, padding in 0usize..3,
+        seed in 0u64..10_000,
+    ) {
+        let geo = geometry(h, w, kernel, stride, padding);
+        prop_assume!(geo.is_some());
+        let geo = geo.unwrap();
+        let c_in_max = c_in + extra_in;
+        let c_out = c_out_max.saturating_sub(c_out_cut).max(1);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let taps_max = c_in_max * kernel * kernel;
+        let bank = sparse(&mut rng, &[c_out_max, taps_max]);
+        let bias = sparse(&mut rng, &[c_out_max]);
+        let x = sparse(&mut rng, &[n, c_in, h, w]);
+        let g = sparse(&mut rng, &[n, c_out, geo.out_h(), geo.out_w()]);
+        let grad_w0 = sparse(&mut rng, &[c_out_max, taps_max]);
+        let grad_b0 = sparse(&mut rng, &[c_out_max]);
+
+        let reference = RowMajorConv { geo, c_in, c_out, c_in_max };
+        let (mut ref_gw, mut ref_gb) = (grad_w0.clone(), grad_b0.clone());
+        let ref_y = reference.forward(&x, &bank, &bias);
+        let ref_dx = reference.backward(&x, &g, &bank, &mut ref_gw, &mut ref_gb);
+
+        let conv = ConvKernel::new(geo, c_in, c_out, c_in_max);
+        let (mut gw, mut gb) = (grad_w0, grad_b0);
+        let (y, cols) = conv.forward(&x, &bank, &bias).unwrap();
+        let dx = conv.backward(&g, &cols, &bank, &mut gw, &mut gb).unwrap();
+
+        prop_assert_eq!(y.shape().dims(), ref_y.shape().dims());
+        prop_assert_eq!(bits(&y), bits(&ref_y));
+        prop_assert_eq!(bits(&gw), bits(&ref_gw));
+        prop_assert_eq!(bits(&gb), bits(&ref_gb));
+        prop_assert_eq!(dx.shape().dims(), ref_dx.shape().dims());
+        prop_assert_eq!(bits(&dx), bits(&ref_dx));
     }
 }

@@ -6,6 +6,7 @@
 use hadas_suite::dataset::{DatasetConfig, DifficultyDistribution, SyntheticDataset};
 use hadas_suite::exits::{ExitHead, ExitTrainer, FeatureSimulator};
 use hadas_suite::nn::{accuracy, nll_loss, Sgd};
+use hadas_suite::supernet::{MicroSupernet, SubnetChoice, SupernetConfig, TrainOptions};
 use rand::{rngs::StdRng, SeedableRng};
 
 /// A small CNN (the exit-head architecture applied to raw RGB images)
@@ -75,4 +76,31 @@ fn hybrid_loss_trains_successfully() {
     let report = trainer.train(&mut head, &sim, 3).expect("training runs");
     assert!(report.final_loss.is_finite());
     assert!(report.test_accuracy > 0.45, "accuracy {}", report.test_accuracy);
+}
+
+/// Golden bits of one guarded supernet training call on the benchmark's
+/// `train` set-up: `SupernetConfig::tiny`, dataset and initial weights from
+/// seed 1 with 96 train / 48 test samples, one epoch at batch 16 and lr
+/// 0.05 with sampler seed 7, then the max-subnet test accuracy. A kernel
+/// change that reorders any float sum in the conv, linear or pooling
+/// layers moves these bits.
+#[test]
+fn supernet_training_bits_are_pinned() {
+    let net_cfg = SupernetConfig::tiny();
+    let mut cfg = DatasetConfig::small();
+    cfg.classes = net_cfg.classes;
+    cfg.image_size = net_cfg.image_size;
+    cfg.train_size = 96;
+    cfg.test_size = 48;
+    let data = SyntheticDataset::generate(&cfg, 1).expect("valid config");
+    let mut net = MicroSupernet::new(&net_cfg, &mut StdRng::seed_from_u64(1)).expect("valid net");
+    let (report, _) =
+        net.train_with(&data, &TrainOptions::new(1, 16, 0.05, 7)).expect("training runs");
+    let acc = net.evaluate(&data, &SubnetChoice::max(&net_cfg)).expect("evaluation runs");
+    assert_eq!(
+        (report.final_loss.to_bits(), report.steps, acc.to_bits()),
+        (1_072_097_951, 6, 1_040_187_392),
+        "loss {} acc {acc}",
+        report.final_loss
+    );
 }
