@@ -7,65 +7,76 @@ use hadas::{report::Fig1Bars, DynamicModel, Hadas, StaticFitness};
 use hadas_bench::{bench_env, select_solution};
 use hadas_hw::HwTarget;
 use hadas_space::Subnet;
+use std::error::Error;
 
-fn stage_bars(hadas: &Hadas, name: &str, subnet: &Subnet, seed: u64, acc_floor: f64) -> Fig1Bars {
+fn stage_bars(
+    hadas: &Hadas,
+    name: &str,
+    subnet: &Subnet,
+    seed: u64,
+    acc_floor: f64,
+) -> Result<Fig1Bars, Box<dyn Error>> {
     let cfg = bench_env!().scaled_config();
     let device = hadas.device();
-    let cost = device.subnet_cost(subnet, &device.default_dvfs()).expect("valid subnet");
+    let cost = device.subnet_cost(subnet, &device.default_dvfs())?;
     let static_fitness = StaticFitness {
         accuracy_pct: hadas.accuracy().backbone_accuracy(subnet),
         latency_ms: cost.latency_ms(),
         energy_mj: cost.energy_mj(),
     };
     // Dyn w/HW: minimum-energy (x*, f*) that is no slower than static.
-    let ioe = hadas.run_ioe(subnet, &cfg, seed).expect("IOE runs");
+    let ioe = hadas.run_ioe(subnet, &cfg, seed)?;
     let best = select_solution(&ioe, cost.latency_ms(), acc_floor)
         .or_else(|| select_solution(&ioe, cost.latency_ms(), 0.0))
-        .expect("a no-slower configuration always exists")
+        .ok_or_else(|| format!("{name}: the IOE front has no configuration as fast as static"))?
         .clone();
     // Dyn: the same exit placement, evaluated at default clocks.
     let dyn_model =
         DynamicModel::new(subnet.clone(), best.placement.clone(), device.default_dvfs());
-    let dyn_eval = dyn_model
-        .evaluate(hadas.accuracy(), device, cfg.gamma, cfg.use_dissimilarity)
-        .expect("valid model");
-    Fig1Bars {
+    let dyn_eval =
+        dyn_model.evaluate(hadas.accuracy(), device, cfg.gamma, cfg.use_dissimilarity)?;
+    Ok(Fig1Bars {
         model: name.to_string(),
         static_fitness,
         dyn_fitness: dyn_eval.fitness,
         dyn_hw_fitness: best.fitness,
-    }
+    })
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+fn main() -> Result<(), Box<dyn Error>> {
     let hadas = Hadas::for_target(HwTarget::Tx2PascalGpu);
     let cfg = bench_env!().scaled_config();
     let nets = hadas_bench::baseline_subnets(&hadas);
     let a0 = &nets[0].1;
     let a6 = &nets[6].1;
 
-    let a0_bars = stage_bars(&hadas, "AttentiveNAS_a0", a0, 101, 0.0);
-    let a6_bars = stage_bars(&hadas, "AttentiveNAS_a6", a6, 102, 0.0);
+    let a0_bars = stage_bars(&hadas, "AttentiveNAS_a0", a0, 101, 0.0)?;
+    let a6_bars = stage_bars(&hadas, "AttentiveNAS_a6", a6, 102, 0.0)?;
 
     // The HADAS model: from a joint run, the backbone whose deployment
     // pick is cheapest while holding a6-level dynamic accuracy.
     let outcome = hadas.run(&cfg)?;
     let floor = a6_bars.dyn_fitness.accuracy_pct - 0.5;
     let device = hadas.device();
-    let hadas_subnet = outcome
-        .backbones()
-        .iter()
-        .filter_map(|b| {
-            let ioe = b.ioe.as_ref()?;
-            let lat =
-                device.subnet_cost(&b.subnet, &device.default_dvfs()).expect("valid").latency_ms();
-            let s = select_solution(ioe, lat, floor)?;
-            Some((b.subnet.clone(), s.fitness.energy_mj))
-        })
-        .min_by(|a, b| a.1.total_cmp(&b.1))
-        .map(|(subnet, _)| subnet)
-        .expect("joint search yields an a6-accuracy model");
-    let hadas_bars = stage_bars(&hadas, "HADAS", &hadas_subnet, 103, floor);
+    let mut picks = Vec::new();
+    for b in outcome.backbones() {
+        let Some(ioe) = b.ioe.as_ref() else { continue };
+        let lat = device.subnet_cost(&b.subnet, &device.default_dvfs())?.latency_ms();
+        if let Some(s) = select_solution(ioe, lat, floor) {
+            picks.push((b.subnet.clone(), s.fitness.energy_mj));
+        }
+    }
+    let hadas_subnet =
+        picks.into_iter().min_by(|a, b| a.1.total_cmp(&b.1)).map(|(subnet, _)| subnet).ok_or_else(
+            || {
+                format!(
+                    "no backbone of the joint search holds the a6 accuracy floor of {floor:.2}% \
+                 (a6 Dyn accuracy - 0.5) within its static latency at {} scale",
+                    bench_env!().scale_name()
+                )
+            },
+        )?;
+    let hadas_bars = stage_bars(&hadas, "HADAS", &hadas_subnet, 103, floor)?;
 
     let bars = vec![a0_bars, a6_bars, hadas_bars];
     println!("FIG. 1 — accuracy and energy per optimisation stage (TX2 Pascal GPU)");

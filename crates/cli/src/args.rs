@@ -220,7 +220,7 @@ pub enum Command {
         scenario: Option<String>,
         /// Run the live reconfiguration controller: epoch-wise
         /// operating-point swaps along each device's Pareto front,
-        /// zero-drop via validated engine snapshots.
+        /// zero-drop: each device's queue moves with its session state.
         reconfigure: bool,
         /// Inject gray telemetry failures (frozen/corrupt/dropped
         /// health samples, silent slowdowns, flapping) with this seed.

@@ -104,7 +104,7 @@ FLEET:
   --faults SEED          per-device substrate fault episodes (thermal
                          throttle, voltage sag), device d seeded SEED+d;
                          with --reconfigure on the stream also draws
-                         swap failures, exercising snapshot rollback
+                         swap failures, exercising swap rollback
   --chaos SEED           unit-level chaos: whole device units crash and
                          straggle; the supervisor respawns them and
                          re-dispatches their substreams
@@ -117,8 +117,9 @@ FLEET:
                          pressure (SLO misses, thermal caps, battery
                          state-of-charge) and slides each device's mode
                          window along its searched Pareto front through
-                         zero-drop validated snapshot swaps; substrate
-                         swap failures roll back onto the old window
+                         zero-drop swaps that move each device's queue
+                         with its state; substrate swap failures leave
+                         the device on its old window
   --gray-faults SEED     gray failures: a seeded subset of devices keeps
                          serving, ~6x slower, while its health telemetry
                          lies per --gray-kind

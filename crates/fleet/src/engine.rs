@@ -1,13 +1,17 @@
 //! The fleet engine: N heterogeneous device units in shared virtual
 //! time, supervised through the core executor, under the global router.
 //!
-//! One run generates the fleet-wide arrival stream (drift scenario
-//! included) and serves it in epochs. Every epoch is two deterministic
-//! passes. First the *scheduling pass*, single-threaded: route the
-//! epoch's stream slice to the devices (or fleet-reject it) under each
-//! device's current estimate. Then the *execution pass*: each device
-//! serves its slice as one supervised executor job — spawned on a fleet
-//! worker lane, monitored (crashes surface as lane deaths, retried with
+//! One run serves the fleet-wide arrival stream (drift scenario
+//! included) in epochs. An [`EpochFeed`] generates each epoch's slice of
+//! the stream one epoch ahead, on its own thread, while the current
+//! epoch is served; the slices carry their epoch index and concatenate
+//! to the whole stream, so where the generation runs never shows in a
+//! report. Every epoch is two deterministic passes. First the
+//! *scheduling pass*, single-threaded: route the epoch's stream slice to
+//! the devices (or fleet-reject it) under each device's current
+//! estimate. Then the *execution pass*: each device serves its slice as
+//! one supervised executor job — spawned on a fleet worker lane,
+//! monitored (crashes surface as lane deaths, retried with
 //! seq-preserving re-dispatch of the unit's whole in-flight substream),
 //! and reduced by a pure session segment (state in, state out; the
 //! final epoch drains and finishes the session). Results fold in
@@ -18,11 +22,12 @@
 //! Between epochs a single-threaded barrier runs the online gray-failure
 //! detector (see `crate::health`) and the reconfiguration controller
 //! (see [`crate::ReconfigConfig`]), which slides per-device mode windows
-//! along the Pareto staircase via zero-drop snapshot swaps, so a
-//! mid-swap unit crash heals exactly like any other unit crash. A fleet
-//! with reconfiguration, gray injection and detection all off has
-//! nothing to watch at a barrier: it runs as one epoch on each device's
-//! pinned top-3 ladder.
+//! along the Pareto staircase via zero-drop swaps: the device's session
+//! state moves, queue included, into the next segment under the new
+//! window, so a mid-swap unit crash heals exactly like any other unit
+//! crash. A fleet with reconfiguration, gray injection and detection all
+//! off has nothing to watch at a barrier: it runs as one epoch on each
+//! device's pinned top-3 ladder.
 
 use crate::health::{
     judge, DetectionSummary, EpochEvidence, HealthMachine, HealthTransition, Verdict,
@@ -40,8 +45,8 @@ use hadas_runtime::{
     modes_from_pareto, FaultConfig, FaultInjector, GrayFaultConfig, Histogram, OperatingMode,
 };
 use hadas_serve::{
-    generate_requests, BrownoutConfig, EngineSnapshot, Request, ServeConfig, ServeEngine,
-    ServeTrace, SessionState, SloSummary,
+    BrownoutConfig, EpochFeed, Request, ServeConfig, ServeEngine, ServeTrace, SessionState,
+    SloSummary,
 };
 
 /// One searched deployment plane: the HADAS engine, the pinned top-3
@@ -304,8 +309,10 @@ impl<'a> FleetEngine<'a> {
         let detection = self.config.detection.clone();
         let detect = detection.enabled;
 
-        let requests = generate_requests(&self.gen_config(duration_s), None);
-        let offered = requests.len();
+        // Epoch slices of the arrival stream, each generated on the
+        // feed's own thread while the previous epoch is being served.
+        let feed = EpochFeed::start(self.gen_config(duration_s), epochs)?;
+        let mut offered = 0usize;
 
         // The substrate stream swap-failure draws come from; chaos
         // stays execution-plane and never reaches a decision.
@@ -388,15 +395,10 @@ impl<'a> FleetEngine<'a> {
         let mut traces: Vec<ServeTrace> = Vec::with_capacity(n);
 
         let epoch_len = duration_s / epochs as f64;
-        let mut lo = 0usize;
         for e in 0..epochs {
             let drain = e + 1 == epochs;
-            let hi = if drain {
-                requests.len()
-            } else {
-                let t_hi = (e as f64 + 1.0) * epoch_len;
-                lo + requests[lo..].partition_point(|r| r.time_s < t_hi)
-            };
+            let fresh = feed.next_slice(e)?;
+            offered += fresh.len();
 
             // Scheduling pass for this epoch: refreshed estimates, the
             // persistent router extends its modeled backlogs. Requests
@@ -404,17 +406,14 @@ impl<'a> FleetEngine<'a> {
             // merged into the slice in (time, id) order.
             let estimates: Vec<DeviceEstimate> =
                 (0..n).map(|d| self.estimate_at(d, anchors[d])).collect();
-            let merged;
             let slice = if carryover.is_empty() {
-                &requests[lo..hi]
+                fresh
             } else {
-                carryover.extend_from_slice(&requests[lo..hi]);
+                carryover.extend(fresh);
                 carryover.sort_by(|a, b| a.time_s.total_cmp(&b.time_s).then(a.id.cmp(&b.id)));
-                merged = std::mem::take(&mut carryover);
-                &merged[..]
+                std::mem::take(&mut carryover)
             };
-            let substreams = router.route_slice(&estimates, &lanes, slice);
-            lo = hi;
+            let substreams = router.route_slice(&estimates, &lanes, &slice);
 
             let jobs: Vec<EpochJob> = substreams
                 .into_iter()
@@ -596,8 +595,7 @@ impl<'a> FleetEngine<'a> {
                 lanes.iter().filter(|&&l| l == LaneState::Closed).count() as f64 / n as f64;
 
             // Reconfiguration controller: read each device's pressure
-            // (quarantined capacity included), decide, and execute
-            // swaps through the validated snapshot seam.
+            // (quarantined capacity included), decide, and swap windows.
             if !self.config.reconfigure {
                 continue;
             }
@@ -627,15 +625,12 @@ impl<'a> FleetEngine<'a> {
                     AnchorDecision::Deescalate => anchors[d] - 1,
                 };
 
-                // Zero-drop swap: drain-to-barrier already happened
-                // (the segment ended), so snapshot, validate, restore.
-                // A substrate swap-failure draw rolls the device back
-                // onto the old window from the same snapshot.
+                // Zero-drop swap: drain-to-barrier already happened (the
+                // segment ended), so the state stays where it is and the
+                // next segment resumes it under the new window, queue
+                // included. A substrate swap-failure draw leaves the
+                // device on the old window instead.
                 let queued_before = st.queue_len();
-                let snapshot = EngineSnapshot::capture(st.clone())?;
-                let restored = snapshot.into_state()?;
-                summary.dropped_by_swap += queued_before.saturating_sub(restored.queue_len());
-                *st = restored;
                 let failed =
                     swap_faults.as_ref().is_some_and(|f| f.swap_failure_at((e * n + d) as u64));
                 if failed {
@@ -645,6 +640,7 @@ impl<'a> FleetEngine<'a> {
                 anchors[d] = target;
                 st.mode_switches += 1;
                 st.switch_energy_j += device_cfgs[d].sim.switch_energy_j;
+                summary.dropped_by_swap += queued_before.saturating_sub(st.queue_len());
                 summary.swaps += 1;
                 if decision == AnchorDecision::Escalate {
                     summary.escalations += 1;

@@ -23,6 +23,8 @@
 //!   seq-preserving re-dispatch, exhausted budgets dead-letter the
 //!   unit, and periodic health samples condense per unit.
 //! - **Engine** ([`FleetEngine`] → [`FleetRun`] / [`FleetReport`]):
+//!   takes each epoch's arrivals from a [`hadas_serve::EpochFeed`]
+//!   that generates them one epoch ahead on a thread of its own,
 //!   schedules single-threaded, executes under the supervisor, folds
 //!   in device order.
 //! - **Reconfiguration** ([`ReconfigConfig`] → [`ReconfigSummary`]):
@@ -30,9 +32,10 @@
 //!   per-device epoch pressure (SLO violations, thermal caps, battery
 //!   state-of-charge under the drift [`hadas_runtime::Scenario`]) and
 //!   slides each device's operating window along the full searched
-//!   Pareto front via zero-drop snapshot swaps
-//!   ([`hadas_serve::EngineSnapshot`]); substrate swap failures roll
-//!   back onto the old window from the same snapshot.
+//!   Pareto front via zero-drop swaps: the device's
+//!   [`hadas_serve::SessionState`] moves, queue and all, into the new
+//!   window's engine, behind a queue-length check; substrate swap
+//!   failures leave the device on its old window.
 //!
 //! Determinism contract: the serialized [`FleetReport`] is
 //! byte-identical across fleet worker counts and byte-identical to the

@@ -18,14 +18,14 @@
 //!            `hysteresis_epochs` calm epochs                  sustained calm)
 //! ```
 //!
-//! A window move is executed as a zero-drop swap: the session state is
-//! exported at the epoch barrier, round-tripped through a validated
-//! `EngineSnapshot`, and resumed under the new window's engine — queued
-//! requests ride the snapshot, so `dropped_by_swap` is structurally
-//! zero and the fleet's request-conservation identity is untouched. A
-//! swap-failure draw from the substrate fault stream rolls the device
-//! back onto its old window from the same snapshot
-//! ([`ReconfigSummary::swap_rollbacks`]).
+//! A window move is executed as a zero-drop swap: the session state the
+//! epoch barrier left behind stays where it is, and the next segment
+//! resumes it under the new window's engine — queued requests move with
+//! the state, nothing is copied or serialized, and a queue-length check
+//! at the swap feeds `dropped_by_swap` (structurally zero), so the
+//! fleet's request-conservation identity is untouched. A swap-failure
+//! draw from the substrate fault stream leaves the device on its old
+//! window ([`ReconfigSummary::swap_rollbacks`]).
 //!
 //! Every decision input is a scheduling-plane quantity folded in device
 //! order, so reconfigured reports stay byte-identical across fleet
@@ -189,8 +189,8 @@ pub struct ReconfigSummary {
     pub epochs: usize,
     /// Operating-point swaps executed.
     pub swaps: usize,
-    /// Swaps aborted by a substrate swap-failure draw and rolled back
-    /// onto the old window from the same snapshot.
+    /// Swaps aborted by a substrate swap-failure draw, leaving the
+    /// device on its old window.
     pub swap_rollbacks: usize,
     /// Requests lost across swap barriers — structurally zero; the
     /// zero-drop invariant the chaos tests pin.

@@ -10,7 +10,8 @@
 //! crate closes that loop:
 //!
 //! * [`WorkloadTrace`] — an arrival stream whose difficulty distribution
-//!   drifts through easy/mixed/hard regimes.
+//!   drifts through easy/mixed/hard regimes; [`ArrivalStream`] yields the
+//!   same arrivals one at a time.
 //! * [`Battery`] — a simple state-of-charge model the simulator drains.
 //! * [`OperatingMode`] — one deployable HADAS configuration (exits +
 //!   DVFS + controller thresholds); a deployment ships several, e.g.
@@ -64,4 +65,4 @@ pub use policy::{
 };
 pub use scenario::{Scenario, ScenarioKind, SCENARIO_NAMES};
 pub use sim::{RuntimeReport, RuntimeSimulator, SimConfig};
-pub use trace::{Arrival, Regime, TraceConfig, WorkloadTrace};
+pub use trace::{Arrival, ArrivalStream, Regime, TraceConfig, WorkloadTrace};

@@ -79,38 +79,15 @@ impl WorkloadTrace {
     /// `rate_hz × rate_multiplier(t)` — the hook workload-burst fault
     /// episodes plug into (see `FaultInjector::rate_multiplier_at`).
     /// Multipliers at or below zero are treated as a quiet (but not
-    /// silent) stream so generation always terminates.
+    /// silent) stream so generation always terminates. The arrivals are
+    /// exactly those of [`ArrivalStream`] over the same inputs.
     pub fn generate_modulated(
         config: &TraceConfig,
         seed: u64,
         rate_multiplier: impl Fn(f64) -> f64,
     ) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut arrivals = Vec::new();
-        let mut t = 0.0f64;
-        while t < config.duration_s {
-            let rate = config.rate_hz.max(1e-9) * rate_multiplier(t).max(1e-3);
-            let gap = -(1.0 - rng.gen_range(0.0..1.0f64)).ln() / rate;
-            t += gap;
-            if t >= config.duration_s {
-                break;
-            }
-            let regime = Self::regime_at(config, t);
-            let difficulty = regime.difficulty().sample(&mut rng);
-            arrivals.push(Arrival { time_s: t, difficulty, regime });
-        }
+        let arrivals = ArrivalStream::new(config, seed, rate_multiplier).collect();
         WorkloadTrace { config: config.clone(), arrivals }
-    }
-
-    fn regime_at(config: &TraceConfig, t: f64) -> Regime {
-        let frac = t / config.duration_s;
-        let mut current = config.schedule.first().map(|&(_, r)| r).unwrap_or(Regime::Mixed);
-        for &(start, regime) in &config.schedule {
-            if frac >= start {
-                current = regime;
-            }
-        }
-        current
     }
 
     /// The generating configuration.
@@ -131,6 +108,65 @@ impl WorkloadTrace {
     /// Whether the trace has no arrivals.
     pub fn is_empty(&self) -> bool {
         self.arrivals.is_empty()
+    }
+}
+
+/// The arrival generator as an iterator: yields, one at a time and in
+/// time order, the arrivals [`WorkloadTrace::generate_modulated`] collects
+/// — the same draws in the same order, so a consumer can take the stream
+/// in pieces (one serving epoch at a time) without materialising it.
+#[derive(Debug, Clone)]
+pub struct ArrivalStream<F> {
+    config: TraceConfig,
+    rng: StdRng,
+    t: f64,
+    rate_multiplier: F,
+}
+
+impl<F: Fn(f64) -> f64> ArrivalStream<F> {
+    /// The stream of `config` from `seed`, its instantaneous rate
+    /// modulated by `rate_multiplier` (see
+    /// [`WorkloadTrace::generate_modulated`]).
+    pub fn new(config: &TraceConfig, seed: u64, rate_multiplier: F) -> Self {
+        ArrivalStream {
+            config: config.clone(),
+            rng: StdRng::seed_from_u64(seed),
+            t: 0.0,
+            rate_multiplier,
+        }
+    }
+
+    fn regime_at(&self, t: f64) -> Regime {
+        let frac = t / self.config.duration_s;
+        let mut current = self.config.schedule.first().map(|&(_, r)| r).unwrap_or(Regime::Mixed);
+        for &(start, regime) in &self.config.schedule {
+            if frac >= start {
+                current = regime;
+            }
+        }
+        current
+    }
+}
+
+impl<F: Fn(f64) -> f64> Iterator for ArrivalStream<F> {
+    type Item = Arrival;
+
+    fn next(&mut self) -> Option<Arrival> {
+        // Past the horizon (or with a NaN one) the stream is exhausted
+        // and draws nothing more.
+        let live = self.t < self.config.duration_s;
+        if !live {
+            return None;
+        }
+        let rate = self.config.rate_hz.max(1e-9) * (self.rate_multiplier)(self.t).max(1e-3);
+        let gap = -(1.0 - self.rng.gen_range(0.0..1.0f64)).ln() / rate;
+        self.t += gap;
+        if self.t >= self.config.duration_s {
+            return None;
+        }
+        let regime = self.regime_at(self.t);
+        let difficulty = regime.difficulty().sample(&mut self.rng);
+        Some(Arrival { time_s: self.t, difficulty, regime })
     }
 }
 
@@ -213,5 +249,54 @@ mod tests {
         let trace = WorkloadTrace::generate_modulated(&cfg, 3, |_| 0.0);
         assert!(trace.len() < 5, "a dead stream yields almost nothing");
         assert!(trace.arrivals().iter().all(|a| a.time_s < cfg.duration_s));
+    }
+
+    /// Reference: the batch generation loop, which the stream must
+    /// reproduce draw for draw.
+    fn reference(
+        config: &TraceConfig,
+        seed: u64,
+        rate_multiplier: impl Fn(f64) -> f64,
+    ) -> Vec<Arrival> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut arrivals = Vec::new();
+        let mut t = 0.0f64;
+        while t < config.duration_s {
+            let rate = config.rate_hz.max(1e-9) * rate_multiplier(t).max(1e-3);
+            t += -(1.0 - rng.gen_range(0.0..1.0f64)).ln() / rate;
+            if t >= config.duration_s {
+                break;
+            }
+            let frac = t / config.duration_s;
+            let mut regime = config.schedule[0].1;
+            for &(start, r) in &config.schedule {
+                if frac >= start {
+                    regime = r;
+                }
+            }
+            let difficulty = regime.difficulty().sample(&mut rng);
+            arrivals.push(Arrival { time_s: t, difficulty, regime });
+        }
+        arrivals
+    }
+
+    #[test]
+    fn arrival_stream_reproduces_the_batch_generator_under_fault_bursts() {
+        let cfg = TraceConfig { duration_s: 60.0, rate_hz: 40.0, ..TraceConfig::default() };
+        let faults = crate::FaultInjector::new(crate::FaultConfig {
+            horizon_s: 60.0,
+            burst_episodes: 3,
+            burst_multiplier: 4.0,
+            ..crate::FaultConfig::chaos(17)
+        })
+        .unwrap();
+        let burst = |t: f64| faults.rate_multiplier_at(t);
+        assert!((0..600).any(|k| burst(k as f64 * 0.1) > 1.0), "the episodes must modulate");
+        let streamed: Vec<Arrival> = ArrivalStream::new(&cfg, 17, burst).collect();
+        assert_eq!(streamed, reference(&cfg, 17, burst));
+        assert_eq!(streamed, WorkloadTrace::generate_modulated(&cfg, 17, burst).arrivals());
+        let mut stream = ArrivalStream::new(&cfg, 17, burst);
+        stream.by_ref().for_each(drop);
+        assert_eq!(stream.next(), None, "an exhausted stream stays exhausted");
     }
 }

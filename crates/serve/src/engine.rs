@@ -87,8 +87,8 @@ pub struct ServeTrace {
 /// engine. Everything the final [`ServeReport`] depends on lives here:
 /// the virtual clock, the in-flight batcher queues, worker lanes,
 /// governor/brownout state, and all folded accumulators (histogram
-/// included). Serializable, so a swap snapshot can be persisted and
-/// validated like a search checkpoint (see `EngineSnapshot`).
+/// included). A swap moves it as it is into the engine of the new
+/// window; it also serializes, and [`crate::EngineSnapshot`] seals it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SessionState {
     /// The virtual clock (seconds).

@@ -13,7 +13,9 @@
 //!
 //! * [`generate_requests`] — the arrival stream: Poisson-ish arrivals
 //!   with drifting difficulty regimes (and burst fault episodes), each
-//!   tagged with an SLO class and absolute deadline.
+//!   tagged with an SLO class and absolute deadline. [`request_stream`]
+//!   yields it one request at a time, and [`EpochFeed`] cuts it into
+//!   epoch slices generated one epoch ahead on a thread of its own.
 //! * [`Batcher`] — deadline-aware dynamic batching: EDF across SLO
 //!   classes, FIFO within, size-or-slack closing with an early-exit-aware
 //!   service estimate.
@@ -36,13 +38,14 @@
 //!   (shed bulk → force early exits → reject admissions) with hysteresis,
 //!   keeping interactive tail latency bounded under bursts instead of
 //!   letting it collapse.
-//! * [`ServeSession`] / [`SessionState`] / [`EngineSnapshot`] — the
-//!   zero-drop swap protocol: a run pauses at a segment barrier, exports
-//!   its complete state (in-flight queues, batcher, brownout ladder,
-//!   histograms), seals it as a schema-versioned, fingerprinted
-//!   snapshot ([`hadas::seal`]), and resumes under a *different* operating
+//! * [`ServeSession`] / [`SessionState`] — the zero-drop swap protocol:
+//!   a run pauses at a segment barrier, exports its complete state
+//!   (in-flight queues, batcher, brownout ladder, histograms), and the
+//!   state moves as it is into a session under a *different* operating
 //!   ladder — without dropping a single queued request. The fleet plane's
 //!   live reconfiguration is built on exactly this seam.
+//!   [`EngineSnapshot`] seals a state as a schema-versioned, fingerprinted
+//!   snapshot ([`hadas::seal`]); no serving path needs it.
 //!
 //! ```no_run
 //! use hadas_serve::{ServeConfig, ServeEngine};
@@ -81,7 +84,7 @@ pub use hadas::seal::fingerprint64;
 pub use report::{
     accounting_balances, ServeReport, SloSummary, TelemetryIntegrity, SERVE_REPORT_SCHEMA,
 };
-pub use request::{generate_requests, Request, SloClass};
+pub use request::{generate_requests, request_stream, EpochFeed, Request, SloClass};
 pub use snapshot::{EngineSnapshot, SWAP_SNAPSHOT_SCHEMA};
 pub use telemetry::{
     TelemetryCounters, TelemetryDefect, TelemetrySanitizer, IMPLAUSIBLE_QUEUE_DEPTH,

@@ -1,12 +1,12 @@
-//! Schema-versioned, fingerprinted swap snapshots of a mid-run serving
-//! session — the persistence half of the zero-drop operating-point swap
-//! protocol.
+//! Schema-versioned, fingerprinted snapshots of a mid-run serving
+//! session.
 //!
 //! A [`crate::ServeSession`] exports its [`SessionState`] at a segment
 //! barrier; wrapping it in an [`EngineSnapshot`] seals it
 //! ([`hadas::seal`]): a schema version and a content fingerprint, so a
 //! restore refuses a stale-schema or corrupted snapshot instead of
-//! silently resuming from garbage.
+//! silently resuming from garbage. Operating-point swaps do not use it:
+//! they move the state as it is.
 
 use crate::SessionState;
 use hadas::seal::{self, Sealed};

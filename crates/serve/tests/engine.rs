@@ -6,7 +6,7 @@
 use hadas::{seal, Hadas, HadasConfig};
 use hadas_hw::HwTarget;
 use hadas_runtime::{modes_from_pareto, FaultConfig, OperatingMode};
-use hadas_serve::{GovernorKind, ServeConfig, ServeEngine};
+use hadas_serve::{generate_requests, GovernorKind, ServeConfig, ServeEngine};
 
 fn fixture() -> (Hadas, Vec<OperatingMode>) {
     let hadas = Hadas::for_target(HwTarget::Tx2PascalGpu);
@@ -211,4 +211,49 @@ fn empty_modes_and_bad_configs_are_rejected() {
     assert!(ServeEngine::new(&hadas, Vec::new(), ServeConfig::default()).is_err());
     let bad = ServeConfig { workers: 0, ..ServeConfig::default() };
     assert!(ServeEngine::new(&hadas, modes, bad).is_err());
+}
+
+/// What a fleet swap does to a device: the session stops at a barrier
+/// with requests still queued, and its state resumes under an engine on
+/// another window of the mode ladder. Every queued request must come out
+/// the other side — served or dead-lettered, never lost — and the run
+/// must still conserve what it was offered.
+#[test]
+fn swap_resume_under_another_window_serves_every_queued_request() {
+    let (hadas, modes) = fixture();
+    let cfg = ServeConfig { rps: 300.0, ..config(1, GovernorKind::Queue) };
+    let requests = generate_requests(&cfg, None);
+    let cut = requests.len() / 2;
+    let before = ServeEngine::new(&hadas, modes[..2].to_vec(), cfg.clone()).unwrap();
+    let after = ServeEngine::new(&hadas, modes[1..].to_vec(), cfg).unwrap();
+
+    let mut session = before.session().unwrap();
+    session.serve_segment(&requests[..cut], false).unwrap();
+    let barrier = session.state();
+    let queued: Vec<usize> =
+        barrier.queued_interactive.iter().chain(&barrier.queued_bulk).map(|r| r.id).collect();
+    assert!(!queued.is_empty(), "the barrier must hold an in-flight queue");
+    assert!(queued.iter().all(|&id| id < cut), "only offered requests are queued");
+
+    // Flush just the carried queue under the new window: with no new
+    // arrivals, every completion is one of the queued ids.
+    let mut flush = after.resume(barrier.clone()).unwrap();
+    flush.serve_segment(&[], true).unwrap();
+    let flushed = flush.state();
+    assert_eq!(flushed.queue_len(), 0);
+    assert_eq!(flushed.offered, barrier.offered, "the flush offers nothing new");
+    assert_eq!((flushed.shed, flushed.rejected), (barrier.shed, barrier.rejected));
+    assert_eq!(
+        (flushed.served - barrier.served) + (flushed.dead_lettered - barrier.dead_lettered),
+        queued.len(),
+        "every queued id is served or dead-lettered"
+    );
+
+    // The whole run across the swap conserves what it was offered.
+    let mut resumed = after.resume(barrier).unwrap();
+    resumed.serve_segment(&requests[cut..], true).unwrap();
+    let r = resumed.finish().report;
+    assert_eq!(r.offered, requests.len());
+    assert_eq!(r.served + r.shed + r.rejected + r.dead_lettered, r.offered);
+    assert!(r.accounting_balances());
 }
