@@ -30,13 +30,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         // Baselines as (name, [acc, -energy]) targets to dominate.
         let device = hadas.device();
-        let baselines: Vec<(String, Vec<f64>)> = baseline_subnets(&hadas)
+        let baselines: Vec<(String, Vec<f64>)> = baseline_subnets(&hadas)?
             .into_iter()
             .map(|(name, subnet)| {
-                let cost = device.subnet_cost(&subnet, &device.default_dvfs()).expect("valid");
-                (name, vec![hadas.accuracy().backbone_accuracy(&subnet), -cost.energy_mj()])
+                let cost = device.subnet_cost(&subnet, &device.default_dvfs())?;
+                Ok((name, vec![hadas.accuracy().backbone_accuracy(&subnet), -cost.energy_mj()]))
             })
-            .collect();
+            .collect::<Result<_, hadas::HadasError>>()?;
 
         // Reference point: slightly worse than anything explored.
         let min_acc = axes.iter().map(|p| p[0]).fold(f64::INFINITY, f64::min) - 1.0;
@@ -88,8 +88,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let early_share: f64 = panels
         .iter()
         .filter_map(|p| {
-            let final_hv = p.curve.last()?.1;
-            let early = p.curve.iter().find(|&&(e, _)| e * 3 >= p.curve.last().unwrap().0)?;
+            let &(final_evals, final_hv) = p.curve.last()?;
+            let early = p.curve.iter().find(|&&(e, _)| e * 3 >= final_evals)?;
             Some(early.1 / final_hv)
         })
         .sum::<f64>()

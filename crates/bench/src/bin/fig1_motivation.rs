@@ -46,7 +46,7 @@ fn stage_bars(
 fn main() -> Result<(), Box<dyn Error>> {
     let hadas = Hadas::for_target(HwTarget::Tx2PascalGpu);
     let cfg = bench_env!().scaled_config();
-    let nets = hadas_bench::baseline_subnets(&hadas);
+    let nets = hadas_bench::baseline_subnets(&hadas)?;
     let a0 = &nets[0].1;
     let a6 = &nets[6].1;
 

@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         // Baseline side: the same IOE budget spent on a0..a6.
         let mut baseline_axes: Vec<Vec<f64>> = Vec::new();
-        for (_, ioe) in optimized_baselines(&hadas, &cfg) {
+        for (_, ioe) in optimized_baselines(&hadas, &cfg)? {
             baseline_axes.extend(ioe.history_axes());
         }
 

@@ -30,9 +30,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("explored {} backbones; Pareto front of {} points", axes.len(), front.len());
         let mut baseline_points = Vec::new();
         let mut dominated = 0usize;
-        for (name, subnet) in baseline_subnets(&hadas) {
+        for (name, subnet) in baseline_subnets(&hadas)? {
             let device = hadas.device();
-            let cost = device.subnet_cost(&subnet, &device.default_dvfs()).expect("valid");
+            let cost = device.subnet_cost(&subnet, &device.default_dvfs())?;
             let acc = hadas.accuracy().backbone_accuracy(&subnet);
             let p = vec![acc, -cost.energy_mj()];
             let dominators: Vec<&Vec<f64>> = front.iter().filter(|f| dominates(f, &p)).collect();

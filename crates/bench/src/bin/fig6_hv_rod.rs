@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
         }
         let mut baseline_axes: Vec<Vec<f64>> = Vec::new();
-        for (_, ioe) in optimized_baselines(&hadas, &cfg) {
+        for (_, ioe) in optimized_baselines(&hadas, &cfg)? {
             baseline_axes.extend(ioe.history_axes());
         }
         let hf = front_points(&hadas_axes);

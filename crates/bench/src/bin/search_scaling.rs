@@ -13,7 +13,7 @@
 //! 2. generation throughput grows monotonically from 1 to 8 workers.
 
 use hadas::executor::ExecTelemetry;
-use hadas::{Hadas, OoeOutcome, RetryPolicy, SearchOptions};
+use hadas::{Hadas, JointModel, OoeOutcome, RetryPolicy, SearchOptions};
 use hadas_bench::bench_env;
 use hadas_hw::HwTarget;
 use hadas_runtime::{FaultConfig, FaultInjector};
@@ -56,20 +56,8 @@ impl SearchRow {
 /// The same serialized-front shape the `hadas search --json` CLI writes
 /// — the byte-identity payload.
 fn front_json(out: &OoeOutcome) -> Result<String, serde_json::Error> {
-    let models: Vec<serde_json::Value> = out
-        .pareto_models()
-        .iter()
-        .map(|m| {
-            serde_json::json!({
-                "genome": m.subnet.genome().genes(),
-                "exits": m.placement.positions(),
-                "dvfs": {"compute": m.dvfs.compute, "emc": m.dvfs.emc},
-                "accuracy_pct": m.dynamic.accuracy_pct,
-                "energy_mj": m.dynamic.energy_mj,
-                "latency_ms": m.dynamic.latency_ms,
-            })
-        })
-        .collect();
+    let models: Vec<serde_json::Value> =
+        out.pareto_models().iter().map(JointModel::front_row).collect();
     serde_json::to_string(&models)
 }
 

@@ -8,51 +8,54 @@
 //! that is no slower than the static baseline and meets the accuracy bar.
 
 use hadas::report::Table3Row;
-use hadas::{DynamicModel, Hadas, IoeOutcome};
+use hadas::{DynamicModel, Hadas, HadasError, IoeOutcome};
 use hadas_bench::{bench_env, select_solution};
 use hadas_hw::HwTarget;
 use hadas_space::Subnet;
 
 /// Builds one table row. `acc_floor` is the minimum dynamic accuracy the
 /// chosen configuration must reach (0 for "just minimise energy").
+/// `None` when no configuration meets the floor within the static
+/// latency.
 fn row(
     hadas: &Hadas,
     name: &str,
     subnet: &Subnet,
     ioe: &IoeOutcome,
     acc_floor: f64,
-) -> Option<Table3Row> {
+) -> Result<Option<Table3Row>, HadasError> {
     let cfg = bench_env!().scaled_config();
     let device = hadas.device();
-    let static_cost = device.subnet_cost(subnet, &device.default_dvfs()).expect("valid");
-    let chosen = select_solution(ioe, static_cost.latency_ms(), acc_floor)?;
+    let static_cost = device.subnet_cost(subnet, &device.default_dvfs())?;
+    let Some(chosen) = select_solution(ioe, static_cost.latency_ms(), acc_floor) else {
+        return Ok(None);
+    };
     // EEx column: the chosen exits evaluated at default clocks.
     let eex = DynamicModel::new(subnet.clone(), chosen.placement.clone(), device.default_dvfs())
-        .evaluate(hadas.accuracy(), device, cfg.gamma, cfg.use_dissimilarity)
-        .expect("valid model");
-    Some(Table3Row {
+        .evaluate(hadas.accuracy(), device, cfg.gamma, cfg.use_dissimilarity)?;
+    Ok(Some(Table3Row {
         model: name.to_string(),
         baseline_acc: hadas.accuracy().backbone_accuracy(subnet),
         eex_acc: eex.fitness.accuracy_pct,
         baseline_energy_mj: static_cost.energy_mj(),
         eex_energy_mj: eex.fitness.energy_mj,
         eex_dvfs_energy_mj: chosen.fitness.energy_mj,
-    })
+    }))
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let hadas = Hadas::for_target(HwTarget::Tx2PascalGpu);
     let cfg = bench_env!().scaled_config();
-    let nets = hadas_bench::baseline_subnets(&hadas);
+    let nets = hadas_bench::baseline_subnets(&hadas)?;
 
     let mut rows = Vec::new();
     for idx in [0usize, 6] {
         let (name, subnet) = &nets[idx];
-        let ioe = hadas
-            .run_ioe(subnet, &cfg, cfg.seed ^ (0xBA5E + idx as u64))
-            .expect("baseline IOE runs");
-        let r = row(&hadas, &format!("AttentiveNAS_{name}"), subnet, &ioe, 0.0)
-            .expect("baselines always admit a no-slower configuration");
+        let ioe = hadas.run_ioe(subnet, &cfg, cfg.seed ^ (0xBA5E + idx as u64))?;
+        let r =
+            row(&hadas, &format!("AttentiveNAS_{name}"), subnet, &ioe, 0.0)?.ok_or_else(|| {
+                format!("AttentiveNAS_{name} admits no configuration as fast as its static model")
+            })?;
         rows.push(r);
     }
     let a0_eex_acc = rows[0].eex_acc;
@@ -61,16 +64,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // HADAS b1..b4: b1 is the cheapest DyNN with a6-level dynamic
     // accuracy; b2..b4 the next-cheapest still clearly above a0's.
     let outcome = hadas.run(&cfg)?;
-    let mut candidates: Vec<Table3Row> = outcome
-        .backbones()
-        .iter()
-        .filter_map(|b| {
-            b.ioe.as_ref().and_then(|ioe| {
-                row(&hadas, "candidate", &b.subnet, ioe, a6_eex_acc - 1.0)
-                    .or_else(|| row(&hadas, "candidate", &b.subnet, ioe, a0_eex_acc + 0.5))
-            })
-        })
-        .collect();
+    let mut candidates: Vec<Table3Row> = Vec::new();
+    for b in outcome.backbones() {
+        let Some(ioe) = b.ioe.as_ref() else { continue };
+        let r = match row(&hadas, "candidate", &b.subnet, ioe, a6_eex_acc - 1.0)? {
+            Some(r) => Some(r),
+            None => row(&hadas, "candidate", &b.subnet, ioe, a0_eex_acc + 0.5)?,
+        };
+        candidates.extend(r);
+    }
     candidates.sort_by(|a, b| a.eex_dvfs_energy_mj.total_cmp(&b.eex_dvfs_energy_mj));
     // b1 must hold the a6-accuracy bar.
     if let Some(i) = candidates.iter().position(|r| r.eex_acc >= a6_eex_acc - 1.0) {
@@ -102,8 +104,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Headline shape checks (paper: b1 is 57% / 19% more efficient than
     // a6 / a0 with a6-level accuracy).
-    let a0 = rows.iter().find(|r| r.model.ends_with("a0")).expect("a0 row");
-    let a6 = rows.iter().find(|r| r.model.ends_with("a6")).expect("a6 row");
+    let a0 = rows.iter().find(|r| r.model.ends_with("a0")).ok_or("table has no a0 row")?;
+    let a6 = rows.iter().find(|r| r.model.ends_with("a6")).ok_or("table has no a6 row")?;
     if let Some(b1) = rows.iter().find(|r| r.model == "HADAS_b1") {
         println!();
         println!(

@@ -14,7 +14,7 @@
 
 pub mod svg;
 
-use hadas::{seal, Hadas, HadasConfig, IoeOutcome};
+use hadas::{seal, Hadas, HadasConfig, HadasError, IoeOutcome};
 use hadas_hw::HwTarget;
 use hadas_space::{baselines, Subnet};
 use serde::{Deserialize, Serialize};
@@ -158,21 +158,29 @@ macro_rules! bench_env {
 }
 
 /// Decodes the seven AttentiveNAS baselines against the standard space.
-pub fn baseline_subnets(hadas: &Hadas) -> Vec<(String, Subnet)> {
-    baselines::attentive_nas_baselines(hadas.space()).expect("baselines decode in their space")
+///
+/// # Errors
+///
+/// Returns the decode error of a baseline that does not fit the space.
+pub fn baseline_subnets(hadas: &Hadas) -> Result<Vec<(String, Subnet)>, HadasError> {
+    Ok(baselines::attentive_nas_baselines(hadas.space())?)
 }
 
 /// Runs the inner engine on each AttentiveNAS baseline with the same
 /// budget HADAS's own backbones get — the paper's "optimized baselines".
-pub fn optimized_baselines(hadas: &Hadas, config: &HadasConfig) -> Vec<(String, IoeOutcome)> {
-    baseline_subnets(hadas)
+///
+/// # Errors
+///
+/// Returns the first baseline's decode or IOE error.
+pub fn optimized_baselines(
+    hadas: &Hadas,
+    config: &HadasConfig,
+) -> Result<Vec<(String, IoeOutcome)>, HadasError> {
+    baseline_subnets(hadas)?
         .into_iter()
         .enumerate()
         .map(|(i, (name, subnet))| {
-            let outcome = hadas
-                .run_ioe(&subnet, config, config.seed ^ (0xBA5E + i as u64))
-                .expect("baseline IOE runs are valid");
-            (name, outcome)
+            Ok((name, hadas.run_ioe(&subnet, config, config.seed ^ (0xBA5E + i as u64))?))
         })
         .collect()
 }
@@ -237,10 +245,11 @@ mod tests {
     }
 
     #[test]
-    fn baselines_available_for_every_target() {
+    fn baselines_available_for_every_target() -> Result<(), HadasError> {
         for t in all_targets() {
             let hadas = Hadas::for_target(t);
-            assert_eq!(baseline_subnets(&hadas).len(), 7);
+            assert_eq!(baseline_subnets(&hadas)?.len(), 7);
         }
+        Ok(())
     }
 }

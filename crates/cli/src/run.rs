@@ -3,7 +3,7 @@
 //! `main`, a buffer in tests).
 
 use crate::Command;
-use hadas::{seal, DeploymentPicker, Hadas, SearchCheckpoint, SearchOptions};
+use hadas::{seal, DeploymentPicker, Hadas, JointModel, SearchCheckpoint, SearchOptions};
 use hadas_dataset::{CorruptionConfig, DatasetConfig, SyntheticDataset};
 use hadas_hw::{DeviceModel, HwTarget, ProxyCostModel};
 use hadas_runtime::{modes_from_pareto, FaultConfig, FaultInjector};
@@ -258,19 +258,8 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> Result<(), Box<dyn Error>> 
                 write!(out, "{}", best.subnet)?;
             }
             if let Some(path) = json {
-                let payload: Vec<serde_json::Value> = models
-                    .iter()
-                    .map(|m| {
-                        serde_json::json!({
-                            "genome": m.subnet.genome().genes(),
-                            "exits": m.placement.positions(),
-                            "dvfs": {"compute": m.dvfs.compute, "emc": m.dvfs.emc},
-                            "accuracy_pct": m.dynamic.accuracy_pct,
-                            "energy_mj": m.dynamic.energy_mj,
-                            "latency_ms": m.dynamic.latency_ms,
-                        })
-                    })
-                    .collect();
+                let payload: Vec<serde_json::Value> =
+                    models.iter().map(JointModel::front_row).collect();
                 let json = serde_json::to_string_pretty(&payload)?;
                 seal::write_atomic(Path::new(&path), json.as_bytes())?;
                 writeln!(out, "wrote {} models to {path}", models.len())?;

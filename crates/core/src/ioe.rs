@@ -146,7 +146,10 @@ impl IoeProblem<'_> {
     /// Reports a search result by its exact measurements and keeps the
     /// truly non-dominated front (the engine selected under noisy quality
     /// estimates; reporting always uses the exact measurement, which the
-    /// search already memoised for every genome it evaluated).
+    /// search already memoised for every genome it evaluated). A front
+    /// entry the search saw only as the infeasibility penalty was never
+    /// measured, so it is not reported; it reaches the front only when no
+    /// measurement of the run landed.
     fn outcome(
         &self,
         result: &hadas_evo::SearchResult<Vec<usize>>,
@@ -156,6 +159,7 @@ impl IoeProblem<'_> {
         let candidates: Vec<IoeSolution> = result
             .pareto_front()
             .iter()
+            .filter(|e| e.objectives != [Self::INFEASIBLE_PENALTY; 3])
             .map(|e| self.exact(&e.genome))
             .collect::<Result<_, _>>()?;
         let exact: Vec<Vec<f64>> = candidates.iter().map(|s| s.fitness.to_maximisation()).collect();
@@ -310,27 +314,32 @@ impl<'a> Ioe<'a> {
     }
 
     /// Runs the engine with the configured IOE budget on a healthy
-    /// substrate — [`Ioe::run_with`] with [`NoFaults`] and the default
-    /// retry schedule, telemetry discarded.
+    /// substrate — [`Ioe::run_with`] with [`NoFaults`], the default retry
+    /// schedule and no data chaos, telemetry discarded.
     ///
     /// # Errors
     ///
     /// Returns [`HadasError::InvalidConfig`] for invalid configurations,
     /// or a propagated model/placement error from re-measurement.
     pub fn run(&self, seed: u64) -> Result<IoeOutcome, HadasError> {
-        self.run_with(seed, &NoFaults, &RetryPolicy::default()).map(|(outcome, _)| outcome)
+        self.run_with(seed, &NoFaults, &RetryPolicy::default(), None).map(|(outcome, _)| outcome)
     }
 
     /// Runs the engine under an explicit substrate fault model: every
     /// candidate measurement is retried with exponential backoff under
     /// `retry`'s per-candidate timeout budget, and candidates whose
     /// measurement never lands degrade to an infeasibility penalty
-    /// instead of killing the run. Returns the outcome together with the
-    /// run's fault-handling telemetry.
+    /// instead of killing the run. When `data_chaos` is set, a fixed
+    /// fraction of candidate measurements come back NaN-poisoned and are
+    /// quarantined to the same penalty (counted in
+    /// [`SearchTelemetry::quarantined_evals`]). Returns the outcome
+    /// together with the run's fault-handling telemetry.
     ///
-    /// The final reporting pass uses each solution's *exact*, fault-free
-    /// measurement: faults perturb what the search engine sees, never the
-    /// numbers reported to the OOE.
+    /// The final reporting pass uses each solution's *exact*, fault- and
+    /// chaos-free measurement: faults perturb what the search engine
+    /// sees, never the numbers reported to the OOE. On a substrate where
+    /// no measurement lands, the outcome keeps its full history and an
+    /// empty `pareto`.
     ///
     /// # Errors
     ///
@@ -338,25 +347,6 @@ impl<'a> Ioe<'a> {
     /// or retry schedules, or a propagated model/placement error from
     /// re-measurement.
     pub fn run_with(
-        &self,
-        seed: u64,
-        faults: &dyn FaultModel,
-        retry: &RetryPolicy,
-    ) -> Result<(IoeOutcome, SearchTelemetry), HadasError> {
-        self.run_with_chaos(seed, faults, retry, None)
-    }
-
-    /// [`Ioe::run_with`] plus the deterministic data-chaos injector: when
-    /// `data_chaos` is set, a fixed fraction of candidate measurements
-    /// come back NaN-poisoned and must be quarantined to the finite
-    /// infeasibility penalty (counted in
-    /// [`SearchTelemetry::quarantined_evals`]). The final reporting pass
-    /// is always exact and chaos-free.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Ioe::run_with`].
-    pub fn run_with_chaos(
         &self,
         seed: u64,
         faults: &dyn FaultModel,
@@ -475,12 +465,33 @@ mod tests {
         let cfg = HadasConfig::smoke_test();
         let clean = Ioe::new(&hadas, subnet.clone(), cfg.clone()).run(7).unwrap();
         let (flaky, telemetry) = Ioe::new(&hadas, subnet, cfg)
-            .run_with(7, &FlakyOnce, &crate::RetryPolicy::default())
+            .run_with(7, &FlakyOnce, &crate::RetryPolicy::default(), None)
             .unwrap();
         assert_eq!(clean.pareto_axes(), flaky.pareto_axes());
         assert_eq!(clean.history_axes(), flaky.history_axes());
         assert!(telemetry.retried_evals > 0, "every eval was retried once");
         assert_eq!(telemetry.exhausted_evals, 0, "no eval ran out of budget");
         assert!(telemetry.fault_overhead_ms > 0.0);
+    }
+
+    /// Every attempt of every measurement fails.
+    #[derive(Debug)]
+    struct AlwaysDown;
+    impl crate::FaultModel for AlwaysDown {
+        fn eval_attempt(&self, _key: u64, _attempt: u32) -> crate::AttemptOutcome {
+            crate::AttemptOutcome::TransientFailure { cost_ms: 1.0 }
+        }
+    }
+
+    #[test]
+    fn a_dead_substrate_reports_no_unmeasured_front() {
+        let hadas = Hadas::for_target(HwTarget::Tx2PascalGpu);
+        let subnet = hadas.space().decode(&baselines::baseline_genome(2)).unwrap();
+        let (out, telemetry) = Ioe::new(&hadas, subnet, HadasConfig::smoke_test())
+            .run_with(7, &AlwaysDown, &crate::RetryPolicy::default(), None)
+            .unwrap();
+        assert!(out.pareto.is_empty(), "no measurement landed, so nothing is reported");
+        assert!(!out.history.is_empty());
+        assert_eq!(telemetry.exhausted_evals, out.history.len(), "each candidate gave up once");
     }
 }

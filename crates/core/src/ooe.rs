@@ -20,8 +20,8 @@ use std::sync::Arc;
 /// Salt separating the static-evaluation fault stream from the IOE seed
 /// stream derived from the same genome hash.
 const STATIC_FAULT_SALT: u64 = 0x5354_4154_4943_5f53; // "STATIC_S"
-/// Salt for whole-IOE-run transient failures (a wedged accelerator run,
-/// as opposed to one flaky candidate measurement inside it).
+/// Salt separating a nested IOE job's executor key from its IOE seed;
+/// execution-plane chaos plans are keyed by it.
 const IOE_RUN_FAULT_SALT: u64 = 0x494f_455f_5255_4e5f; // "IOE_RUN_"
 
 /// Fraction of measurements the data-chaos injector poisons with NaN.
@@ -108,13 +108,29 @@ pub struct JointModel {
     pub dynamic: DynamicFitness,
 }
 
+impl JointModel {
+    /// The model as one row of a serialized front: backbone genome, exit
+    /// positions, DVFS indices, and dynamic accuracy, energy and latency.
+    pub fn front_row(&self) -> serde_json::Value {
+        serde_json::json!({
+            "genome": self.subnet.genome().genes(),
+            "exits": self.placement.positions(),
+            "dvfs": {"compute": self.dvfs.compute, "emc": self.dvfs.emc},
+            "accuracy_pct": self.dynamic.accuracy_pct,
+            "energy_mj": self.dynamic.energy_mj,
+            "latency_ms": self.dynamic.latency_ms,
+        })
+    }
+}
+
 /// Knobs for a fault-tolerant, resumable search run. `Default` is the
 /// pre-existing behaviour: healthy substrate, no checkpointing, run to
 /// budget completion.
 #[derive(Debug, Clone)]
 pub struct SearchOptions {
     /// The substrate fault model consulted before every candidate
-    /// evaluation (and every whole-IOE run). [`NoFaults`] by default.
+    /// measurement (OOE static scoring and IOE candidate scoring).
+    /// [`NoFaults`] by default.
     pub faults: Arc<dyn FaultModel>,
     /// Retry/backoff/timeout schedule per candidate.
     pub retry: RetryPolicy,
@@ -566,9 +582,9 @@ impl<'a> Ooe<'a> {
             let promoted: Vec<usize> = order.iter().take(promote).map(|&k| indices[k]).collect();
 
             // Nested IOEs for promoted backbones, driven through the same
-            // supervised executor (cached across generations, and
-            // individually fault-wrapped: a backbone whose inner run
-            // keeps failing is skipped this generation, not fatal). The
+            // supervised executor and cached across generations. Substrate
+            // faults are retried per candidate inside the IOE; the
+            // executor handles execution-plane failures of the job. The
             // fold below runs in job order on this thread, so cache
             // contents, telemetry (including the float overhead sum),
             // and the surfaced error no longer depend on completion
@@ -603,16 +619,12 @@ impl<'a> Ooe<'a> {
                 &ioe_jobs,
                 lanes,
                 |job| {
-                    let run_key = job.seed ^ IOE_RUN_FAULT_SALT;
-                    opts.retry.run(opts.faults.as_ref(), run_key, || {
-                        Ioe::new(self.hadas, job.subnet.clone(), self.config.clone())
-                            .run_with_chaos(
-                                job.seed,
-                                opts.faults.as_ref(),
-                                &opts.retry,
-                                opts.data_chaos,
-                            )
-                    })
+                    Ioe::new(self.hadas, job.subnet.clone(), self.config.clone()).run_with(
+                        job.seed,
+                        opts.faults.as_ref(),
+                        &opts.retry,
+                        opts.data_chaos,
+                    )
                 },
                 plan.as_ref(),
             )?;
@@ -623,9 +635,8 @@ impl<'a> Ooe<'a> {
             let mut errors: BTreeMap<usize, HadasError> = BTreeMap::new();
             for (job, slot) in ioe_jobs.into_iter().zip(slots) {
                 match slot {
-                    Some(Ok((Some((outcome, inner)), receipt))) => {
+                    Some(Ok((outcome, inner))) => {
                         ioe_cache.insert(job.subnet.genome().genes().to_vec(), outcome);
-                        telemetry.absorb(&receipt, false);
                         telemetry.retried_evals += inner.retried_evals;
                         telemetry.transient_failures += inner.transient_failures;
                         telemetry.timeouts += inner.timeouts;
@@ -633,18 +644,11 @@ impl<'a> Ooe<'a> {
                         telemetry.quarantined_evals += inner.quarantined_evals;
                         telemetry.fault_overhead_ms += inner.fault_overhead_ms;
                     }
-                    Some(Ok((None, receipt))) => {
-                        // The whole inner run kept failing: the backbone
-                        // simply stays unpromoted this generation and can
-                        // be retried later.
-                        telemetry.absorb(&receipt, true);
-                    }
                     Some(Err(e)) => {
                         errors.insert(job.history_idx, e);
                     }
-                    // Dead-lettered by the execution plane: same shape
-                    // as an exhausted inner run — skipped, retryable
-                    // next generation.
+                    // Dead-lettered by the execution plane: the backbone
+                    // is skipped this generation, retryable next one.
                     None => telemetry.exhausted_evals += 1,
                 }
             }
@@ -956,6 +960,24 @@ mod tests {
         assert!(
             out.joint_models().is_empty(),
             "nothing can be measured on a dead substrate, but the run still finishes"
+        );
+    }
+
+    #[test]
+    fn a_dead_backbone_runs_its_ioe_once() {
+        let hadas = Hadas::for_target(HwTarget::Tx2PascalGpu);
+        let mut cfg = HadasConfig::smoke_test();
+        cfg.ooe = crate::EngineBudget::new(6, 12);
+        cfg.ioe = crate::EngineBudget::new(4, 8);
+        let opts = SearchOptions { faults: Arc::new(AlwaysDown), ..Default::default() };
+        let out = Ooe::new(&hadas, cfg).run_with(&opts).unwrap();
+        let ioe_evals: usize =
+            out.backbones().iter().filter_map(|b| b.ioe.as_ref()).map(|o| o.history.len()).sum();
+        assert!(ioe_evals > 0, "promoted backbones run their IOE even on a dead substrate");
+        assert_eq!(
+            out.telemetry().exhausted_evals,
+            out.backbones().len() + ioe_evals,
+            "every static and IOE candidate gives up exactly once"
         );
     }
 }
