@@ -142,19 +142,60 @@ impl AccuracyModel {
     /// subspace is generated from the subnet, so this is a caller bug).
     pub fn exit_fraction(&self, subnet: &Subnet, position: usize) -> f64 {
         let df = subnet.depth_fraction(position);
-        let mbconvs = subnet.mbconv_layers();
-        let width = mbconvs[position - 1].c_out as f64;
-        let width_factor = 0.92 + 0.08 * (width / 224.0).min(1.0);
-        let beta = self.depth_beta(subnet);
-        let tau = self.final_threshold(subnet) * df.powf(beta) * width_factor;
+        let width = subnet.mbconv_layers()[position - 1].c_out;
+        self.exit_fraction_at(
+            subnet,
+            position,
+            df,
+            width,
+            self.depth_beta(subnet),
+            self.final_threshold(subnet),
+        )
+    }
+
+    /// `N_i` at `position` from its depth fraction `df` and the width of
+    /// the feature map the exit reads, given the backbone's β and final
+    /// threshold.
+    fn exit_fraction_at(
+        &self,
+        subnet: &Subnet,
+        position: usize,
+        df: f64,
+        width: usize,
+        beta: f64,
+        threshold: f64,
+    ) -> f64 {
+        let width_factor = 0.92 + 0.08 * (width as f64 / 224.0).min(1.0);
+        let tau = threshold * df.powf(beta) * width_factor;
         let jitter = 1.0 + self.genome_jitter(subnet, position as u64) / 100.0;
         (self.difficulty.cdf(tau) * jitter).clamp(0.0, 1.0)
     }
 
     /// `N_i` for every candidate exit position of `subnet`, 1-based
-    /// positions `1..=num_mbconv_layers()`.
+    /// positions `1..=num_mbconv_layers()`: entry `p − 1` equals
+    /// [`AccuracyModel::exit_fraction`] at `p`, bit for bit, from one walk
+    /// over the layers.
     pub fn exit_fraction_curve(&self, subnet: &Subnet) -> Vec<f64> {
-        (1..=subnet.num_mbconv_layers()).map(|p| self.exit_fraction(subnet, p)).collect()
+        let total = subnet.total_flops();
+        let beta = self.depth_beta(subnet);
+        let threshold = self.final_threshold(subnet);
+        let mut curve = Vec::with_capacity(subnet.num_mbconv_layers());
+        let mut prefix = 0.0;
+        for layer in subnet.layers() {
+            prefix += layer.flops;
+            if layer.kind.is_exitable() {
+                let position = curve.len() + 1;
+                curve.push(self.exit_fraction_at(
+                    subnet,
+                    position,
+                    prefix / total,
+                    layer.c_out,
+                    beta,
+                    threshold,
+                ));
+            }
+        }
+        curve
     }
 
     /// The *measured* `N_i` of a joint placement: the isolated
@@ -174,16 +215,25 @@ impl AccuracyModel {
             .iter()
             .enumerate()
             .map(|(i, &p)| {
-                let prev_gap = if i > 0 { p.saturating_sub(positions[i - 1]) } else { usize::MAX };
-                let next_gap =
-                    positions.get(i + 1).map(|&q| q.saturating_sub(p)).unwrap_or(usize::MAX);
-                let gap = prev_gap.min(next_gap);
-                let penalty = if gap == usize::MAX {
-                    0.0
-                } else {
-                    0.15 * (-((gap as f64) - 1.0) / 2.0).exp()
-                };
-                self.exit_fraction(subnet, p) * (1.0 - penalty)
+                self.exit_fraction(subnet, p) * (1.0 - crowding_penalty(positions, i, p))
+            })
+            .collect()
+    }
+
+    /// [`AccuracyModel::joint_exit_fractions`] over a precomputed
+    /// [`AccuracyModel::exit_fraction_curve`], bit for bit. `None` if a
+    /// position falls outside the curve.
+    pub fn joint_exit_fractions_from_curve(
+        &self,
+        curve: &[f64],
+        positions: &[usize],
+    ) -> Option<Vec<f64>> {
+        positions
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| {
+                let n = curve.get(p.checked_sub(1)?)?;
+                Some(n * (1.0 - crowding_penalty(positions, i, p)))
             })
             .collect()
     }
@@ -198,12 +248,38 @@ impl AccuracyModel {
     ///
     /// Panics if any position is out of range.
     pub fn dynamic_accuracy(&self, subnet: &Subnet, positions: &[usize]) -> f64 {
-        let static_acc = self.backbone_accuracy(subnet) / 100.0;
+        self.dynamic_accuracy_from(
+            self.backbone_accuracy(subnet),
+            &self.joint_exit_fractions(subnet, positions),
+        )
+    }
+
+    /// [`AccuracyModel::dynamic_accuracy`] from the backbone's static
+    /// accuracy (%) and the placement's already computed joint fractions.
+    pub fn dynamic_accuracy_from(&self, backbone_accuracy: f64, joint_fractions: &[f64]) -> f64 {
+        let static_acc = backbone_accuracy / 100.0;
         let mut miss = 1.0 - static_acc;
-        for n in self.joint_exit_fractions(subnet, positions) {
+        for &n in joint_fractions {
             miss *= 1.0 - self.ensemble_eps * n;
         }
         ((1.0 - miss) * 100.0).clamp(0.0, 100.0)
+    }
+}
+
+/// Crowding interference on exit `i` (at `position`) of a strictly
+/// increasing placement: 15 % at a gap of one layer to its nearest
+/// neighbour, decaying with the gap; none for a lone exit.
+fn crowding_penalty(positions: &[usize], i: usize, position: usize) -> f64 {
+    let prev_gap = match i.checked_sub(1).and_then(|j| positions.get(j)) {
+        Some(&q) => position.saturating_sub(q),
+        None => usize::MAX,
+    };
+    let next_gap = positions.get(i + 1).map(|&q| q.saturating_sub(position)).unwrap_or(usize::MAX);
+    let gap = prev_gap.min(next_gap);
+    if gap == usize::MAX {
+        0.0
+    } else {
+        0.15 * (-((gap as f64) - 1.0) / 2.0).exp()
     }
 }
 
@@ -338,6 +414,35 @@ mod tests {
         let m = AccuracyModel::cifar100();
         let net = baseline(2);
         assert!((m.dynamic_accuracy(&net, &[]) - m.backbone_accuracy(&net)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn curve_cores_match_the_per_exit_path_bit_for_bit() {
+        use rand::{rngs::StdRng, SeedableRng};
+        let m = AccuracyModel::cifar100();
+        let space = SearchSpace::attentive_nas();
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut nets: Vec<Subnet> = (0..7).map(baseline).collect();
+        nets.extend((0..16).map(|_| space.decode(&space.sample(&mut rng)).unwrap()));
+        for net in &nets {
+            let n = net.num_mbconv_layers();
+            let curve = m.exit_fraction_curve(net);
+            assert_eq!(curve.len(), n);
+            for (i, &c) in curve.iter().enumerate() {
+                assert_eq!(c.to_bits(), m.exit_fraction(net, i + 1).to_bits());
+            }
+            for positions in [vec![], vec![n], vec![5, 6, n / 2, n - 1, n]] {
+                let joint = m.joint_exit_fractions(net, &positions);
+                assert_eq!(
+                    m.joint_exit_fractions_from_curve(&curve, &positions),
+                    Some(joint.clone())
+                );
+                let dynamic = m.dynamic_accuracy_from(m.backbone_accuracy(net), &joint);
+                assert_eq!(dynamic.to_bits(), m.dynamic_accuracy(net, &positions).to_bits());
+            }
+            assert_eq!(m.joint_exit_fractions_from_curve(&curve, &[0]), None);
+            assert_eq!(m.joint_exit_fractions_from_curve(&curve, &[5, n + 1]), None);
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
+use crate::dynmodel::BackboneTable;
 use crate::resilience::{FaultModel, NoFaults, RetryPolicy, SearchTelemetry};
-use crate::{DynamicFitness, DynamicModel, Hadas, HadasConfig, HadasError};
+use crate::{DynamicFitness, Hadas, HadasConfig, HadasError};
 use hadas_evo::{discrete, Nsga2, Nsga2Config, Problem};
 use hadas_exits::{ExitPlacement, MIN_EXIT_POSITION};
 use hadas_hw::DvfsSetting;
@@ -66,8 +67,10 @@ pub struct Ioe<'a> {
 }
 
 struct IoeProblem<'a> {
-    hadas: &'a Hadas,
     subnet: &'a Subnet,
+    /// The backbone's placement-independent fitness terms and its cost
+    /// rows per DVFS setting, shared by every candidate of the run.
+    table: BackboneTable<'a>,
     candidates: Vec<usize>,
     cardinalities: Vec<usize>,
     gamma: f64,
@@ -100,7 +103,7 @@ impl IoeProblem<'_> {
     /// keeps dominance and crowding arithmetic well-defined.
     const INFEASIBLE_PENALTY: f64 = -1.0e30;
 
-    fn decode(&self, genome: &[usize]) -> Result<DynamicModel, HadasError> {
+    fn decode(&self, genome: &[usize]) -> Result<(ExitPlacement, DvfsSetting), HadasError> {
         let n_ind = self.candidates.len();
         let mut positions: Vec<usize> = genome[..n_ind]
             .iter()
@@ -116,8 +119,7 @@ impl IoeProblem<'_> {
         let max_count = total.saturating_sub(MIN_EXIT_POSITION).max(1);
         positions.truncate(max_count);
         let placement = ExitPlacement::new(positions, total)?;
-        let dvfs = DvfsSetting::new(genome[n_ind], genome[n_ind + 1]);
-        Ok(DynamicModel::new(self.subnet.clone(), placement, dvfs))
+        Ok((placement, DvfsSetting::new(genome[n_ind], genome[n_ind + 1])))
     }
 
     /// The exact, fault- and chaos-free measurement of one candidate,
@@ -127,18 +129,10 @@ impl IoeProblem<'_> {
         if let Some(solution) = self.exact.borrow().get(genome) {
             return Ok(solution.clone());
         }
-        let model = self.decode(genome)?;
-        let eval = model.evaluate(
-            self.hadas.accuracy(),
-            self.hadas.device(),
-            self.gamma,
-            self.use_dissimilarity,
-        )?;
-        let solution = IoeSolution {
-            placement: model.placement().clone(),
-            dvfs: *model.dvfs(),
-            fitness: eval.fitness,
-        };
+        let (placement, dvfs) = self.decode(genome)?;
+        let fitness =
+            self.table.evaluate(&placement, &dvfs, self.gamma, self.use_dissimilarity)?.fitness;
+        let solution = IoeSolution { placement, dvfs, fitness };
         self.exact.borrow_mut().insert(genome.to_vec(), solution.clone());
         Ok(solution)
     }
@@ -292,14 +286,14 @@ impl<'a> Ioe<'a> {
         retry: &'p RetryPolicy,
         fault_salt: u64,
         data_chaos: Option<u64>,
-    ) -> IoeProblem<'p> {
+    ) -> Result<IoeProblem<'p>, HadasError> {
         let candidates = ExitPlacement::candidates(self.subnet.num_mbconv_layers());
         let mut cardinalities = vec![2usize; candidates.len()];
         cardinalities.push(self.hadas.device().ladder().compute_steps());
         cardinalities.push(self.hadas.device().ladder().emc_steps());
-        IoeProblem {
-            hadas: self.hadas,
+        Ok(IoeProblem {
             subnet: &self.subnet,
+            table: BackboneTable::new(&self.subnet, self.hadas.accuracy(), self.hadas.device())?,
             candidates,
             cardinalities,
             gamma: self.config.gamma,
@@ -310,7 +304,7 @@ impl<'a> Ioe<'a> {
             data_chaos,
             telemetry: RefCell::new(SearchTelemetry::default()),
             exact: RefCell::new(BTreeMap::new()),
-        }
+        })
     }
 
     /// Runs the engine with the configured IOE budget on a healthy
@@ -355,7 +349,7 @@ impl<'a> Ioe<'a> {
     ) -> Result<(IoeOutcome, SearchTelemetry), HadasError> {
         self.config.validate()?;
         retry.validate()?;
-        let problem = self.problem_with(faults, retry, seed, data_chaos);
+        let problem = self.problem_with(faults, retry, seed, data_chaos)?;
         let nsga = Nsga2::new(Nsga2Config::with_budget(
             self.config.ioe.population,
             self.config.ioe.iterations,
@@ -378,7 +372,7 @@ impl<'a> Ioe<'a> {
     pub fn run_random(&self, seed: u64) -> Result<IoeOutcome, HadasError> {
         self.config.validate()?;
         let retry = RetryPolicy::default();
-        let problem = self.problem_with(&NoFaults, &retry, seed, None);
+        let problem = self.problem_with(&NoFaults, &retry, seed, None)?;
         let mut rng = StdRng::seed_from_u64(seed);
         let result = hadas_evo::random_search(&problem, self.config.ioe.iterations, &mut rng);
         problem.outcome(&result)

@@ -14,6 +14,12 @@ use hadas_space::{LayerInfo, Subnet};
 /// Object-safe so engines can hold `Arc<dyn CostModel>`; `subnet_cost` and
 /// `prefix_cost` have default implementations in terms of `layer_cost` and
 /// `invoke_cost`, which is how both the simulator and the proxy compose.
+///
+/// Composition contract: an implementation that overrides `subnet_cost` or
+/// `prefix_cost` must still return `invoke_cost` plus a left-to-right sum
+/// of `layer_cost` over the layers (`acc = acc + layer`), bit for bit. The
+/// core's per-backbone evaluation table prices an IOE run's prefixes in
+/// one such pass from `layer_cost` and `invoke_cost` alone.
 pub trait CostModel: std::fmt::Debug + Send + Sync {
     /// The hardware target this model prices.
     fn target(&self) -> HwTarget;

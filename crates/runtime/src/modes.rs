@@ -1,5 +1,5 @@
 use hadas::{DynamicFitness, Hadas, HadasError, OoeOutcome};
-use hadas_exits::{exit_head_cost, ExitPlacement};
+use hadas_exits::ExitPlacement;
 use hadas_hw::{CostReport, DvfsSetting};
 use hadas_space::Subnet;
 
@@ -44,23 +44,16 @@ impl OperatingMode {
         placement: ExitPlacement,
         dvfs: DvfsSetting,
     ) -> Result<Self, HadasError> {
-        let device = hadas.device();
         let accuracy = hadas.accuracy();
-        let fractions = accuracy.joint_exit_fractions(&subnet, placement.positions());
+        let eval = hadas::DynamicModel::new(subnet.clone(), placement.clone(), dvfs).evaluate(
+            accuracy,
+            hadas.device(),
+            1.0,
+            true,
+        )?;
         let exit_thresholds: Vec<f64> =
-            fractions.iter().map(|&n| accuracy.difficulty().quantile(n)).collect();
+            eval.exit_fractions.iter().map(|&n| accuracy.difficulty().quantile(n)).collect();
         let final_threshold = accuracy.final_threshold(&subnet);
-        let mut exit_costs = Vec::with_capacity(placement.len());
-        let mut heads = CostReport::zero();
-        for &p in placement.positions() {
-            heads = heads + device.layer_cost(&exit_head_cost(&subnet, p), &dvfs)?;
-            let prefix = device.prefix_cost(&subnet, p, &dvfs)?;
-            exit_costs.push(prefix + heads);
-        }
-        let full_cost = device.subnet_cost(&subnet, &dvfs)? + heads;
-        let expected = hadas::DynamicModel::new(subnet.clone(), placement.clone(), dvfs)
-            .evaluate(accuracy, device, 1.0, true)?
-            .fitness;
         Ok(OperatingMode {
             name: name.into(),
             subnet,
@@ -68,9 +61,9 @@ impl OperatingMode {
             dvfs,
             exit_thresholds,
             final_threshold,
-            exit_costs,
-            full_cost,
-            expected,
+            exit_costs: eval.exit_costs,
+            full_cost: eval.full_cost,
+            expected: eval.fitness,
         })
     }
 

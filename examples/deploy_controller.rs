@@ -8,11 +8,10 @@
 //! ```
 
 use hadas_suite::core::{
-    Controller, EntropyController, ExitDecision, Hadas, HadasConfig, IdealController,
+    Controller, DynamicModel, EntropyController, ExitDecision, Hadas, HadasConfig, IdealController,
 };
 use hadas_suite::dataset::DifficultyDistribution;
-use hadas_suite::exits::exit_head_cost;
-use hadas_suite::hw::HwTarget;
+use hadas_suite::hw::{CostReport, HwTarget};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::error::Error;
 
@@ -50,17 +49,12 @@ fn main() -> Result<(), Box<dyn Error>> {
     // Entropy thresholds: a moderately conservative uniform setting.
     let entropy = EntropyController::uniform(model.placement.len(), 0.55);
 
-    // Pre-compute the energy of exiting at each exit (prefix + heads).
-    let device = hadas.device();
-    let mut exit_energy = Vec::new();
-    let mut heads = 0.0;
-    for (k, &p) in model.placement.positions().iter().enumerate() {
-        heads += device.layer_cost(&exit_head_cost(&model.subnet, p), &model.dvfs)?.energy_j;
-        let prefix = device.prefix_cost(&model.subnet, p, &model.dvfs)?;
-        exit_energy.push((prefix.energy_j + heads) * 1e3);
-        let _ = k;
-    }
-    let full_energy = (device.subnet_cost(&model.subnet, &model.dvfs)?.energy_j + heads) * 1e3;
+    // The energy of exiting at each exit (prefix + heads) and of running
+    // the full model.
+    let eval = DynamicModel::new(model.subnet.clone(), model.placement.clone(), model.dvfs)
+        .evaluate(hadas.accuracy(), hadas.device(), config.gamma, config.use_dissimilarity)?;
+    let exit_energy: Vec<f64> = eval.exit_costs.iter().map(CostReport::energy_mj).collect();
+    let full_energy = eval.full_cost.energy_mj();
 
     // Serve a synthetic input stream.
     let mut rng = StdRng::seed_from_u64(2024);
