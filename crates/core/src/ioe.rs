@@ -7,7 +7,8 @@ use hadas_hw::DvfsSetting;
 use hadas_space::Subnet;
 use rand::{rngs::StdRng, Rng, RngCore, SeedableRng};
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 
 /// One explored point of the inner space: an exit placement, a DVFS
 /// setting, and its dynamic fitness.
@@ -88,10 +89,10 @@ struct IoeProblem<'a> {
     /// Fault-handling counters for this run. `Nsga2::run` drives
     /// `evaluate` from a single thread, so a `RefCell` suffices.
     telemetry: RefCell<SearchTelemetry>,
-    /// This run's exact measurement of every genome evaluated so far,
-    /// keyed by the full genome: the search and the reporting pass share
-    /// one evaluation per distinct candidate.
-    exact: RefCell<BTreeMap<Vec<usize>, IoeSolution>>,
+    /// The exact measurement of every candidate evaluated so far, in
+    /// evaluation order: entry `k` belongs to the search history's entry
+    /// `k`, so the reporting pass reads it instead of measuring again.
+    log: RefCell<Vec<Result<IoeSolution, HadasError>>>,
 }
 
 impl IoeProblem<'_> {
@@ -122,65 +123,76 @@ impl IoeProblem<'_> {
         Ok((placement, DvfsSetting::new(genome[n_ind], genome[n_ind + 1])))
     }
 
-    /// The exact, fault- and chaos-free measurement of one candidate,
-    /// memoised per run. Errors are not memoised: they recur on every
-    /// call, so the reporting pass still surfaces them.
+    /// The exact, fault- and chaos-free measurement of one candidate.
     fn exact(&self, genome: &[usize]) -> Result<IoeSolution, HadasError> {
-        if let Some(solution) = self.exact.borrow().get(genome) {
-            return Ok(solution.clone());
-        }
         let (placement, dvfs) = self.decode(genome)?;
         let fitness =
             self.table.evaluate(&placement, &dvfs, self.gamma, self.use_dissimilarity)?.fitness;
-        let solution = IoeSolution { placement, dvfs, fitness };
-        self.exact.borrow_mut().insert(genome.to_vec(), solution.clone());
-        Ok(solution)
+        Ok(IoeSolution { placement, dvfs, fitness })
     }
 
     /// Reports a search result by its exact measurements and keeps the
     /// truly non-dominated front (the engine selected under noisy quality
     /// estimates; reporting always uses the exact measurement, which the
-    /// search already memoised for every genome it evaluated). A front
+    /// log holds for every history entry, in history order). A front
     /// entry the search saw only as the infeasibility penalty was never
     /// measured, so it is not reported; it reaches the front only when no
-    /// measurement of the run landed.
+    /// measurement of the run landed. A failed measurement fails the
+    /// report, the first in evaluation order.
     fn outcome(
         &self,
         result: &hadas_evo::SearchResult<Vec<usize>>,
     ) -> Result<IoeOutcome, HadasError> {
-        let history: Vec<IoeSolution> =
-            result.history().iter().map(|e| self.exact(&e.genome)).collect::<Result<_, _>>()?;
-        let candidates: Vec<IoeSolution> = result
-            .pareto_front()
-            .iter()
-            .filter(|e| e.objectives != [Self::INFEASIBLE_PENALTY; 3])
-            .map(|e| self.exact(&e.genome))
-            .collect::<Result<_, _>>()?;
+        let log = self.log.take();
+        if log.len() != result.history().len() {
+            return Err(HadasError::Internal(format!(
+                "IOE log holds {} measurements for {} history entries",
+                log.len(),
+                result.history().len()
+            )));
+        }
+        let history: Vec<IoeSolution> = log.into_iter().collect::<Result<_, _>>()?;
+        let candidates: Vec<&IoeSolution> = result
+            .pareto_front_indices()
+            .into_iter()
+            .filter(|&i| result.history()[i].objectives != [Self::INFEASIBLE_PENALTY; 3])
+            .map(|i| &history[i])
+            .collect();
         let exact: Vec<Vec<f64>> = candidates.iter().map(|s| s.fitness.to_maximisation()).collect();
         let pareto: Vec<IoeSolution> =
             hadas_evo::pareto_indices(&exact).into_iter().map(|i| candidates[i].clone()).collect();
         Ok(IoeOutcome { history, pareto })
     }
 
-    /// The fault-stream identity of one candidate: a hash of the genome,
-    /// the backbone, and this run's salt. Pure, so a resumed search
-    /// replays identical fault histories for identical candidates.
-    fn fault_key(&self, genome: &[usize]) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
+    /// One candidate's stream keys from a single hash of the genome and
+    /// the backbone: the quality-noise key (that hash) and the
+    /// fault-stream key (the same hash continued with this run's salt),
+    /// which also keys data chaos. Pure, so a resumed search replays
+    /// identical noise and fault histories for identical candidates.
+    fn keys(&self, genome: &[usize]) -> (u64, u64) {
+        let mut h = DefaultHasher::new();
         genome.hash(&mut h);
         self.subnet.genome().genes().hash(&mut h);
+        // `finish` leaves the state as it was, so the salt continues the
+        // same stream.
+        let noise = h.finish();
         self.fault_salt.hash(&mut h);
-        h.finish()
+        (noise, h.finish())
     }
 
-    /// The actual (noisy-quality) measurement of one candidate — the
-    /// pure computation the retry wrapper shields from substrate faults.
-    fn measure(&self, genome: &Vec<usize>) -> Vec<f64> {
+    /// The search-time (noisy-quality) view of one exact measurement —
+    /// the pure computation the retry wrapper shields from substrate
+    /// faults.
+    fn measure(
+        &self,
+        exact: &Result<IoeSolution, HadasError>,
+        noise_key: u64,
+        fault_key: u64,
+    ) -> Vec<f64> {
         // The repair in `decode` makes infeasible genomes unreachable in
         // practice; if one slips through anyway it gets a finite worst-case
         // fitness and is selected away, rather than panicking mid-search.
-        let Ok(solution) = self.exact(genome) else {
+        let Ok(solution) = exact else {
             return vec![Self::INFEASIBLE_PENALTY; 3];
         };
         let mut objectives = solution.fitness.to_maximisation();
@@ -194,16 +206,12 @@ impl IoeProblem<'_> {
         // dissimilarity prior earns its keep (Fig. 7): it stops the
         // engine from overfitting redundant exit stacks to lucky
         // estimates.
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        genome.hash(&mut h);
-        self.subnet.genome().genes().hash(&mut h);
-        let u = (h.finish() % 10_000) as f64 / 10_000.0;
+        let u = (noise_key % 10_000) as f64 / 10_000.0;
         objectives[0] += (u * 2.0 - 1.0) * Self::QUALITY_NOISE;
         // Data chaos: a poisoned measurement comes back NaN. The
         // quarantine in `evaluate` must catch it — never the engine.
         if let Some(chaos) = self.data_chaos {
-            if crate::ooe::chaos_poisons(chaos, self.fault_key(genome)) {
+            if crate::ooe::chaos_poisons(chaos, fault_key) {
                 objectives[0] = f64::NAN;
             }
         }
@@ -223,13 +231,19 @@ impl Problem for IoeProblem<'_> {
     }
 
     fn evaluate(&self, genome: &Vec<usize>) -> Vec<f64> {
+        // The exact measurement is taken once, logged for the reporting
+        // pass, and is what every attempt below reads.
+        let exact = self.exact(genome);
+        let (noise_key, fault_key) = self.keys(genome);
         // Every measurement runs on a (simulated) physical substrate that
         // can glitch: consult the fault model under the retry schedule.
         // A candidate whose measurement never lands within its budget is
         // degraded to the infeasibility penalty — selected away, never
         // fatal — and counted in the run's telemetry.
-        let outcome =
-            self.retry.run(self.faults, self.fault_key(genome), || Ok(self.measure(genome)));
+        let outcome = self
+            .retry
+            .run(self.faults, fault_key, || Ok(self.measure(&exact, noise_key, fault_key)));
+        self.log.borrow_mut().push(exact);
         let (value, receipt) = match outcome {
             Ok(pair) => pair,
             // `measure` is infallible (it returns penalties instead of
@@ -303,7 +317,7 @@ impl<'a> Ioe<'a> {
             fault_salt,
             data_chaos,
             telemetry: RefCell::new(SearchTelemetry::default()),
-            exact: RefCell::new(BTreeMap::new()),
+            log: RefCell::new(Vec::new()),
         })
     }
 
@@ -314,7 +328,8 @@ impl<'a> Ioe<'a> {
     /// # Errors
     ///
     /// Returns [`HadasError::InvalidConfig`] for invalid configurations,
-    /// or a propagated model/placement error from re-measurement.
+    /// or a propagated model/placement error from a candidate's exact
+    /// measurement.
     pub fn run(&self, seed: u64) -> Result<IoeOutcome, HadasError> {
         self.run_with(seed, &NoFaults, &RetryPolicy::default(), None).map(|(outcome, _)| outcome)
     }
@@ -339,7 +354,8 @@ impl<'a> Ioe<'a> {
     ///
     /// Returns [`HadasError::InvalidConfig`] for invalid configurations
     /// or retry schedules, or a propagated model/placement error from
-    /// re-measurement.
+    /// a candidate's exact measurement; [`HadasError::Internal`] if the
+    /// engine's history and the measurement log disagree in length.
     pub fn run_with(
         &self,
         seed: u64,
@@ -368,7 +384,8 @@ impl<'a> Ioe<'a> {
     /// # Errors
     ///
     /// Returns [`HadasError::InvalidConfig`] for invalid configurations,
-    /// or a propagated model/placement error from re-measurement.
+    /// or a propagated model/placement error from a candidate's exact
+    /// measurement.
     pub fn run_random(&self, seed: u64) -> Result<IoeOutcome, HadasError> {
         self.config.validate()?;
         let retry = RetryPolicy::default();
@@ -434,6 +451,38 @@ mod tests {
         for s in &out.history {
             assert!(s.placement.positions().iter().all(|&p| p >= MIN_EXIT_POSITION));
         }
+    }
+
+    /// The reported history is the log, paired with the engine's history
+    /// by index: entry `k` is the exact measurement of history genome `k`.
+    #[test]
+    fn reported_history_is_the_exact_measurement_of_each_history_entry() {
+        let hadas = Hadas::for_target(HwTarget::Tx2PascalGpu);
+        let subnet = hadas.space().decode(&baselines::baseline_genome(2)).unwrap();
+        let ioe = Ioe::new(&hadas, subnet, HadasConfig::smoke_test());
+        let retry = crate::RetryPolicy::default();
+        let problem = ioe.problem_with(&NoFaults, &retry, 3, None).unwrap();
+        let mut rng = StdRng::seed_from_u64(3);
+        let result = Nsga2::new(Nsga2Config::new(8, 4)).run(&problem, &mut rng);
+        let out = problem.outcome(&result).unwrap();
+        assert_eq!(out.history.len(), result.history().len());
+        for (reported, entry) in out.history.iter().zip(result.history()) {
+            assert_eq!(reported, &problem.exact(&entry.genome).unwrap());
+        }
+    }
+
+    #[test]
+    fn a_log_out_of_step_with_the_history_is_an_internal_error() {
+        let hadas = Hadas::for_target(HwTarget::Tx2PascalGpu);
+        let subnet = hadas.space().decode(&baselines::baseline_genome(2)).unwrap();
+        let ioe = Ioe::new(&hadas, subnet, HadasConfig::smoke_test());
+        let retry = crate::RetryPolicy::default();
+        let problem = ioe.problem_with(&NoFaults, &retry, 5, None).unwrap();
+        let mut rng = StdRng::seed_from_u64(5);
+        let result = hadas_evo::random_search(&problem, 6, &mut rng);
+        // One measurement the history does not hold.
+        let _ = problem.evaluate(&result.history()[0].genome);
+        assert!(matches!(problem.outcome(&result), Err(HadasError::Internal(_))));
     }
 
     /// Fails the first attempt of every measurement, then succeeds: the

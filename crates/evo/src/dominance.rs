@@ -35,31 +35,105 @@ fn is_finite(p: &[f64]) -> bool {
 /// `(a ≻ b, b ≻ a)` under the quarantine of [`dominates`], given each
 /// point's finiteness. At most one of the two is `true`.
 fn compare(a: &[f64], a_finite: bool, b: &[f64], b_finite: bool) -> (bool, bool) {
-    if !(a_finite && b_finite) {
-        // A healthy point always dominates a poisoned one; a poisoned
-        // point dominates nothing (including other poisoned points).
-        return (a_finite, b_finite);
-    }
-    // Branch-free over the objectives: the comparisons are data-dependent
-    // and mispredict badly when branched on.
-    let (mut a_better, mut b_better) = (false, false);
-    for (&x, &y) in a.iter().zip(b) {
-        a_better |= x > y;
-        b_better |= x < y;
-    }
-    (a_better && !b_better, b_better && !a_better)
+    verdict(order(a, b), a_finite, b_finite)
 }
 
-/// Each point's finiteness, after checking that all points share one
-/// dimensionality.
-///
-/// # Panics
-///
-/// Panics on mixed dimensionality, as [`dominates`] does.
-fn finiteness(points: &[Vec<f64>]) -> Vec<bool> {
-    let dims = points.first().map_or(0, Vec::len);
-    assert!(points.iter().all(|p| p.len() == dims), "objective dimensionality mismatch");
-    points.iter().map(|p| is_finite(p)).collect()
+/// `(a > b somewhere, a < b somewhere)` over two equal-length rows.
+/// Branch-free over the objectives: the comparisons are data-dependent
+/// and mispredict badly when branched on.
+#[inline(always)]
+fn order(a: &[f64], b: &[f64]) -> (bool, bool) {
+    let (mut gt, mut lt) = (false, false);
+    for (&x, &y) in a.iter().zip(b) {
+        gt |= x > y;
+        lt |= x < y;
+    }
+    (gt, lt)
+}
+
+/// `(a ≻ b, b ≻ a)` from [`order`]'s result and each point's finiteness,
+/// without a branch: a healthy point always dominates a poisoned one, and
+/// a poisoned point dominates nothing (including other poisoned points).
+#[inline(always)]
+fn verdict((gt, lt): (bool, bool), a_finite: bool, b_finite: bool) -> (bool, bool) {
+    let both = a_finite & b_finite;
+    ((both & gt & !lt) | (a_finite & !b_finite), (both & lt & !gt) | (b_finite & !a_finite))
+}
+
+/// Points copied into one contiguous row-major buffer, with each row's
+/// finiteness: the layout the pairwise kernels read.
+struct Rows {
+    flat: Vec<f64>,
+    finite: Vec<bool>,
+    dims: usize,
+}
+
+impl Rows {
+    /// Copies `points` after checking that all share one dimensionality.
+    ///
+    /// # Panics
+    ///
+    /// Panics on mixed dimensionality, as [`dominates`] does.
+    fn new<P: AsRef<[f64]>>(points: &[P]) -> Self {
+        let dims = points.first().map_or(0, |p| p.as_ref().len());
+        let mut flat = Vec::with_capacity(points.len() * dims);
+        let mut finite = Vec::with_capacity(points.len());
+        for p in points {
+            let p = p.as_ref();
+            assert!(p.len() == dims, "objective dimensionality mismatch");
+            flat.extend_from_slice(p);
+            finite.push(is_finite(p));
+        }
+        Rows { flat, finite, dims }
+    }
+
+    fn len(&self) -> usize {
+        self.finite.len()
+    }
+
+    fn row(&self, i: usize) -> &[f64] {
+        &self.flat[i * self.dims..(i + 1) * self.dims]
+    }
+
+    /// Whether point `i` dominates point `j`.
+    fn beats(&self, i: usize, j: usize) -> bool {
+        compare(self.row(i), self.finite[i], self.row(j), self.finite[j]).0
+    }
+
+    /// The dominance matrix, `m[i * n + j] == 1` when point `i`
+    /// dominates point `j`, and each point's domination count (how many
+    /// points dominate it). Three-objective points, the arity every
+    /// search ranks, run a pass unrolled to it; other arities share one
+    /// loop.
+    fn dominance(&self) -> (Vec<u8>, Vec<usize>) {
+        match self.dims {
+            3 => self.pair_pass::<3>(),
+            _ => self.pair_pass::<0>(),
+        }
+    }
+
+    /// Visits each unordered pair once and records both directions,
+    /// without a branch on the data: `D` is the arity, `0` for any.
+    fn pair_pass<const D: usize>(&self) -> (Vec<u8>, Vec<usize>) {
+        let n = self.len();
+        let mut beats = vec![0u8; n * n];
+        let mut count = vec![0usize; n];
+        for i in 0..n {
+            let (a, fa) = (self.row(i), self.finite[i]);
+            let mut beaten_by = 0usize;
+            for j in (i + 1)..n {
+                let (b, fb) = (self.row(j), self.finite[j]);
+                let ordered = if D == 0 { order(a, b) } else { order(&a[..D], &b[..D]) };
+                let (ij, ji) = verdict(ordered, fa, fb);
+                beats[i * n + j] = u8::from(ij);
+                beats[j * n + i] = u8::from(ji);
+                count[j] += usize::from(ij);
+                beaten_by += usize::from(ji);
+            }
+            count[i] += beaten_by;
+        }
+        (beats, count)
+    }
 }
 
 /// Indices of the non-dominated points — exactly
@@ -75,15 +149,14 @@ fn finiteness(points: &[Vec<f64>]) -> Vec<bool> {
 /// # Panics
 ///
 /// Panics if the points have different dimensionality.
-pub fn pareto_indices(points: &[Vec<f64>]) -> Vec<usize> {
-    let finite = finiteness(points);
-    let beats = |i: usize, j: usize| compare(&points[i], finite[i], &points[j], finite[j]).0;
+pub fn pareto_indices<P: AsRef<[f64]>>(points: &[P]) -> Vec<usize> {
+    let rows = Rows::new(points);
     let mut archive: Vec<usize> = Vec::new();
-    for i in 0..points.len() {
-        if archive.iter().any(|&m| beats(m, i)) {
+    for i in 0..rows.len() {
+        if archive.iter().any(|&m| rows.beats(m, i)) {
             continue;
         }
-        archive.retain(|&m| !beats(i, m));
+        archive.retain(|&m| !rows.beats(i, m));
         archive.push(i);
     }
     archive
@@ -97,43 +170,33 @@ pub fn pareto_indices(points: &[Vec<f64>]) -> Vec<usize> {
 /// # Panics
 ///
 /// Panics if the points have different dimensionality.
-pub fn fast_non_dominated_sort(points: &[Vec<f64>]) -> Vec<Vec<usize>> {
+pub fn fast_non_dominated_sort<P: AsRef<[f64]>>(points: &[P]) -> Vec<Vec<usize>> {
     let n = points.len();
     if n == 0 {
         return Vec::new();
     }
-    let finite = finiteness(points);
-    let mut dominated_by: Vec<Vec<usize>> = vec![Vec::new(); n]; // i dominates these
-    let mut domination_count = vec![0usize; n]; // how many dominate i
-    for i in 0..n {
-        for j in (i + 1)..n {
-            match compare(&points[i], finite[i], &points[j], finite[j]) {
-                (true, _) => {
-                    dominated_by[i].push(j);
-                    domination_count[j] += 1;
-                }
-                (_, true) => {
-                    dominated_by[j].push(i);
-                    domination_count[i] += 1;
-                }
-                _ => {}
-            }
-        }
-    }
+    let (beats, mut count) = Rows::new(points).dominance();
+    // Deb's list of the points `i` dominates is row `i` of the matrix,
+    // compacted in ascending index order as its turn comes.
+    let mut dominated = vec![0usize; n];
     let mut fronts: Vec<Vec<usize>> = Vec::new();
-    let mut current: Vec<usize> = (0..n).filter(|&i| domination_count[i] == 0).collect();
+    let mut current: Vec<usize> = (0..n).filter(|&i| count[i] == 0).collect();
     while !current.is_empty() {
         let mut next = Vec::new();
         for &i in &current {
-            for &j in &dominated_by[i] {
-                domination_count[j] -= 1;
-                if domination_count[j] == 0 {
+            let mut len = 0;
+            for (j, &b) in beats[i * n..(i + 1) * n].iter().enumerate() {
+                dominated[len] = j;
+                len += usize::from(b);
+            }
+            for &j in &dominated[..len] {
+                count[j] -= 1;
+                if count[j] == 0 {
                     next.push(j);
                 }
             }
         }
-        fronts.push(std::mem::take(&mut current));
-        current = next;
+        fronts.push(std::mem::replace(&mut current, next));
     }
     debug_assert_fronts_partition(n, &fronts);
     fronts
@@ -171,14 +234,13 @@ fn debug_assert_fronts_partition(n: usize, fronts: &[Vec<usize>]) {
 ///
 /// Returned in the same order as `front`.
 #[allow(clippy::needless_range_loop)]
-pub fn crowding_distance(points: &[Vec<f64>], front: &[usize]) -> Vec<f64> {
+pub fn crowding_distance<P: AsRef<[f64]>>(points: &[P], front: &[usize]) -> Vec<f64> {
     let m = front.len();
     if m == 0 {
         return Vec::new();
     }
     let mut distance = vec![0.0f64; m];
-    let finite: Vec<usize> =
-        (0..m).filter(|&w| points[front[w]].iter().all(|v| v.is_finite())).collect();
+    let finite: Vec<usize> = (0..m).filter(|&w| is_finite(points[front[w]].as_ref())).collect();
     let k = finite.len();
     if k <= 2 {
         for &w in &finite {
@@ -186,12 +248,13 @@ pub fn crowding_distance(points: &[Vec<f64>], front: &[usize]) -> Vec<f64> {
         }
         return distance;
     }
-    let dims = points[front[finite[0]]].len();
+    let dims = points[front[finite[0]]].as_ref().len();
+    let at = |w: usize, d: usize| points[front[w]].as_ref()[d];
     for d in 0..dims {
         let mut order: Vec<usize> = finite.clone();
-        order.sort_by(|&a, &b| points[front[a]][d].total_cmp(&points[front[b]][d]));
-        let lo = points[front[order[0]]][d];
-        let hi = points[front[order[k - 1]]][d];
+        order.sort_by(|&a, &b| at(a, d).total_cmp(&at(b, d)));
+        let lo = at(order[0], d);
+        let hi = at(order[k - 1], d);
         distance[order[0]] = f64::INFINITY;
         distance[order[k - 1]] = f64::INFINITY;
         let span = hi - lo;
@@ -199,8 +262,8 @@ pub fn crowding_distance(points: &[Vec<f64>], front: &[usize]) -> Vec<f64> {
             continue;
         }
         for w in 1..k - 1 {
-            let prev = points[front[order[w - 1]]][d];
-            let next = points[front[order[w + 1]]][d];
+            let prev = at(order[w - 1], d);
+            let next = at(order[w + 1], d);
             if distance[order[w]].is_finite() {
                 distance[order[w]] += (next - prev) / span;
             }
@@ -250,7 +313,7 @@ mod tests {
         ];
         assert_eq!(pareto_indices(&pts), vec![2, 3, 4, 5]);
         assert_eq!(pareto_indices(&pts), fast_non_dominated_sort(&pts)[0]);
-        assert!(pareto_indices(&[]).is_empty());
+        assert!(pareto_indices::<Vec<f64>>(&[]).is_empty());
     }
 
     #[test]
@@ -298,7 +361,7 @@ mod tests {
 
     #[test]
     fn empty_input_yields_no_fronts() {
-        assert!(fast_non_dominated_sort(&[]).is_empty());
+        assert!(fast_non_dominated_sort::<Vec<f64>>(&[]).is_empty());
     }
 
     #[test]

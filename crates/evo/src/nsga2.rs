@@ -14,6 +14,11 @@ pub trait Problem {
     fn sample(&self, rng: &mut dyn RngCore) -> Self::Genome;
 
     /// Evaluates a genome into an objective vector (maximisation).
+    ///
+    /// The drivers ([`Nsga2::run`], [`crate::random_search`]) call this
+    /// exactly once per entry of [`SearchResult::history`], in history
+    /// order, so a problem may keep its own per-evaluation log beside the
+    /// history and pair the two by index.
     fn evaluate(&self, genome: &Self::Genome) -> Vec<f64>;
 
     /// Recombines two parents into a child.
@@ -95,23 +100,31 @@ impl<G: Clone> SearchResult<G> {
     }
 
     /// Every individual evaluated during the run, in evaluation order —
-    /// the "explored points" clouds of the paper's Fig. 5.
+    /// the "explored points" clouds of the paper's Fig. 5. Entry `k` is
+    /// the result of the `k`-th [`Problem::evaluate`] call of the run.
     pub fn history(&self) -> &[Evaluated<G>] {
         &self.history
     }
 
-    /// The non-dominated subset of the *entire history* (not just the
-    /// final population): the Pareto front the run discovered.
-    pub fn pareto_front(&self) -> Vec<&Evaluated<G>> {
-        let pts: Vec<Vec<f64>> = self.history.iter().map(|e| e.objectives.clone()).collect();
+    /// History indices of the non-dominated subset of the *entire
+    /// history* (not just the final population), ascending, keeping the
+    /// first of each set of identical objective vectors.
+    pub fn pareto_front_indices(&self) -> Vec<usize> {
+        let pts: Vec<&[f64]> = self.history.iter().map(|e| e.objectives.as_slice()).collect();
         // Deduplicate identical objective vectors to keep fronts tidy.
-        let mut out: Vec<&Evaluated<G>> = Vec::new();
+        let mut out: Vec<usize> = Vec::new();
         for i in pareto_indices(&pts) {
-            if !out.iter().any(|e| e.objectives == self.history[i].objectives) {
-                out.push(&self.history[i]);
+            if !out.iter().any(|&j| pts[j] == pts[i]) {
+                out.push(i);
             }
         }
         out
+    }
+
+    /// The Pareto front the run discovered: the history entries at
+    /// [`SearchResult::pareto_front_indices`].
+    pub fn pareto_front(&self) -> Vec<&Evaluated<G>> {
+        self.pareto_front_indices().into_iter().map(|i| &self.history[i]).collect()
     }
 
     /// Objective vectors of the Pareto front.
@@ -153,7 +166,7 @@ impl Nsga2 {
 
         for generation in 1..cfg.generations {
             // Rank the current population once for tournament selection.
-            let pts: Vec<Vec<f64>> = population.iter().map(|e| e.objectives.clone()).collect();
+            let pts: Vec<&[f64]> = population.iter().map(|e| e.objectives.as_slice()).collect();
             let fronts = fast_non_dominated_sort(&pts);
             debug_assert!(
                 fronts.iter().map(Vec::len).sum::<usize>() == population.len(),
@@ -204,39 +217,47 @@ impl Nsga2 {
     }
 
     /// Elitist truncation: fill from successive fronts, breaking the last
-    /// front by descending crowding distance.
-    fn environmental_selection<G: Clone>(
-        merged: Vec<Evaluated<G>>,
-        target: usize,
-    ) -> Vec<Evaluated<G>> {
-        let pts: Vec<Vec<f64>> = merged.iter().map(|e| e.objectives.clone()).collect();
-        let fronts = fast_non_dominated_sort(&pts);
-        debug_assert!(
-            fronts.iter().map(Vec::len).sum::<usize>() == merged.len(),
-            "fronts must partition the merged population"
-        );
-        let mut selected: Vec<Evaluated<G>> = Vec::with_capacity(target);
-        for front in fronts {
-            if selected.len() + front.len() <= target {
-                selected.extend(front.iter().map(|&i| merged[i].clone()));
-            } else {
-                let d = crowding_distance(&pts, &front);
-                let mut order: Vec<usize> = (0..front.len()).collect();
-                order.sort_by(|&a, &b| d[b].total_cmp(&d[a]));
-                for &k in order.iter().take(target - selected.len()) {
-                    selected.push(merged[front[k]].clone());
-                }
-                break;
-            }
-        }
-        selected
+    /// front by descending crowding distance. The survivors are moved out
+    /// of `merged`, in selection order.
+    fn environmental_selection<G>(merged: Vec<Evaluated<G>>, target: usize) -> Vec<Evaluated<G>> {
+        let pts: Vec<&[f64]> = merged.iter().map(|e| e.objectives.as_slice()).collect();
+        let picks = survivors(&pts, target);
+        let mut slots: Vec<Option<Evaluated<G>>> = merged.into_iter().map(Some).collect();
+        // The fronts partition the indices, so every pick finds its slot full.
+        picks.into_iter().filter_map(|i| slots[i].take()).collect()
     }
+}
+
+/// Indices of the `target` points elitist truncation keeps, in selection
+/// order: whole fronts while they fit, then the next front's members by
+/// descending crowding distance (ties in front order).
+fn survivors(pts: &[&[f64]], target: usize) -> Vec<usize> {
+    let fronts = fast_non_dominated_sort(pts);
+    debug_assert!(
+        fronts.iter().map(Vec::len).sum::<usize>() == pts.len(),
+        "fronts must partition the merged population"
+    );
+    let mut picks: Vec<usize> = Vec::with_capacity(target);
+    for front in fronts {
+        if picks.len() + front.len() <= target {
+            picks.extend_from_slice(&front);
+        } else {
+            let d = crowding_distance(pts, &front);
+            let mut order: Vec<usize> = (0..front.len()).collect();
+            order.sort_by(|&a, &b| d[b].total_cmp(&d[a]));
+            let room = target - picks.len();
+            picks.extend(order.iter().take(room).map(|&k| front[k]));
+            break;
+        }
+    }
+    picks
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dominance::dominates;
+    use proptest::prelude::*;
     use rand::{rngs::StdRng, SeedableRng};
 
     /// Discrete two-objective knapsack-ish toy: maximise (sum of chosen
@@ -319,5 +340,87 @@ mod tests {
     #[should_panic(expected = "population")]
     fn tiny_population_rejected() {
         let _ = Nsga2Config::new(1, 5);
+    }
+
+    /// Elitist truncation as it was before selection moved its
+    /// survivors: the reference [`Nsga2::environmental_selection`] is
+    /// held to.
+    fn environmental_selection_by_clone<G: Clone>(
+        merged: Vec<Evaluated<G>>,
+        target: usize,
+    ) -> Vec<Evaluated<G>> {
+        let pts: Vec<Vec<f64>> = merged.iter().map(|e| e.objectives.clone()).collect();
+        let fronts = fast_non_dominated_sort(&pts);
+        let mut selected: Vec<Evaluated<G>> = Vec::with_capacity(target);
+        for front in fronts {
+            if selected.len() + front.len() <= target {
+                selected.extend(front.iter().map(|&i| merged[i].clone()));
+            } else {
+                let d = crowding_distance(&pts, &front);
+                let mut order: Vec<usize> = (0..front.len()).collect();
+                order.sort_by(|&a, &b| d[b].total_cmp(&d[a]));
+                for &k in order.iter().take(target - selected.len()) {
+                    selected.push(merged[front[k]].clone());
+                }
+                break;
+            }
+        }
+        selected
+    }
+
+    /// `(genome, objective bits, generation)` of each individual, so
+    /// NaN objectives compare equal to themselves.
+    fn fingerprint(pop: &[Evaluated<Vec<usize>>]) -> Vec<(Vec<usize>, Vec<u64>, usize)> {
+        pop.iter()
+            .map(|e| {
+                let bits = e.objectives.iter().map(|v| v.to_bits()).collect();
+                (e.genome.clone(), bits, e.generation)
+            })
+            .collect()
+    }
+
+    /// A merged population on grid objectives (values 0..4, so ties and
+    /// duplicates are common) with NaN and ±inf injected, and a
+    /// truncation target no larger than it.
+    fn merged_strategy() -> impl Strategy<Value = (Vec<Evaluated<Vec<usize>>>, usize)> {
+        let value = || {
+            (0u8..16).prop_map(|k| match k {
+                13 => f64::NAN,
+                14 => f64::INFINITY,
+                15 => f64::NEG_INFINITY,
+                k => f64::from(k % 4),
+            })
+        };
+        (1usize..=4)
+            .prop_flat_map(move |dims| {
+                proptest::collection::vec(proptest::collection::vec(value(), dims), 1..60)
+            })
+            .prop_flat_map(|objectives| {
+                let n = objectives.len();
+                let merged: Vec<Evaluated<Vec<usize>>> = objectives
+                    .into_iter()
+                    .enumerate()
+                    .map(|(k, objectives)| Evaluated {
+                        genome: vec![k, k % 3],
+                        objectives,
+                        generation: k % 5,
+                    })
+                    .collect();
+                (Just(merged), 1..=n)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Selection by move keeps the same individuals in the same order
+        /// as the clone-based reference.
+        #[test]
+        fn selection_by_move_matches_the_clone_reference((merged, target) in merged_strategy()) {
+            let by_clone = environmental_selection_by_clone(merged.clone(), target);
+            let by_move = Nsga2::environmental_selection(merged, target);
+            prop_assert_eq!(by_move.len(), target);
+            prop_assert_eq!(fingerprint(&by_move), fingerprint(&by_clone));
+        }
     }
 }

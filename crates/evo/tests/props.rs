@@ -13,7 +13,8 @@ fn points_strategy(dims: usize, max_n: usize) -> impl Strategy<Value = Vec<Vec<f
 }
 
 /// Grid-valued points (values 0..4, so ties and duplicates are common)
-/// of one dimensionality in 2..=3, with NaN and ±inf injected.
+/// of one dimensionality in 1..=4, with NaN and ±inf injected: the
+/// sort's arity-unrolled pair pass and its any-arity pass both run.
 fn grid_points_strategy() -> impl Strategy<Value = Vec<Vec<f64>>> {
     let value = || {
         (0u8..16).prop_map(|k| match k {
@@ -23,7 +24,7 @@ fn grid_points_strategy() -> impl Strategy<Value = Vec<Vec<f64>>> {
             k => f64::from(k % 4),
         })
     };
-    (2usize..4).prop_flat_map(move |dims| {
+    (1usize..=4).prop_flat_map(move |dims| {
         proptest::collection::vec(proptest::collection::vec(value(), dims), 0..60)
     })
 }
@@ -53,7 +54,7 @@ fn naive_fronts(points: &[Vec<f64>]) -> Vec<Vec<usize>> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+    #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// The archive filter returns exactly front 0 of the sort, in order.
     #[test]
@@ -68,6 +69,25 @@ proptest! {
     #[test]
     fn sort_matches_the_naive_reference(pts in grid_points_strategy()) {
         prop_assert_eq!(fast_non_dominated_sort(&pts), naive_fronts(&pts));
+    }
+
+    /// Ranking borrowed rows gives what ranking the owned vectors gives:
+    /// the same fronts, and crowding distances equal bit for bit, over
+    /// every front and over the whole set.
+    #[test]
+    fn borrowed_rows_rank_like_owned_vectors(pts in grid_points_strategy()) {
+        let rows: Vec<&[f64]> = pts.iter().map(Vec::as_slice).collect();
+        let fronts = fast_non_dominated_sort(&pts);
+        prop_assert_eq!(&fast_non_dominated_sort(&rows), &fronts);
+        prop_assert_eq!(pareto_indices(&rows), pareto_indices(&pts));
+        let everyone: Vec<usize> = (0..pts.len()).collect();
+        for front in fronts.iter().chain(std::iter::once(&everyone)) {
+            let bits = |d: Vec<f64>| d.into_iter().map(f64::to_bits).collect::<Vec<u64>>();
+            prop_assert_eq!(
+                bits(crowding_distance(&rows, front)),
+                bits(crowding_distance(&pts, front))
+            );
+        }
     }
 }
 
