@@ -82,7 +82,9 @@ impl Nsga2Config {
 /// The outcome of an NSGA-II run.
 #[derive(Debug, Clone)]
 pub struct SearchResult<G> {
-    final_population: Vec<Evaluated<G>>,
+    /// The last generation's population; `None` when it is the whole
+    /// history.
+    final_population: Option<Vec<Evaluated<G>>>,
     history: Vec<Evaluated<G>>,
 }
 
@@ -91,12 +93,13 @@ impl<G: Clone> SearchResult<G> {
     /// "population" is the whole history) — used by non-population
     /// searches such as [`crate::random_search`].
     pub fn from_history(history: Vec<Evaluated<G>>) -> Self {
-        SearchResult { final_population: history.clone(), history }
+        SearchResult { final_population: None, history }
     }
 
-    /// The last generation's population.
+    /// The last generation's population (the whole history for a
+    /// result built by [`SearchResult::from_history`]).
     pub fn final_population(&self) -> &[Evaluated<G>] {
-        &self.final_population
+        self.final_population.as_deref().unwrap_or(&self.history)
     }
 
     /// Every individual evaluated during the run, in evaluation order —
@@ -213,7 +216,7 @@ impl Nsga2 {
             population = Self::environmental_selection(merged, cfg.population);
         }
 
-        SearchResult { final_population: population, history }
+        SearchResult { final_population: Some(population), history }
     }
 
     /// Elitist truncation: fill from successive fronts, breaking the last

@@ -68,4 +68,11 @@ mod tests {
         assert_eq!(run(5), run(5));
         assert_ne!(run(5), run(6));
     }
+
+    #[test]
+    fn random_search_final_population_is_the_whole_history() {
+        let mut rng = StdRng::seed_from_u64(0);
+        let result = random_search(&Sphere, 16, &mut rng);
+        assert!(std::ptr::eq(result.final_population(), result.history()), "no copy is kept");
+    }
 }
