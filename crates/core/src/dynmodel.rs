@@ -254,6 +254,52 @@ impl<'a> BackboneTable<'a> {
         gamma: f64,
         use_dissimilarity: bool,
     ) -> Result<DynamicEvaluation, HadasError> {
+        let exits = placement.len();
+        let mut dissimilarities = Vec::with_capacity(exits);
+        let mut exit_usage = Vec::with_capacity(exits);
+        let mut exit_costs = Vec::with_capacity(exits);
+        let pass =
+            self.pass(placement, dvfs, gamma, use_dissimilarity, |dissim, usage, cost| {
+                dissimilarities.push(dissim);
+                exit_usage.push(usage);
+                exit_costs.push(cost);
+            })?;
+        Ok(DynamicEvaluation {
+            exit_fractions: pass.exit_fractions,
+            dissimilarities,
+            exit_usage,
+            final_usage: pass.final_usage,
+            backbone_cost: self.backbone_cost,
+            exit_costs,
+            full_cost: pass.full_cost,
+            dynamic_cost: pass.dynamic_cost,
+            fitness: pass.fitness,
+        })
+    }
+
+    /// The fitness of [`BackboneTable::evaluate`] alone, from the same
+    /// pass, without collecting the per-exit terms.
+    pub(crate) fn fitness(
+        &self,
+        placement: &ExitPlacement,
+        dvfs: &DvfsSetting,
+        gamma: f64,
+        use_dissimilarity: bool,
+    ) -> Result<DynamicFitness, HadasError> {
+        Ok(self.pass(placement, dvfs, gamma, use_dissimilarity, |_, _, _| {})?.fitness)
+    }
+
+    /// The one pass over the exits of `placement` at `dvfs` behind both
+    /// [`BackboneTable::evaluate`] and [`BackboneTable::fitness`]. `visit`
+    /// sees each exit's dissimilarity, usage and cost, in position order.
+    fn pass(
+        &self,
+        placement: &ExitPlacement,
+        dvfs: &DvfsSetting,
+        gamma: f64,
+        use_dissimilarity: bool,
+        mut visit: impl FnMut(f64, f64, CostReport),
+    ) -> Result<Pass, HadasError> {
         let row = self.row(dvfs)?;
         let positions = placement.positions();
         // Joint (crowding-aware) fractions: redundant adjacent exits
@@ -263,31 +309,23 @@ impl<'a> BackboneTable<'a> {
             .joint_exit_fractions_from_curve(&self.curve, positions)
             .ok_or_else(|| self.off_curve(positions))?;
 
-        // dissim_i = 1 − max(N_{0..i−1}); the first exit has no predecessor.
-        let mut dissimilarities = Vec::with_capacity(positions.len());
-        let mut running_max = 0.0f64;
-        for &n in &exit_fractions {
-            dissimilarities.push(1.0 - running_max);
-            running_max = running_max.max(n);
-        }
-
-        // Ideal-mapping usage: an input leaves at the first exit capable of
-        // classifying it, so exit i newly captures max(0, N_i − best_prior).
-        let mut exit_usage = Vec::with_capacity(positions.len());
+        // `best` is max(N_{0..i−1}) at exit i. Then dissim_i = 1 − best
+        // (eq. (7); the first exit has no predecessor), and under ideal
+        // mapping, where an input leaves at the first exit capable of
+        // classifying it, exit i newly captures max(0, N_i − best).
+        // Inputs that exit at position k paid prefix(pos_k) + heads at
+        // exits 1..=k; inputs that never exit paid the full backbone +
+        // every head. The eq. (5) quality sum starts where
+        // `Iterator::sum` does, so it keeps that sum's bits.
         let mut best = 0.0f64;
-        for &n in &exit_fractions {
-            exit_usage.push((n - best).max(0.0));
-            best = best.max(n);
-        }
-        let final_usage = 1.0 - best;
-
-        // Expected dynamic cost at the model's DVFS setting. Inputs that
-        // exit at position k paid: prefix(pos_k) + heads at exits 1..=k.
-        // Inputs that never exit paid the full backbone + every head.
-        let mut exit_costs = Vec::with_capacity(positions.len());
+        let mut quality_sum: f64 = std::iter::empty::<f64>().sum();
         let mut dynamic_cost = CostReport::zero();
         let mut heads_so_far = CostReport::zero();
-        for (&p, &usage) in positions.iter().zip(&exit_usage) {
+        for (&p, &n) in positions.iter().zip(&exit_fractions) {
+            let dissim = 1.0 - best;
+            let usage = (n - best).max(0.0);
+            best = best.max(n);
+            quality_sum += if use_dissimilarity { n * dissim.powf(gamma) } else { n };
             let (prefix, head) = self.exit_parts(row, p)?;
             heads_so_far = heads_so_far + head;
             let total = prefix + heads_so_far;
@@ -295,19 +333,15 @@ impl<'a> BackboneTable<'a> {
                 dynamic_cost.latency_s += usage * total.latency_s;
                 dynamic_cost.energy_j += usage * total.energy_j;
             }
-            exit_costs.push(total);
+            visit(dissim, usage, total);
         }
+        let final_usage = 1.0 - best;
         let full_cost = row.full + heads_so_far;
         dynamic_cost.latency_s += final_usage * full_cost.latency_s;
         dynamic_cost.energy_j += final_usage * full_cost.energy_j;
 
         // Eq. (5): mean over sampled exits of the regularised quality.
-        let quality_terms: Vec<f64> = exit_fractions
-            .iter()
-            .zip(dissimilarities.iter())
-            .map(|(&n, &d)| if use_dissimilarity { n * d.powf(gamma) } else { n })
-            .collect();
-        let exit_quality = quality_terms.iter().sum::<f64>() / quality_terms.len() as f64;
+        let exit_quality = quality_sum / exit_fractions.len() as f64;
         let mean_exit_fraction = exit_fractions.iter().sum::<f64>() / exit_fractions.len() as f64;
 
         let backbone_cost = self.backbone_cost;
@@ -322,18 +356,17 @@ impl<'a> BackboneTable<'a> {
             energy_mj: dynamic_cost.energy_mj(),
             latency_ms: dynamic_cost.latency_ms(),
         };
-        Ok(DynamicEvaluation {
-            exit_fractions,
-            dissimilarities,
-            exit_usage,
-            final_usage,
-            backbone_cost,
-            exit_costs,
-            full_cost,
-            dynamic_cost,
-            fitness,
-        })
+        Ok(Pass { exit_fractions, final_usage, full_cost, dynamic_cost, fitness })
     }
+}
+
+/// What [`BackboneTable::pass`] computes beyond the per-exit terms.
+struct Pass {
+    exit_fractions: Vec<f64>,
+    final_usage: f64,
+    full_cost: CostReport,
+    dynamic_cost: CostReport,
+    fitness: DynamicFitness,
 }
 
 #[cfg(test)]
@@ -445,13 +478,15 @@ mod tests {
         /// One table reused across every ladder setting, a fresh table per
         /// call (`DynamicModel::evaluate`) and the reference body agree bit
         /// for bit, on sampled backbones and placements, under both the
-        /// device model and a fitted proxy.
+        /// device model and a fitted proxy; so does the table's
+        /// fitness-only pass, `gamma == 0` and the unregularised quality
+        /// included.
         #[test]
         fn backbone_table_matches_the_reference_bit_for_bit(
             seed in any::<u64>(),
             target in 0usize..4,
             proxy in any::<bool>(),
-            gamma in 0.0f64..4.0,
+            gamma in prop_oneof![Just(0.0f64), 0.0f64..4.0],
             use_dissimilarity in any::<bool>(),
         ) {
             let space = SearchSpace::attentive_nas();
@@ -480,7 +515,11 @@ mod tests {
                     let fresh = model
                         .evaluate(&accuracy, cost.as_ref(), gamma, use_dissimilarity)
                         .expect("fresh table");
+                    let fitness_only = table
+                        .fitness(&placement, &dvfs, gamma, use_dissimilarity)
+                        .expect("fitness-only pass");
                     prop_assert_eq!(fitness_bits(&reused.fitness), fitness_bits(&want.fitness));
+                    prop_assert_eq!(fitness_bits(&fitness_only), fitness_bits(&want.fitness));
                     prop_assert_eq!(bits(&reused), bits(&want));
                     prop_assert_eq!(bits(&fresh), bits(&reused));
                 }

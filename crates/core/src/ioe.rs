@@ -126,8 +126,7 @@ impl IoeProblem<'_> {
     /// The exact, fault- and chaos-free measurement of one candidate.
     fn exact(&self, genome: &[usize]) -> Result<IoeSolution, HadasError> {
         let (placement, dvfs) = self.decode(genome)?;
-        let fitness =
-            self.table.evaluate(&placement, &dvfs, self.gamma, self.use_dissimilarity)?.fitness;
+        let fitness = self.table.fitness(&placement, &dvfs, self.gamma, self.use_dissimilarity)?;
         Ok(IoeSolution { placement, dvfs, fitness })
     }
 

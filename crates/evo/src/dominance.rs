@@ -23,19 +23,12 @@
 /// spaces is a programming error.
 pub fn dominates(a: &[f64], b: &[f64]) -> bool {
     assert_eq!(a.len(), b.len(), "objective dimensionality mismatch");
-    compare(a, is_finite(a), b, is_finite(b)).0
+    verdict(order(a, b), is_finite(a), is_finite(b))
 }
 
 /// Whether every objective of `p` is finite (not quarantined).
 fn is_finite(p: &[f64]) -> bool {
     p.iter().all(|v| v.is_finite())
-}
-
-/// Compares two equal-length points in one pass and returns
-/// `(a ≻ b, b ≻ a)` under the quarantine of [`dominates`], given each
-/// point's finiteness. At most one of the two is `true`.
-fn compare(a: &[f64], a_finite: bool, b: &[f64], b_finite: bool) -> (bool, bool) {
-    verdict(order(a, b), a_finite, b_finite)
 }
 
 /// `(a > b somewhere, a < b somewhere)` over two equal-length rows.
@@ -51,88 +44,196 @@ fn order(a: &[f64], b: &[f64]) -> (bool, bool) {
     (gt, lt)
 }
 
-/// `(a ≻ b, b ≻ a)` from [`order`]'s result and each point's finiteness,
-/// without a branch: a healthy point always dominates a poisoned one, and
-/// a poisoned point dominates nothing (including other poisoned points).
+/// `a ≻ b` from [`order`]'s result and each point's finiteness, without a
+/// branch: a healthy point always dominates a poisoned one, and a poisoned
+/// point dominates nothing (including other poisoned points).
 #[inline(always)]
-fn verdict((gt, lt): (bool, bool), a_finite: bool, b_finite: bool) -> (bool, bool) {
-    let both = a_finite & b_finite;
-    ((both & gt & !lt) | (a_finite & !b_finite), (both & lt & !gt) | (b_finite & !a_finite))
+fn verdict((gt, lt): (bool, bool), a_finite: bool, b_finite: bool) -> bool {
+    (a_finite & b_finite & gt & !lt) | (a_finite & !b_finite)
 }
 
-/// Points copied into one contiguous row-major buffer, with each row's
-/// finiteness: the layout the pairwise kernels read.
-struct Rows {
+/// Whether each point is finite, after checking that all share one
+/// dimensionality.
+///
+/// # Panics
+///
+/// Panics on mixed dimensionality, as [`dominates`] does.
+fn finiteness<P: AsRef<[f64]>>(points: &[P]) -> Vec<bool> {
+    let dims = points.first().map_or(0, |p| p.as_ref().len());
+    let check = |p: &P| {
+        assert!(p.as_ref().len() == dims, "objective dimensionality mismatch");
+        is_finite(p.as_ref())
+    };
+    points.iter().map(check).collect()
+}
+
+/// Points copied into one contiguous column-major buffer (objective `d`
+/// of point `i` at `d * len + i`), with each point's finiteness: the
+/// layout the row kernel reads.
+struct Columns {
     flat: Vec<f64>,
     finite: Vec<bool>,
     dims: usize,
 }
 
-impl Rows {
+impl Columns {
     /// Copies `points` after checking that all share one dimensionality.
     ///
     /// # Panics
     ///
     /// Panics on mixed dimensionality, as [`dominates`] does.
     fn new<P: AsRef<[f64]>>(points: &[P]) -> Self {
+        let finite = finiteness(points);
         let dims = points.first().map_or(0, |p| p.as_ref().len());
-        let mut flat = Vec::with_capacity(points.len() * dims);
-        let mut finite = Vec::with_capacity(points.len());
-        for p in points {
-            let p = p.as_ref();
-            assert!(p.len() == dims, "objective dimensionality mismatch");
-            flat.extend_from_slice(p);
-            finite.push(is_finite(p));
+        let n = points.len();
+        let mut flat = vec![0.0; n * dims];
+        for (i, p) in points.iter().enumerate() {
+            for (d, &v) in p.as_ref().iter().enumerate() {
+                flat[d * n + i] = v;
+            }
         }
-        Rows { flat, finite, dims }
+        Columns { flat, finite, dims }
     }
 
     fn len(&self) -> usize {
         self.finite.len()
     }
 
-    fn row(&self, i: usize) -> &[f64] {
-        &self.flat[i * self.dims..(i + 1) * self.dims]
+    fn column(&self, d: usize) -> &[f64] {
+        &self.flat[d * self.len()..(d + 1) * self.len()]
     }
 
     /// Whether point `i` dominates point `j`.
     fn beats(&self, i: usize, j: usize) -> bool {
-        compare(self.row(i), self.finite[i], self.row(j), self.finite[j]).0
+        let (mut gt, mut lt) = (false, false);
+        for d in 0..self.dims {
+            let column = self.column(d);
+            gt |= column[i] > column[j];
+            lt |= column[i] < column[j];
+        }
+        verdict((gt, lt), self.finite[i], self.finite[j])
     }
 
-    /// The dominance matrix, `m[i * n + j] == 1` when point `i`
-    /// dominates point `j`, and each point's domination count (how many
-    /// points dominate it). Three-objective points, the arity every
-    /// search ranks, run a pass unrolled to it; other arities share one
-    /// loop.
-    fn dominance(&self) -> (Vec<u8>, Vec<usize>) {
-        match self.dims {
-            3 => self.pair_pass::<3>(),
-            _ => self.pair_pass::<0>(),
+    /// Writes to `out[k]` whether point `i` dominates point `from + k`.
+    /// Three-objective points, the arity every search ranks, run a pass
+    /// over the three columns side by side, branch-free on the data;
+    /// other arities compare point by point.
+    fn beats_row(&self, i: usize, from: usize, out: &mut [u8]) {
+        if self.dims != 3 {
+            for (k, b) in out.iter_mut().enumerate() {
+                *b = u8::from(self.beats(i, from + k));
+            }
+            return;
+        }
+        let (xs, ys, zs) = (self.column(0), self.column(1), self.column(2));
+        let (a0, a1, a2, fa) = (xs[i], ys[i], zs[i], self.finite[i]);
+        let rest = xs[from..].iter().zip(&ys[from..]).zip(&zs[from..]).zip(&self.finite[from..]);
+        for (b, (((&x, &y), &z), &fb)) in out.iter_mut().zip(rest) {
+            let gt = (a0 > x) | (a1 > y) | (a2 > z);
+            let lt = (a0 < x) | (a1 < y) | (a2 < z);
+            *b = u8::from(verdict((gt, lt), fa, fb));
         }
     }
+}
 
-    /// Visits each unordered pair once and records both directions,
-    /// without a branch on the data: `D` is the arity, `0` for any.
-    fn pair_pass<const D: usize>(&self) -> (Vec<u8>, Vec<usize>) {
-        let n = self.len();
+/// The dominance relation over a list of points: `beats[i * n + j] == 1`
+/// when point `i` dominates point `j`, and each point's domination count
+/// (how many points dominate it). Deb's peel reads nothing else, so a
+/// relation carried from one list to the next ranks exactly as one
+/// computed afresh.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Dominance {
+    n: usize,
+    beats: Vec<u8>,
+    count: Vec<usize>,
+}
+
+impl Dominance {
+    /// The relation over `points`, whose leading points are the ones this
+    /// relation covers, in its order: their verdicts are copied, and only
+    /// the verdicts that involve a later point are computed (all of them,
+    /// from the empty default relation).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the points have different dimensionality or are fewer
+    /// than this relation covers.
+    pub(crate) fn extend<P: AsRef<[f64]>>(&self, points: &[P]) -> Self {
+        let columns = Columns::new(points);
+        let (n, p) = (columns.len(), self.n);
         let mut beats = vec![0u8; n * n];
         let mut count = vec![0usize; n];
+        count[..p].copy_from_slice(&self.count);
         for i in 0..n {
-            let (a, fa) = (self.row(i), self.finite[i]);
-            let mut beaten_by = 0usize;
-            for j in (i + 1)..n {
-                let (b, fb) = (self.row(j), self.finite[j]);
-                let ordered = if D == 0 { order(a, b) } else { order(&a[..D], &b[..D]) };
-                let (ij, ji) = verdict(ordered, fa, fb);
-                beats[i * n + j] = u8::from(ij);
-                beats[j * n + i] = u8::from(ji);
-                count[j] += usize::from(ij);
-                beaten_by += usize::from(ji);
+            let row = &mut beats[i * n..(i + 1) * n];
+            let from = if i < p {
+                row[..p].copy_from_slice(&self.beats[i * p..(i + 1) * p]);
+                p
+            } else {
+                0
+            };
+            columns.beats_row(i, from, &mut row[from..]);
+            for (c, &b) in count[from..].iter_mut().zip(&row[from..]) {
+                *c += usize::from(b);
             }
-            count[i] += beaten_by;
         }
-        (beats, count)
+        Dominance { n, beats, count }
+    }
+
+    /// The relation restricted to the points at `picks`, in that order.
+    pub(crate) fn gather(&self, picks: &[usize]) -> Self {
+        let (n, m) = (self.n, picks.len());
+        let mut beats = vec![0u8; m * m];
+        let mut count = vec![0usize; m];
+        for (out, &i) in beats.chunks_exact_mut(m.max(1)).zip(picks) {
+            let row = &self.beats[i * n..(i + 1) * n];
+            for (b, &j) in out.iter_mut().zip(picks) {
+                *b = row[j];
+            }
+            for (c, &b) in count.iter_mut().zip(out.iter()) {
+                *c += usize::from(b);
+            }
+        }
+        Dominance { n: m, beats, count }
+    }
+
+    /// Deb's peel: the fronts of [`fast_non_dominated_sort`]. Deb's list
+    /// of the points `i` dominates is row `i` of the matrix, in ascending
+    /// index order; the row is read eight bytes at a time, so runs of
+    /// points `i` does not dominate cost one test per word.
+    pub(crate) fn fronts(&self) -> Vec<Vec<usize>> {
+        let n = self.n;
+        let mut count = self.count.clone();
+        let mut fronts: Vec<Vec<usize>> = Vec::new();
+        let mut current: Vec<usize> = (0..n).filter(|&i| count[i] == 0).collect();
+        while !current.is_empty() {
+            let mut next = Vec::new();
+            let mut release = |j: usize| {
+                count[j] -= 1;
+                if count[j] == 0 {
+                    next.push(j);
+                }
+            };
+            for &i in &current {
+                let (words, tail) = self.beats[i * n..(i + 1) * n].as_chunks::<8>();
+                for (w, word) in words.iter().enumerate() {
+                    // Each byte is 0 or 1, so each set bit is one point.
+                    let mut bits = u64::from_le_bytes(*word);
+                    while bits != 0 {
+                        release(w * 8 + bits.trailing_zeros() as usize / 8);
+                        bits &= bits - 1;
+                    }
+                }
+                for (k, &b) in tail.iter().enumerate() {
+                    if b != 0 {
+                        release(words.len() * 8 + k);
+                    }
+                }
+            }
+            fronts.push(std::mem::replace(&mut current, next));
+        }
+        debug_assert_fronts_partition(n, &fronts);
+        fronts
     }
 }
 
@@ -150,13 +251,22 @@ impl Rows {
 ///
 /// Panics if the points have different dimensionality.
 pub fn pareto_indices<P: AsRef<[f64]>>(points: &[P]) -> Vec<usize> {
-    let rows = Rows::new(points);
+    let finite = finiteness(points);
+    let dims = points.first().map_or(0, |p| p.as_ref().len());
+    let mut flat = Vec::with_capacity(points.len() * dims);
+    for p in points {
+        flat.extend_from_slice(p.as_ref());
+    }
+    let beats = |i: usize, j: usize| {
+        let (a, b) = (&flat[i * dims..(i + 1) * dims], &flat[j * dims..(j + 1) * dims]);
+        verdict(order(a, b), finite[i], finite[j])
+    };
     let mut archive: Vec<usize> = Vec::new();
-    for i in 0..rows.len() {
-        if archive.iter().any(|&m| rows.beats(m, i)) {
+    for i in 0..points.len() {
+        if archive.iter().any(|&m| beats(m, i)) {
             continue;
         }
-        archive.retain(|&m| !rows.beats(i, m));
+        archive.retain(|&m| !beats(i, m));
         archive.push(i);
     }
     archive
@@ -171,35 +281,7 @@ pub fn pareto_indices<P: AsRef<[f64]>>(points: &[P]) -> Vec<usize> {
 ///
 /// Panics if the points have different dimensionality.
 pub fn fast_non_dominated_sort<P: AsRef<[f64]>>(points: &[P]) -> Vec<Vec<usize>> {
-    let n = points.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let (beats, mut count) = Rows::new(points).dominance();
-    // Deb's list of the points `i` dominates is row `i` of the matrix,
-    // compacted in ascending index order as its turn comes.
-    let mut dominated = vec![0usize; n];
-    let mut fronts: Vec<Vec<usize>> = Vec::new();
-    let mut current: Vec<usize> = (0..n).filter(|&i| count[i] == 0).collect();
-    while !current.is_empty() {
-        let mut next = Vec::new();
-        for &i in &current {
-            let mut len = 0;
-            for (j, &b) in beats[i * n..(i + 1) * n].iter().enumerate() {
-                dominated[len] = j;
-                len += usize::from(b);
-            }
-            for &j in &dominated[..len] {
-                count[j] -= 1;
-                if count[j] == 0 {
-                    next.push(j);
-                }
-            }
-        }
-        fronts.push(std::mem::replace(&mut current, next));
-    }
-    debug_assert_fronts_partition(n, &fronts);
-    fronts
+    Dominance::default().extend(points).fronts()
 }
 
 /// Debug-mode invariant: the fronts are pairwise disjoint and jointly
@@ -249,23 +331,31 @@ pub fn crowding_distance<P: AsRef<[f64]>>(points: &[P], front: &[usize]) -> Vec<
         return distance;
     }
     let dims = points[front[finite[0]]].as_ref().len();
-    let at = |w: usize, d: usize| points[front[w]].as_ref()[d];
+    // One objective of the finite members at a time, copied out so the
+    // sort compares plain values; `order` holds positions in `finite`.
+    let mut values = vec![0.0f64; k];
+    let mut order: Vec<usize> = Vec::with_capacity(k);
     for d in 0..dims {
-        let mut order: Vec<usize> = finite.clone();
-        order.sort_by(|&a, &b| at(a, d).total_cmp(&at(b, d)));
-        let lo = at(order[0], d);
-        let hi = at(order[k - 1], d);
-        distance[order[0]] = f64::INFINITY;
-        distance[order[k - 1]] = f64::INFINITY;
+        for (v, &w) in values.iter_mut().zip(&finite) {
+            *v = points[front[w]].as_ref()[d];
+        }
+        order.clear();
+        order.extend(0..k);
+        order.sort_by(|&a, &b| values[a].total_cmp(&values[b]));
+        let lo = values[order[0]];
+        let hi = values[order[k - 1]];
+        distance[finite[order[0]]] = f64::INFINITY;
+        distance[finite[order[k - 1]]] = f64::INFINITY;
         let span = hi - lo;
         if span <= 0.0 {
             continue;
         }
         for w in 1..k - 1 {
-            let prev = at(order[w - 1], d);
-            let next = at(order[w + 1], d);
-            if distance[order[w]].is_finite() {
-                distance[order[w]] += (next - prev) / span;
+            let prev = values[order[w - 1]];
+            let next = values[order[w + 1]];
+            let member = finite[order[w]];
+            if distance[member].is_finite() {
+                distance[member] += (next - prev) / span;
             }
         }
     }

@@ -27,16 +27,12 @@ pub fn hypervolume_2d(points: &[Vec<f64>], reference: &[f64; 2]) -> f64 {
     pts.sort_by(|a, b| b.0.total_cmp(&a.0).then(b.1.total_cmp(&a.1)));
     let mut hv = 0.0;
     let mut best_y = reference[1];
-    let mut prev_x = f64::INFINITY;
     for (x, y) in pts {
         if y > best_y {
-            // The first (largest-x) point uses its own x; subsequent strips
-            // use the previous x boundary only for the *area above best_y*.
-            let width = x - reference[0];
-            let _ = prev_x;
-            hv += width * (y - best_y);
+            // Each point adds the strip between its x and the reference,
+            // above the best y seen so far.
+            hv += (x - reference[0]) * (y - best_y);
             best_y = y;
-            prev_x = x;
         }
     }
     hv

@@ -1,4 +1,4 @@
-use crate::dominance::{crowding_distance, fast_non_dominated_sort, pareto_indices};
+use crate::dominance::{crowding_distance, pareto_indices, Dominance};
 use rand::{Rng, RngCore};
 
 /// An optimisation problem NSGA-II can drive.
@@ -86,6 +86,11 @@ pub struct SearchResult<G> {
     /// history.
     final_population: Option<Vec<Evaluated<G>>>,
     history: Vec<Evaluated<G>>,
+    /// History indices, ascending, of the entries that sat in front 0 of
+    /// the population they entered: the merged parents and offspring of
+    /// their generation, or the initial population. `None` when the
+    /// front is found by scanning the whole history.
+    entrants: Option<Vec<usize>>,
 }
 
 impl<G: Clone> SearchResult<G> {
@@ -93,7 +98,7 @@ impl<G: Clone> SearchResult<G> {
     /// "population" is the whole history) — used by non-population
     /// searches such as [`crate::random_search`].
     pub fn from_history(history: Vec<Evaluated<G>>) -> Self {
-        SearchResult { final_population: None, history }
+        SearchResult { final_population: None, history, entrants: None }
     }
 
     /// The last generation's population (the whole history for a
@@ -112,13 +117,24 @@ impl<G: Clone> SearchResult<G> {
     /// History indices of the non-dominated subset of the *entire
     /// history* (not just the final population), ascending, keeping the
     /// first of each set of identical objective vectors.
+    ///
+    /// A result of [`Nsga2::run`] filters only its front-0 entrants. An
+    /// entry outside front 0 of the population it entered is dominated
+    /// by another entry, and dominance (quarantine included) is
+    /// transitive, so it is dominated by a member of the history's front,
+    /// which entered in front 0 of its own population: the front is the
+    /// one a scan of the whole history finds.
     pub fn pareto_front_indices(&self) -> Vec<usize> {
-        let pts: Vec<&[f64]> = self.history.iter().map(|e| e.objectives.as_slice()).collect();
+        let scan: Vec<usize> = match &self.entrants {
+            Some(entrants) => entrants.clone(),
+            None => (0..self.history.len()).collect(),
+        };
+        let pts = objectives(&self.history, &scan);
         // Deduplicate identical objective vectors to keep fronts tidy.
         let mut out: Vec<usize> = Vec::new();
-        for i in pareto_indices(&pts) {
-            if !out.iter().any(|&j| pts[j] == pts[i]) {
-                out.push(i);
+        for k in pareto_indices(&pts) {
+            if !out.iter().any(|&j| self.history[j].objectives == pts[k]) {
+                out.push(scan[k]);
             }
         }
         out
@@ -142,6 +158,21 @@ pub struct Nsga2 {
     config: Nsga2Config,
 }
 
+/// What one generation of a run decided, as the run reports it to its
+/// observer. Only the differential tests read it.
+#[cfg_attr(not(test), allow(dead_code))]
+struct Generation<'a, G> {
+    /// Tournament rank of each member of the population the offspring
+    /// were bred from, in population order.
+    rank: &'a [usize],
+    /// Crowding distance of each of those members within its front.
+    crowd: &'a [f64],
+    /// The run's history so far.
+    history: &'a [Evaluated<G>],
+    /// The survivors' history indices, in selection order.
+    survivors: &'a [usize],
+}
+
 impl Nsga2 {
     /// Creates a driver with the given configuration.
     pub fn new(config: Nsga2Config) -> Self {
@@ -157,33 +188,37 @@ impl Nsga2 {
     /// binary-tournament parent selection, crossover/mutation, and
     /// elitist environmental selection by (rank, crowding distance).
     pub fn run<P: Problem>(&self, problem: &P, rng: &mut dyn RngCore) -> SearchResult<P::Genome> {
+        self.run_observed(problem, rng, |_| {})
+    }
+
+    /// [`Nsga2::run`], reporting each generation's decisions to `observe`.
+    ///
+    /// Each individual is stored once, in the history; the population is
+    /// a list of history indices. The dominance relation among the
+    /// survivors is carried into the next generation, so the merged sort
+    /// computes only the verdicts that involve an offspring, and the
+    /// tournament ranks come from peeling the survivors' block of it.
+    fn run_observed<P: Problem>(
+        &self,
+        problem: &P,
+        rng: &mut dyn RngCore,
+        mut observe: impl FnMut(&Generation<'_, P::Genome>),
+    ) -> SearchResult<P::Genome> {
         let cfg = self.config;
-        let mut population: Vec<Evaluated<P::Genome>> = (0..cfg.population)
-            .map(|_| {
-                let genome = problem.sample(rng);
-                let objectives = problem.evaluate(&genome);
-                Evaluated { genome, objectives, generation: 0 }
-            })
-            .collect();
-        let mut history = population.clone();
+        let mut history: Vec<Evaluated<P::Genome>> = Vec::with_capacity(cfg.budget());
+        for _ in 0..cfg.population {
+            let genome = problem.sample(rng);
+            let objectives = problem.evaluate(&genome);
+            history.push(Evaluated { genome, objectives, generation: 0 });
+        }
+        let mut population: Vec<usize> = (0..cfg.population).collect();
+        let mut relation = Dominance::default().extend(&objectives(&history, &population));
+        let mut fronts = relation.fronts();
+        // The initial population's indices are its history indices.
+        let mut entrants: Vec<usize> = fronts.first().cloned().unwrap_or_default();
 
         for generation in 1..cfg.generations {
-            // Rank the current population once for tournament selection.
-            let pts: Vec<&[f64]> = population.iter().map(|e| e.objectives.as_slice()).collect();
-            let fronts = fast_non_dominated_sort(&pts);
-            debug_assert!(
-                fronts.iter().map(Vec::len).sum::<usize>() == population.len(),
-                "fronts must partition the population"
-            );
-            let mut rank = vec![0usize; population.len()];
-            let mut crowd = vec![0.0f64; population.len()];
-            for (r, front) in fronts.iter().enumerate() {
-                let d = crowding_distance(&pts, front);
-                for (k, &i) in front.iter().enumerate() {
-                    rank[i] = r;
-                    crowd[i] = d[k];
-                }
-            }
+            let (rank, crowd) = tournament_keys(&objectives(&history, &population), &fronts);
             let tournament = |rng: &mut dyn RngCore| -> usize {
                 let a = rng.gen_range(0..population.len());
                 let b = rng.gen_range(0..population.len());
@@ -194,58 +229,78 @@ impl Nsga2 {
                 }
             };
 
-            // Offspring.
-            let mut offspring = Vec::with_capacity(cfg.population);
-            while offspring.len() < cfg.population {
-                let p1 = tournament(rng);
-                let p2 = tournament(rng);
-                let child_genome = if rng.gen_bool(cfg.crossover_prob) {
-                    let c = problem.crossover(rng, &population[p1].genome, &population[p2].genome);
+            // Offspring, stored straight into the history.
+            let bred = history.len();
+            for _ in 0..cfg.population {
+                let p1 = &history[population[tournament(rng)]].genome;
+                let p2 = &history[population[tournament(rng)]].genome;
+                let genome = if rng.gen_bool(cfg.crossover_prob) {
+                    let c = problem.crossover(rng, p1, p2);
                     problem.mutate(rng, &c)
                 } else {
-                    problem.mutate(rng, &population[p1].genome)
+                    problem.mutate(rng, p1)
                 };
-                let objectives = problem.evaluate(&child_genome);
-                offspring.push(Evaluated { genome: child_genome, objectives, generation });
+                let objectives = problem.evaluate(&genome);
+                history.push(Evaluated { genome, objectives, generation });
             }
-            history.extend(offspring.iter().cloned());
 
             // Environmental selection over parents ∪ offspring.
-            let mut merged = population;
-            merged.append(&mut offspring);
-            population = Self::environmental_selection(merged, cfg.population);
+            let merged: Vec<usize> =
+                population.iter().copied().chain(bred..history.len()).collect();
+            let pts = objectives(&history, &merged);
+            let merged_relation = relation.extend(&pts);
+            let merged_fronts = merged_relation.fronts();
+            if let Some(front) = merged_fronts.first() {
+                let offspring = front.iter().filter(|&&k| k >= population.len());
+                entrants.extend(offspring.map(|&k| merged[k]));
+            }
+            let picks = truncate(&pts, &merged_fronts, cfg.population);
+            relation = merged_relation.gather(&picks);
+            fronts = relation.fronts();
+            population = picks.iter().map(|&k| merged[k]).collect();
+            observe(&Generation {
+                rank: &rank,
+                crowd: &crowd,
+                history: &history,
+                survivors: &population,
+            });
         }
 
-        SearchResult { final_population: Some(population), history }
-    }
-
-    /// Elitist truncation: fill from successive fronts, breaking the last
-    /// front by descending crowding distance. The survivors are moved out
-    /// of `merged`, in selection order.
-    fn environmental_selection<G>(merged: Vec<Evaluated<G>>, target: usize) -> Vec<Evaluated<G>> {
-        let pts: Vec<&[f64]> = merged.iter().map(|e| e.objectives.as_slice()).collect();
-        let picks = survivors(&pts, target);
-        let mut slots: Vec<Option<Evaluated<G>>> = merged.into_iter().map(Some).collect();
-        // The fronts partition the indices, so every pick finds its slot full.
-        picks.into_iter().filter_map(|i| slots[i].take()).collect()
+        let final_population = population.iter().map(|&i| history[i].clone()).collect();
+        SearchResult { final_population: Some(final_population), history, entrants: Some(entrants) }
     }
 }
 
-/// Indices of the `target` points elitist truncation keeps, in selection
-/// order: whole fronts while they fit, then the next front's members by
-/// descending crowding distance (ties in front order).
-fn survivors(pts: &[&[f64]], target: usize) -> Vec<usize> {
-    let fronts = fast_non_dominated_sort(pts);
-    debug_assert!(
-        fronts.iter().map(Vec::len).sum::<usize>() == pts.len(),
-        "fronts must partition the merged population"
-    );
+/// The objective vectors of the history entries at `members`, in order.
+fn objectives<'h, G>(history: &'h [Evaluated<G>], members: &[usize]) -> Vec<&'h [f64]> {
+    members.iter().map(|&i| history[i].objectives.as_slice()).collect()
+}
+
+/// Each point's front rank and its crowding distance within that front.
+fn tournament_keys(pts: &[&[f64]], fronts: &[Vec<usize>]) -> (Vec<usize>, Vec<f64>) {
+    let mut rank = vec![0usize; pts.len()];
+    let mut crowd = vec![0.0f64; pts.len()];
+    for (r, front) in fronts.iter().enumerate() {
+        let d = crowding_distance(pts, front);
+        for (k, &i) in front.iter().enumerate() {
+            rank[i] = r;
+            crowd[i] = d[k];
+        }
+    }
+    (rank, crowd)
+}
+
+/// Indices of the `target` points elitist truncation keeps, given the
+/// fronts of `pts`, in selection order: whole fronts while they fit,
+/// then the next front's members by descending crowding distance (ties
+/// in front order).
+fn truncate(pts: &[&[f64]], fronts: &[Vec<usize>], target: usize) -> Vec<usize> {
     let mut picks: Vec<usize> = Vec::with_capacity(target);
     for front in fronts {
         if picks.len() + front.len() <= target {
-            picks.extend_from_slice(&front);
+            picks.extend_from_slice(front);
         } else {
-            let d = crowding_distance(pts, &front);
+            let d = crowding_distance(pts, front);
             let mut order: Vec<usize> = (0..front.len()).collect();
             order.sort_by(|&a, &b| d[b].total_cmp(&d[a]));
             let room = target - picks.len();
@@ -259,7 +314,7 @@ fn survivors(pts: &[&[f64]], target: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dominance::dominates;
+    use crate::dominance::{dominates, fast_non_dominated_sort};
     use proptest::prelude::*;
     use rand::{rngs::StdRng, SeedableRng};
 
@@ -345,9 +400,102 @@ mod tests {
         let _ = Nsga2Config::new(1, 5);
     }
 
+    /// The loop as it was before the dominance relation was carried
+    /// across generations: the population held by value, every
+    /// offspring copied into the history, and each generation sorted
+    /// from scratch twice (once for the tournament, once for selection).
+    /// `observe` sees each generation's tournament ranks and crowding
+    /// distances and its survivors in selection order. The reference
+    /// [`Nsga2::run`] is held to; its result scans the whole history for
+    /// the front.
+    fn run_from_scratch<P: Problem>(
+        cfg: Nsga2Config,
+        problem: &P,
+        rng: &mut dyn RngCore,
+        mut observe: impl FnMut(&[usize], &[f64], &[Evaluated<P::Genome>]),
+    ) -> SearchResult<P::Genome> {
+        let mut population: Vec<Evaluated<P::Genome>> = (0..cfg.population)
+            .map(|_| {
+                let genome = problem.sample(rng);
+                let objectives = problem.evaluate(&genome);
+                Evaluated { genome, objectives, generation: 0 }
+            })
+            .collect();
+        let mut history = population.clone();
+        for generation in 1..cfg.generations {
+            let pts: Vec<&[f64]> = population.iter().map(|e| e.objectives.as_slice()).collect();
+            let fronts = fast_non_dominated_sort(&pts);
+            let mut rank = vec![0usize; population.len()];
+            let mut crowd = vec![0.0f64; population.len()];
+            for (r, front) in fronts.iter().enumerate() {
+                let d = crowding_distance(&pts, front);
+                for (k, &i) in front.iter().enumerate() {
+                    rank[i] = r;
+                    crowd[i] = d[k];
+                }
+            }
+            let tournament = |rng: &mut dyn RngCore| -> usize {
+                let a = rng.gen_range(0..population.len());
+                let b = rng.gen_range(0..population.len());
+                if rank[a] < rank[b] || (rank[a] == rank[b] && crowd[a] > crowd[b]) {
+                    a
+                } else {
+                    b
+                }
+            };
+            let mut offspring = Vec::with_capacity(cfg.population);
+            while offspring.len() < cfg.population {
+                let p1 = tournament(rng);
+                let p2 = tournament(rng);
+                let child_genome = if rng.gen_bool(cfg.crossover_prob) {
+                    let c = problem.crossover(rng, &population[p1].genome, &population[p2].genome);
+                    problem.mutate(rng, &c)
+                } else {
+                    problem.mutate(rng, &population[p1].genome)
+                };
+                let objectives = problem.evaluate(&child_genome);
+                offspring.push(Evaluated { genome: child_genome, objectives, generation });
+            }
+            history.extend(offspring.iter().cloned());
+            let mut merged = population;
+            merged.append(&mut offspring);
+            population = environmental_selection(merged, cfg.population);
+            observe(&rank, &crowd, &population);
+        }
+        SearchResult { final_population: Some(population), history, entrants: None }
+    }
+
+    /// Elitist truncation by move: the survivors are moved out of
+    /// `merged`, in selection order.
+    fn environmental_selection<G>(merged: Vec<Evaluated<G>>, target: usize) -> Vec<Evaluated<G>> {
+        let pts: Vec<&[f64]> = merged.iter().map(|e| e.objectives.as_slice()).collect();
+        let picks = survivors(&pts, target);
+        let mut slots: Vec<Option<Evaluated<G>>> = merged.into_iter().map(Some).collect();
+        picks.into_iter().filter_map(|i| slots[i].take()).collect()
+    }
+
+    /// Indices of the `target` points elitist truncation keeps, in
+    /// selection order, from a fresh sort of `pts`.
+    fn survivors(pts: &[&[f64]], target: usize) -> Vec<usize> {
+        let fronts = fast_non_dominated_sort(pts);
+        let mut picks: Vec<usize> = Vec::with_capacity(target);
+        for front in fronts {
+            if picks.len() + front.len() <= target {
+                picks.extend_from_slice(&front);
+            } else {
+                let d = crowding_distance(pts, &front);
+                let mut order: Vec<usize> = (0..front.len()).collect();
+                order.sort_by(|&a, &b| d[b].total_cmp(&d[a]));
+                let room = target - picks.len();
+                picks.extend(order.iter().take(room).map(|&k| front[k]));
+                break;
+            }
+        }
+        picks
+    }
+
     /// Elitist truncation as it was before selection moved its
-    /// survivors: the reference [`Nsga2::environmental_selection`] is
-    /// held to.
+    /// survivors: the reference [`environmental_selection`] is held to.
     fn environmental_selection_by_clone<G: Clone>(
         merged: Vec<Evaluated<G>>,
         target: usize,
@@ -373,8 +521,10 @@ mod tests {
 
     /// `(genome, objective bits, generation)` of each individual, so
     /// NaN objectives compare equal to themselves.
-    fn fingerprint(pop: &[Evaluated<Vec<usize>>]) -> Vec<(Vec<usize>, Vec<u64>, usize)> {
-        pop.iter()
+    fn fingerprint<'a>(
+        pop: impl IntoIterator<Item = &'a Evaluated<Vec<usize>>>,
+    ) -> Vec<(Vec<usize>, Vec<u64>, usize)> {
+        pop.into_iter()
             .map(|e| {
                 let bits = e.objectives.iter().map(|v| v.to_bits()).collect();
                 (e.genome.clone(), bits, e.generation)
@@ -382,10 +532,23 @@ mod tests {
             .collect()
     }
 
-    /// A merged population on grid objectives (values 0..4, so ties and
-    /// duplicates are common) with NaN and ±inf injected, and a
-    /// truncation target no larger than it.
-    fn merged_strategy() -> impl Strategy<Value = (Vec<Evaluated<Vec<usize>>>, usize)> {
+    /// The front as a scan of the whole history finds it: the
+    /// non-dominated entries, ascending, first of each identical vector.
+    fn full_history_front<G>(history: &[Evaluated<G>]) -> Vec<usize> {
+        let pts: Vec<&[f64]> = history.iter().map(|e| e.objectives.as_slice()).collect();
+        let mut out: Vec<usize> = Vec::new();
+        for i in pareto_indices(&pts) {
+            if !out.iter().any(|&j| pts[j] == pts[i]) {
+                out.push(i);
+            }
+        }
+        out
+    }
+
+    /// Objective vectors on a grid (values 0..4, so ties and duplicates
+    /// are common) with NaN and ±inf injected, all of one dimensionality
+    /// in 1..=4.
+    fn objectives_strategy() -> impl Strategy<Value = Vec<Vec<f64>>> {
         let value = || {
             (0u8..16).prop_map(|k| match k {
                 13 => f64::NAN,
@@ -394,36 +557,151 @@ mod tests {
                 k => f64::from(k % 4),
             })
         };
-        (1usize..=4)
-            .prop_flat_map(move |dims| {
-                proptest::collection::vec(proptest::collection::vec(value(), dims), 1..60)
-            })
-            .prop_flat_map(|objectives| {
-                let n = objectives.len();
-                let merged: Vec<Evaluated<Vec<usize>>> = objectives
-                    .into_iter()
-                    .enumerate()
-                    .map(|(k, objectives)| Evaluated {
-                        genome: vec![k, k % 3],
-                        objectives,
-                        generation: k % 5,
-                    })
-                    .collect();
-                (Just(merged), 1..=n)
-            })
+        (1usize..=4).prop_flat_map(move |dims| {
+            proptest::collection::vec(proptest::collection::vec(value(), dims), 1..60)
+        })
+    }
+
+    /// A merged population on [`objectives_strategy`] vectors and a
+    /// truncation target no larger than it.
+    fn merged_strategy() -> impl Strategy<Value = (Vec<Evaluated<Vec<usize>>>, usize)> {
+        objectives_strategy().prop_flat_map(|objectives| {
+            let n = objectives.len();
+            let merged: Vec<Evaluated<Vec<usize>>> = objectives
+                .into_iter()
+                .enumerate()
+                .map(|(k, objectives)| Evaluated {
+                    genome: vec![k, k % 3],
+                    objectives,
+                    generation: k % 5,
+                })
+                .collect();
+            (Just(merged), 1..=n)
+        })
+    }
+
+    /// A problem whose genome picks a row of a fixed objective table, so
+    /// a run meets every tie, duplicate and non-finite vector the table
+    /// holds.
+    struct Table(Vec<Vec<f64>>);
+
+    impl Problem for Table {
+        type Genome = Vec<usize>;
+
+        fn sample(&self, rng: &mut dyn RngCore) -> Vec<usize> {
+            vec![rng.gen_range(0..self.0.len())]
+        }
+
+        fn evaluate(&self, g: &Vec<usize>) -> Vec<f64> {
+            self.0[g[0]].clone()
+        }
+
+        fn crossover(&self, rng: &mut dyn RngCore, a: &Vec<usize>, b: &Vec<usize>) -> Vec<usize> {
+            if rng.gen_bool(0.5) {
+                a.clone()
+            } else {
+                b.clone()
+            }
+        }
+
+        fn mutate(&self, rng: &mut dyn RngCore, g: &Vec<usize>) -> Vec<usize> {
+            if rng.gen_bool(0.5) {
+                self.sample(rng)
+            } else {
+                g.clone()
+            }
+        }
+    }
+
+    /// One generation's decisions: ranks, crowding bits and survivors.
+    type Decisions = (Vec<usize>, Vec<u64>, Vec<(Vec<usize>, Vec<u64>, usize)>);
+
+    fn crowd_bits(crowd: &[f64]) -> Vec<u64> {
+        crowd.iter().map(|d| d.to_bits()).collect()
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Selection by move keeps the same individuals in the same order
-        /// as the clone-based reference.
+        /// as the clone-based reference, and truncation over the fronts
+        /// of a fresh sort picks what the from-scratch selection picks.
         #[test]
         fn selection_by_move_matches_the_clone_reference((merged, target) in merged_strategy()) {
+            let pts: Vec<&[f64]> = merged.iter().map(|e| e.objectives.as_slice()).collect();
+            let picks = truncate(&pts, &fast_non_dominated_sort(&pts), target);
+            prop_assert_eq!(&picks, &survivors(&pts, target));
             let by_clone = environmental_selection_by_clone(merged.clone(), target);
-            let by_move = Nsga2::environmental_selection(merged, target);
+            let by_move = environmental_selection(merged, target);
             prop_assert_eq!(by_move.len(), target);
             prop_assert_eq!(fingerprint(&by_move), fingerprint(&by_clone));
+        }
+
+        /// The carried-relation engine decides every generation exactly as
+        /// the from-scratch loop: the same tournament ranks, crowding
+        /// bits and survivors in selection order, so the same history,
+        /// final population and front.
+        #[test]
+        fn carried_relation_matches_the_from_scratch_run(
+            table in objectives_strategy(),
+            population in 2usize..=12,
+            generations in 1usize..=6,
+            seed in any::<u64>(),
+        ) {
+            let cfg = Nsga2Config::new(population, generations);
+            let problem = Table(table);
+            let mut carried: Vec<Decisions> = Vec::new();
+            let result = Nsga2::new(cfg).run_observed(
+                &problem,
+                &mut StdRng::seed_from_u64(seed),
+                |g| carried.push((
+                    g.rank.to_vec(),
+                    crowd_bits(g.crowd),
+                    fingerprint(g.survivors.iter().map(|&i| &g.history[i])),
+                )),
+            );
+            let mut scratch: Vec<Decisions> = Vec::new();
+            let reference = run_from_scratch(
+                cfg,
+                &problem,
+                &mut StdRng::seed_from_u64(seed),
+                |rank, crowd, survivors| scratch.push((
+                    rank.to_vec(),
+                    crowd_bits(crowd),
+                    fingerprint(survivors),
+                )),
+            );
+            prop_assert_eq!(carried.len(), generations - 1);
+            prop_assert_eq!(carried, scratch);
+            prop_assert_eq!(fingerprint(result.history()), fingerprint(reference.history()));
+            prop_assert_eq!(
+                fingerprint(result.final_population()),
+                fingerprint(reference.final_population())
+            );
+            prop_assert_eq!(result.pareto_front_indices(), reference.pareto_front_indices());
+        }
+
+        /// Filtering only the front-0 entrants finds the front a scan of
+        /// the whole history finds, duplicates and quarantined vectors
+        /// included, from a single generation on; `random_search` keeps
+        /// scanning the whole history.
+        #[test]
+        fn entrant_filter_matches_the_full_history_scan(
+            table in objectives_strategy(),
+            population in 2usize..=12,
+            generations in prop_oneof![Just(1usize), 2usize..=8],
+            seed in any::<u64>(),
+        ) {
+            let problem = Table(table);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let result = Nsga2::new(Nsga2Config::new(population, generations)).run(&problem, &mut rng);
+            let entrants = result.entrants.as_deref().unwrap_or_default();
+            prop_assert!(entrants.windows(2).all(|w| w[0] < w[1]));
+            prop_assert_eq!(result.pareto_front_indices(), full_history_front(result.history()));
+
+            let random = crate::random_search(&problem, population * generations, &mut rng);
+            prop_assert!(random.entrants.is_none());
+            prop_assert_eq!(random.pareto_front_indices(), full_history_front(random.history()));
         }
     }
 }
