@@ -1,7 +1,8 @@
-//! End-to-end benches: one per paper table/figure, timing the search that
-//! regenerates it at a reduced budget. (The printable tables themselves
-//! come from the `src/bin/` binaries; these benches track the cost of the
-//! underlying searches so regressions in the engines are visible.)
+//! End-to-end benches: the searches behind the paper's tables and figures,
+//! timed at a reduced budget. (The printable tables themselves come from
+//! the `paper` binary's views over one run per target, see
+//! `hadas_bench::paper`; these benches track the cost of the underlying
+//! searches so regressions in the engines are visible.)
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hadas::{Hadas, HadasConfig};

@@ -1,39 +1,41 @@
 //! # hadas-bench
 //!
-//! The experiment harness of the HADAS reproduction: one binary per table
-//! and figure of the paper (see `src/bin/`), plus Criterion micro- and
-//! end-to-end benches (`benches/`).
+//! The experiment harness of the HADAS reproduction: the `paper` binary,
+//! which regenerates every table and figure of the paper from one joint
+//! search per hardware target ([`paper`]); the serving, search and fleet
+//! scaling studies (one binary each, see `src/bin/`); and Criterion
+//! micro- and end-to-end benches (`benches/`).
 //!
 //! Every binary
 //!
 //! 1. runs at a *scaled* budget by default so the whole suite finishes in
 //!    minutes — set `HADAS_SCALE=paper` for the paper's 450/3500-iteration
 //!    budgets,
-//! 2. prints the table/series to stdout in the paper's layout, and
-//! 3. writes a JSON record under `results/` for external re-plotting.
+//! 2. prints its tables to stdout in the paper's layout, and
+//! 3. writes JSON records with the `hadas-bench/1` header under
+//!    `results/` for external re-plotting.
 
+pub mod paper;
 pub mod svg;
 
-use hadas::{seal, Hadas, HadasConfig, HadasError, IoeOutcome};
-use hadas_hw::HwTarget;
-use hadas_space::{baselines, Subnet};
+use hadas::{seal, HadasConfig};
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::path::PathBuf;
 
-/// Schema tag stamped on every `results/BENCH_*.json` record (see
+/// Schema tag stamped on every record under `results/` (see
 /// [`BenchEnv::write_bench`]). Bump when the header shape changes.
 pub const BENCH_SCHEMA: &str = "hadas-bench/1";
 
-/// The shared header every `BENCH_*` record carries, so rows from
-/// `BENCH_serve` / `BENCH_search` / `BENCH_fleet` runs are mergeable:
+/// The shared header every record carries, so rows from the paper
+/// views and the `BENCH_*` studies are mergeable:
 /// a consumer can join on `(schema, bench, scale, seed)` without
 /// guessing which harness settings produced a file.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BenchRecord<T> {
     /// The header schema tag ([`BENCH_SCHEMA`]).
     pub schema: String,
-    /// Bench name (the `BENCH_*` file stem).
+    /// Bench name (the record's file stem).
     pub bench: String,
     /// The `HADAS_SCALE` tier the run resolved to.
     pub scale: String,
@@ -100,29 +102,14 @@ impl BenchEnv {
         self.results_override.clone().unwrap_or_else(|| PathBuf::from("results"))
     }
 
-    /// Writes an experiment record as pretty JSON under
-    /// [`BenchEnv::results_dir`].
-    ///
-    /// # Errors
-    ///
-    /// As [`BenchEnv::write_bench`].
-    pub fn write_json<T: Serialize>(&self, name: &str, data: &T) -> Result<(), Box<dyn Error>> {
-        let record = hadas::report::Experiment::new(name, data);
-        let path = self.results_dir().join(format!("{name}.json"));
-        seal::write_atomic(&path, record.to_json()?.as_bytes())?;
-        println!("[results] wrote {}", path.display());
-        Ok(())
-    }
-
-    /// Writes a `BENCH_*` record under [`BenchEnv::results_dir`] with
+    /// Writes a record as `<name>.json` under [`BenchEnv::results_dir`] with
     /// the shared schema header ([`BenchRecord`]): `schema`, the bench
     /// name, the resolved scale tier, and the base seed.
     ///
     /// # Errors
     ///
     /// Returns I/O or serialisation failures for the caller's `main` to
-    /// surface — the scaling benches fail loudly instead of dropping
-    /// results.
+    /// surface — the benches fail loudly instead of dropping results.
     pub fn write_bench<T: Serialize>(
         &self,
         name: &str,
@@ -157,70 +144,9 @@ macro_rules! bench_env {
     };
 }
 
-/// Decodes the seven AttentiveNAS baselines against the standard space.
-///
-/// # Errors
-///
-/// Returns the decode error of a baseline that does not fit the space.
-pub fn baseline_subnets(hadas: &Hadas) -> Result<Vec<(String, Subnet)>, HadasError> {
-    Ok(baselines::attentive_nas_baselines(hadas.space())?)
-}
-
-/// Runs the inner engine on each AttentiveNAS baseline with the same
-/// budget HADAS's own backbones get — the paper's "optimized baselines".
-///
-/// # Errors
-///
-/// Returns the first baseline's decode or IOE error.
-pub fn optimized_baselines(
-    hadas: &Hadas,
-    config: &HadasConfig,
-) -> Result<Vec<(String, IoeOutcome)>, HadasError> {
-    baseline_subnets(hadas)?
-        .into_iter()
-        .enumerate()
-        .map(|(i, (name, subnet))| {
-            Ok((name, hadas.run_ioe(&subnet, config, config.seed ^ (0xBA5E + i as u64))?))
-        })
-        .collect()
-}
-
-/// Picks the deployment configuration from an inner-search Pareto set: the
-/// minimum-energy solution that is **no slower than the static baseline**
-/// (`max_latency_ms`) and meets an accuracy floor. This mirrors how the
-/// paper reports its Table III picks: dynamic models trade their latency
-/// headroom for DVFS energy, but never regress past the static model's
-/// latency — which is why compact models (little headroom) gain only a few
-/// percent from DVFS while large ones gain 15–33%.
-pub fn select_solution(
-    ioe: &IoeOutcome,
-    max_latency_ms: f64,
-    acc_floor: f64,
-) -> Option<&hadas::IoeSolution> {
-    hadas::DeploymentPicker::new()
-        .max_latency_ms(max_latency_ms)
-        .min_accuracy_pct(acc_floor)
-        .pick(ioe)
-}
-
 /// The non-dominated points of `axes` (maximised), in input order.
 pub fn front_points(axes: &[Vec<f64>]) -> Vec<Vec<f64>> {
     hadas_evo::pareto_indices(axes).into_iter().map(|i| axes[i].clone()).collect()
-}
-
-/// Pretty percent formatting helper.
-pub fn pct(x: f64) -> String {
-    format!("{:.1}%", x * 100.0)
-}
-
-/// A thin separator line for table output.
-pub fn rule(width: usize) -> String {
-    "-".repeat(width)
-}
-
-/// All four hardware targets in paper order.
-pub fn all_targets() -> [HwTarget; 4] {
-    HwTarget::ALL
 }
 
 #[cfg(test)]
@@ -242,14 +168,5 @@ mod tests {
         let env = BenchEnv::new(None, Some(PathBuf::from("elsewhere")));
         assert_eq!(env.results_dir(), PathBuf::from("elsewhere"));
         assert_eq!(BenchEnv::default().results_dir(), PathBuf::from("results"));
-    }
-
-    #[test]
-    fn baselines_available_for_every_target() -> Result<(), HadasError> {
-        for t in all_targets() {
-            let hadas = Hadas::for_target(t);
-            assert_eq!(baseline_subnets(&hadas)?.len(), 7);
-        }
-        Ok(())
     }
 }

@@ -205,7 +205,7 @@ pub fn grouped_bars(
 ///
 /// # Errors
 ///
-/// Returns I/O failures, like [`crate::BenchEnv::write_json`].
+/// Returns I/O failures, like [`crate::BenchEnv::write_bench`].
 pub fn write_svg(dir: &Path, name: &str, svg: &str) -> Result<(), SealError> {
     let path = dir.join(format!("{name}.svg"));
     seal::write_atomic(&path, svg.as_bytes())?;

@@ -1,6 +1,6 @@
 //! The related-work capability matrix of the paper's Table I.
 //!
-//! Kept as data so the `table1_related` bench binary can print the table
+//! Kept as data so the `table1_related` paper view can print the table
 //! and tests can assert HADAS's claimed position (the only framework with
 //! all four capabilities).
 

@@ -1,5 +1,6 @@
-//! Serialisable experiment records: every bench binary exports its rows
-//! and series as JSON so figures can be re-plotted outside the harness.
+//! Serialisable experiment records: the paper views in `hadas-bench`
+//! export their rows and series as JSON so figures can be re-plotted
+//! outside the harness.
 
 use crate::{DynamicFitness, StaticFitness};
 use serde::{Deserialize, Serialize};
@@ -72,52 +73,9 @@ pub struct Fig1Bars {
     pub dyn_hw_fitness: DynamicFitness,
 }
 
-/// Wraps a serialisable record with the experiment id for JSON export.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Experiment<T> {
-    /// Experiment identifier (e.g. `"fig5_ooe"`).
-    pub id: String,
-    /// The payload rows/panels.
-    pub data: T,
-}
-
-impl<T: Serialize> Experiment<T> {
-    /// Creates a record.
-    pub fn new(id: impl Into<String>, data: T) -> Self {
-        Experiment { id: id.into(), data }
-    }
-
-    /// Serialises to pretty JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns a `serde_json` error if the payload cannot be serialised
-    /// (unrepresentable floats).
-    pub fn to_json(&self) -> Result<String, serde_json::Error> {
-        serde_json::to_string_pretty(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn experiment_round_trips_json() {
-        let e = Experiment::new(
-            "fig6",
-            vec![Fig6Bar {
-                hardware: "TX2 Pascal GPU".into(),
-                hadas_hv: 1.25,
-                baseline_hv: 1.05,
-                hadas_rod: 0.7,
-                baseline_rod: 0.1,
-            }],
-        );
-        let json = e.to_json().unwrap();
-        let back: Experiment<Vec<Fig6Bar>> = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, e);
-    }
 
     #[test]
     fn scatter_points_serialize_compactly() {
