@@ -57,9 +57,22 @@ impl IoeOutcome {
 /// The inner optimization engine: NSGA-II over the joint `X × F` subspace
 /// of one backbone (paper §IV-B).
 ///
-/// Genome layout: one 0/1 indicator gene per candidate exit position
-/// (positions `5..=Σl`, the paper's `[I_1 … I_{M−1}]`), then two ordered
-/// genes indexing the device's compute and EMC frequency ladders.
+/// Genome layout: the paper's indicators `[I_1 … I_{M−1}]`, one per
+/// candidate exit position `5..=Σl`, packed into a 64-bit mask (bit `k`
+/// is position `MIN_EXIT_POSITION + k`), then two ordered genes indexing
+/// the device's compute and EMC frequency ladders. A candidate is a
+/// 24-byte `Copy` value, so breeding and measuring one allocates nothing
+/// for the genome. The mask caps the engine at 64 candidate positions
+/// (68 MBConv layers); it needs at least 6 layers, the fewest that admit
+/// a valid placement. Every run rejects a backbone outside that range
+/// before breeding anything.
+///
+/// The operators draw as if each indicator were its own `usize` gene, in
+/// gene order (bits low to high, then compute, then EMC): sampling draws
+/// one Bernoulli per bit and then the two ladder indices; crossover one
+/// fair coin per gene; mutation one reset draw (and redraw) per bit, with
+/// a forced flip when none hit, then a step or reset move of the DVFS
+/// pair. The noise and fault keys hash the unpacked genes.
 #[derive(Debug, Clone)]
 pub struct Ioe<'a> {
     hadas: &'a Hadas,
@@ -67,13 +80,128 @@ pub struct Ioe<'a> {
     config: HadasConfig,
 }
 
+/// One candidate `(x, f)` of the inner space (see [`Ioe`]'s genome
+/// layout).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ExitGenome {
+    /// Exit indicators: bit `k` set places an exit at position
+    /// `MIN_EXIT_POSITION + k`.
+    exits: u64,
+    /// Compute-ladder index.
+    compute: usize,
+    /// EMC-ladder index.
+    emc: usize,
+}
+
+/// The shape of one backbone's genomes, and the genetic operators over
+/// them.
+#[derive(Debug, Clone, Copy)]
+struct Layout {
+    /// Candidate exit positions, `1..=MAX_INDICATORS`.
+    indicators: usize,
+    /// Compute and EMC ladder lengths.
+    ladders: [usize; 2],
+}
+
+impl Layout {
+    /// The most indicators one packed genome holds.
+    const MAX_INDICATORS: usize = u64::BITS as usize;
+
+    fn sample(&self, rng: &mut dyn RngCore) -> ExitGenome {
+        let mut exits = 0;
+        for k in 0..self.indicators {
+            if rng.gen_bool(0.18) {
+                exits |= 1 << k;
+            }
+        }
+        let compute = rng.gen_range(0..self.ladders[0]);
+        ExitGenome { exits, compute, emc: rng.gen_range(0..self.ladders[1]) }
+    }
+
+    fn crossover(&self, rng: &mut dyn RngCore, a: &ExitGenome, b: &ExitGenome) -> ExitGenome {
+        let mut from_a = 0u64;
+        for k in 0..self.indicators {
+            if rng.gen_bool(0.5) {
+                from_a |= 1 << k;
+            }
+        }
+        let exits = (a.exits & from_a) | (b.exits & !from_a);
+        let compute = if rng.gen_bool(0.5) { a.compute } else { b.compute };
+        ExitGenome { exits, compute, emc: if rng.gen_bool(0.5) { a.emc } else { b.emc } }
+    }
+
+    /// Indicators: reset-style bit flips; DVFS: ordered step moves with
+    /// occasional resets to escape local ladders.
+    fn mutate(&self, rng: &mut dyn RngCore, genome: &ExitGenome) -> ExitGenome {
+        let n = self.indicators;
+        let rate = (1.5 / n as f64).clamp(0.0, 1.0);
+        let mut exits = genome.exits;
+        let mut flipped = false;
+        for k in 0..n {
+            if rng.gen_bool(rate) {
+                // The redraw of a two-choice gene always lands on the
+                // other value; it is drawn to keep the stream.
+                rng.gen_range(0..1usize);
+                exits ^= 1 << k;
+                flipped = true;
+            }
+        }
+        if !flipped {
+            // Force one flip, drawn as the forced redraw of one gene.
+            let k = rng.gen_range(0..n);
+            rng.gen_range(0..1usize);
+            exits ^= 1 << k;
+        }
+        let mut dvfs = [genome.compute, genome.emc];
+        if rng.gen_bool(0.3) {
+            discrete::reset_mutation_in_place(rng, &mut dvfs, &self.ladders, 0.5);
+        } else {
+            discrete::step_mutation_in_place(rng, &mut dvfs, &self.ladders, 0.7);
+        }
+        ExitGenome { exits, compute: dvfs[0], emc: dvfs[1] }
+    }
+
+    /// The genome as the `usize` genes it packs: one 0/1 word per
+    /// indicator, then the two ladder indices.
+    fn unpack<'b>(
+        &self,
+        genome: &ExitGenome,
+        words: &'b mut [usize; Self::MAX_INDICATORS + 2],
+    ) -> &'b [usize] {
+        let n = self.indicators;
+        for (k, w) in words[..n].iter_mut().enumerate() {
+            *w = usize::from(genome.exits >> k & 1 == 1);
+        }
+        words[n] = genome.compute;
+        words[n + 1] = genome.emc;
+        &words[..n + 2]
+    }
+
+    /// One candidate's stream keys from a single hash of its unpacked
+    /// genes and the backbone genes: the quality-noise key (that hash)
+    /// and the fault-stream key (the same hash continued with the run's
+    /// `salt`), which also keys data chaos. Pure, so a resumed search
+    /// replays identical noise and fault histories for identical
+    /// candidates.
+    fn keys(&self, genome: &ExitGenome, backbone: &[usize], salt: u64) -> (u64, u64) {
+        let mut words = [0; Self::MAX_INDICATORS + 2];
+        let mut h = DefaultHasher::new();
+        self.unpack(genome, &mut words).hash(&mut h);
+        backbone.hash(&mut h);
+        // `finish` leaves the state as it was, so the salt continues the
+        // same stream.
+        let noise = h.finish();
+        salt.hash(&mut h);
+        (noise, h.finish())
+    }
+}
+
 struct IoeProblem<'a> {
     subnet: &'a Subnet,
     /// The backbone's placement-independent fitness terms and its cost
     /// rows per DVFS setting, shared by every candidate of the run.
     table: BackboneTable<'a>,
-    candidates: Vec<usize>,
-    cardinalities: Vec<usize>,
+    layout: Layout,
     gamma: f64,
     use_dissimilarity: bool,
     /// Substrate fault model consulted before each candidate measurement.
@@ -104,27 +232,26 @@ impl IoeProblem<'_> {
     /// keeps dominance and crowding arithmetic well-defined.
     const INFEASIBLE_PENALTY: f64 = -1.0e30;
 
-    fn decode(&self, genome: &[usize]) -> Result<(ExitPlacement, DvfsSetting), HadasError> {
-        let n_ind = self.candidates.len();
-        let mut positions: Vec<usize> = genome[..n_ind]
-            .iter()
-            .enumerate()
-            .filter(|(_, &g)| g == 1)
-            .map(|(k, _)| self.candidates[k])
-            .collect();
+    fn decode(&self, genome: &ExitGenome) -> Result<(ExitPlacement, DvfsSetting), HadasError> {
         let total = self.subnet.num_mbconv_layers();
-        // Repair: the placement must be non-empty and respect the nX bound.
-        if positions.is_empty() {
-            positions.push(self.candidates[n_ind / 2]);
-        }
+        // Repair: the placement must respect the nX bound and be non-empty.
         let max_count = total.saturating_sub(MIN_EXIT_POSITION).max(1);
-        positions.truncate(max_count);
+        let mut positions =
+            Vec::with_capacity((genome.exits.count_ones() as usize).clamp(1, max_count));
+        let mut bits = genome.exits;
+        while bits != 0 && positions.len() < max_count {
+            positions.push(MIN_EXIT_POSITION + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
+        if positions.is_empty() {
+            positions.push(MIN_EXIT_POSITION + self.layout.indicators / 2);
+        }
         let placement = ExitPlacement::new(positions, total)?;
-        Ok((placement, DvfsSetting::new(genome[n_ind], genome[n_ind + 1])))
+        Ok((placement, DvfsSetting::new(genome.compute, genome.emc)))
     }
 
     /// The exact, fault- and chaos-free measurement of one candidate.
-    fn exact(&self, genome: &[usize]) -> Result<IoeSolution, HadasError> {
+    fn exact(&self, genome: &ExitGenome) -> Result<IoeSolution, HadasError> {
         let (placement, dvfs) = self.decode(genome)?;
         let fitness = self.table.fitness(&placement, &dvfs, self.gamma, self.use_dissimilarity)?;
         Ok(IoeSolution { placement, dvfs, fitness })
@@ -140,7 +267,7 @@ impl IoeProblem<'_> {
     /// report, the first in evaluation order.
     fn outcome(
         &self,
-        result: &hadas_evo::SearchResult<Vec<usize>>,
+        result: &hadas_evo::SearchResult<ExitGenome>,
     ) -> Result<IoeOutcome, HadasError> {
         let log = self.log.take();
         if log.len() != result.history().len() {
@@ -161,22 +288,6 @@ impl IoeProblem<'_> {
         let pareto: Vec<IoeSolution> =
             hadas_evo::pareto_indices(&exact).into_iter().map(|i| candidates[i].clone()).collect();
         Ok(IoeOutcome { history, pareto })
-    }
-
-    /// One candidate's stream keys from a single hash of the genome and
-    /// the backbone: the quality-noise key (that hash) and the
-    /// fault-stream key (the same hash continued with this run's salt),
-    /// which also keys data chaos. Pure, so a resumed search replays
-    /// identical noise and fault histories for identical candidates.
-    fn keys(&self, genome: &[usize]) -> (u64, u64) {
-        let mut h = DefaultHasher::new();
-        genome.hash(&mut h);
-        self.subnet.genome().genes().hash(&mut h);
-        // `finish` leaves the state as it was, so the salt continues the
-        // same stream.
-        let noise = h.finish();
-        self.fault_salt.hash(&mut h);
-        (noise, h.finish())
     }
 
     /// The search-time (noisy-quality) view of one exact measurement —
@@ -219,21 +330,18 @@ impl IoeProblem<'_> {
 }
 
 impl Problem for IoeProblem<'_> {
-    type Genome = Vec<usize>;
+    type Genome = ExitGenome;
 
-    fn sample(&self, rng: &mut dyn RngCore) -> Vec<usize> {
-        let mut genes: Vec<usize> =
-            self.candidates.iter().map(|_| usize::from(rng.gen_bool(0.18))).collect();
-        genes.push(rng.gen_range(0..self.cardinalities[self.candidates.len()]));
-        genes.push(rng.gen_range(0..self.cardinalities[self.candidates.len() + 1]));
-        genes
+    fn sample(&self, rng: &mut dyn RngCore) -> ExitGenome {
+        self.layout.sample(rng)
     }
 
-    fn evaluate(&self, genome: &Vec<usize>) -> Vec<f64> {
+    fn evaluate(&self, genome: &ExitGenome) -> Vec<f64> {
         // The exact measurement is taken once, logged for the reporting
         // pass, and is what every attempt below reads.
         let exact = self.exact(genome);
-        let (noise_key, fault_key) = self.keys(genome);
+        let (noise_key, fault_key) =
+            self.layout.keys(genome, self.subnet.genome().genes(), self.fault_salt);
         // Every measurement runs on a (simulated) physical substrate that
         // can glitch: consult the fault model under the retry schedule.
         // A candidate whose measurement never lands within its budget is
@@ -263,27 +371,12 @@ impl Problem for IoeProblem<'_> {
         objectives
     }
 
-    fn crossover(&self, rng: &mut dyn RngCore, a: &Vec<usize>, b: &Vec<usize>) -> Vec<usize> {
-        discrete::uniform_crossover(rng, a, b)
+    fn crossover(&self, rng: &mut dyn RngCore, a: &ExitGenome, b: &ExitGenome) -> ExitGenome {
+        self.layout.crossover(rng, a, b)
     }
 
-    fn mutate(&self, rng: &mut dyn RngCore, genome: &Vec<usize>) -> Vec<usize> {
-        let n_ind = self.candidates.len();
-        // Indicators: reset-style bit flips; DVFS: ordered step moves with
-        // occasional resets to escape local ladders.
-        let mut out = discrete::reset_mutation(
-            rng,
-            &genome[..n_ind],
-            &self.cardinalities[..n_ind],
-            1.5 / n_ind as f64,
-        );
-        let dvfs_part = if rng.gen_bool(0.3) {
-            discrete::reset_mutation(rng, &genome[n_ind..], &self.cardinalities[n_ind..], 0.5)
-        } else {
-            discrete::step_mutation(rng, &genome[n_ind..], &self.cardinalities[n_ind..], 0.7)
-        };
-        out.extend(dvfs_part);
-        out
+    fn mutate(&self, rng: &mut dyn RngCore, genome: &ExitGenome) -> ExitGenome {
+        self.layout.mutate(rng, genome)
     }
 }
 
@@ -300,15 +393,22 @@ impl<'a> Ioe<'a> {
         fault_salt: u64,
         data_chaos: Option<u64>,
     ) -> Result<IoeProblem<'p>, HadasError> {
-        let candidates = ExitPlacement::candidates(self.subnet.num_mbconv_layers());
-        let mut cardinalities = vec![2usize; candidates.len()];
-        cardinalities.push(self.hadas.device().ladder().compute_steps());
-        cardinalities.push(self.hadas.device().ladder().emc_steps());
+        let layers = self.subnet.num_mbconv_layers();
+        let indicators = ExitPlacement::candidate_count(layers);
+        // Fewer than 6 layers admit no placement (nX ≤ Σl − 5); more than
+        // 64 candidates overflow the packed genome.
+        if !(2..=Layout::MAX_INDICATORS).contains(&indicators) {
+            return Err(HadasError::InvalidConfig(format!(
+                "the inner engine searches backbones of {} to {} MBConv layers, got {layers}",
+                MIN_EXIT_POSITION + 1,
+                MIN_EXIT_POSITION - 1 + Layout::MAX_INDICATORS
+            )));
+        }
+        let ladder = self.hadas.device().ladder();
         Ok(IoeProblem {
             subnet: &self.subnet,
             table: BackboneTable::new(&self.subnet, self.hadas.accuracy(), self.hadas.device())?,
-            candidates,
-            cardinalities,
+            layout: Layout { indicators, ladders: [ladder.compute_steps(), ladder.emc_steps()] },
             gamma: self.config.gamma,
             use_dissimilarity: self.config.use_dissimilarity,
             faults,
@@ -326,8 +426,9 @@ impl<'a> Ioe<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`HadasError::InvalidConfig`] for invalid configurations,
-    /// or a propagated model/placement error from a candidate's exact
+    /// Returns [`HadasError::InvalidConfig`] for invalid configurations
+    /// or a backbone outside the engine's 6 to 68 MBConv layers, or a
+    /// propagated model/placement error from a candidate's exact
     /// measurement.
     pub fn run(&self, seed: u64) -> Result<IoeOutcome, HadasError> {
         self.run_with(seed, &NoFaults, &RetryPolicy::default(), None).map(|(outcome, _)| outcome)
@@ -352,7 +453,8 @@ impl<'a> Ioe<'a> {
     /// # Errors
     ///
     /// Returns [`HadasError::InvalidConfig`] for invalid configurations
-    /// or retry schedules, or a propagated model/placement error from
+    /// or retry schedules, or for a backbone outside the engine's 6 to 68
+    /// MBConv layers, or a propagated model/placement error from
     /// a candidate's exact measurement; [`HadasError::Internal`] if the
     /// engine's history and the measurement log disagree in length.
     pub fn run_with(
@@ -382,8 +484,9 @@ impl<'a> Ioe<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`HadasError::InvalidConfig`] for invalid configurations,
-    /// or a propagated model/placement error from a candidate's exact
+    /// Returns [`HadasError::InvalidConfig`] for invalid configurations
+    /// or a backbone outside the engine's 6 to 68 MBConv layers, or a
+    /// propagated model/placement error from a candidate's exact
     /// measurement.
     pub fn run_random(&self, seed: u64) -> Result<IoeOutcome, HadasError> {
         self.config.validate()?;
@@ -399,7 +502,8 @@ impl<'a> Ioe<'a> {
 mod tests {
     use super::*;
     use hadas_hw::HwTarget;
-    use hadas_space::baselines;
+    use hadas_space::{baselines, SearchSpace, StageSpec};
+    use proptest::prelude::*;
 
     fn quick_ioe(seed: u64) -> IoeOutcome {
         let hadas = Hadas::for_target(HwTarget::Tx2PascalGpu);
@@ -535,5 +639,174 @@ mod tests {
         assert!(out.pareto.is_empty(), "no measurement landed, so nothing is reported");
         assert!(!out.history.is_empty());
         assert_eq!(telemetry.exhausted_evals, out.history.len(), "each candidate gave up once");
+    }
+
+    /// A one-stage backbone of `depth` MBConv layers.
+    fn deep_backbone(depth: usize) -> (Hadas, Subnet) {
+        let stage = StageSpec {
+            depths: vec![depth],
+            widths: vec![32],
+            kernels: vec![3],
+            expands: vec![4],
+            stride: 2,
+        };
+        let space = SearchSpace::new(vec![224], vec![16], vec![1792], vec![stage]).unwrap();
+        let subnet = space.decode(&space.sample(&mut StdRng::seed_from_u64(0))).unwrap();
+        assert_eq!(subnet.num_mbconv_layers(), depth);
+        let device = hadas_hw::DeviceModel::for_target(HwTarget::Tx2PascalGpu);
+        (Hadas::new(space, hadas_accuracy::AccuracyModel::cifar100(), device), subnet)
+    }
+
+    /// Too shallow for any valid placement (nX ≤ Σl − 5), or deeper than
+    /// the packed genome holds: rejected up front, not a panic or a
+    /// budget spent on invalid candidates.
+    #[test]
+    fn unsearchable_backbones_are_rejected_before_breeding() {
+        for depth in [3, 5, 70] {
+            let (hadas, subnet) = deep_backbone(depth);
+            let run = Ioe::new(&hadas, subnet, HadasConfig::smoke_test()).run(1);
+            assert!(matches!(run, Err(HadasError::InvalidConfig(_))), "depth {depth}: {run:?}");
+        }
+        for depth in [6, 68] {
+            let (hadas, subnet) = deep_backbone(depth);
+            let out = Ioe::new(&hadas, subnet, HadasConfig::smoke_test()).run(1).unwrap();
+            assert!(!out.pareto.is_empty(), "depth {depth}");
+        }
+    }
+
+    /// The `Vec<usize>` genome operators the packed ones replace: one
+    /// `usize` gene per indicator, then the two ladder indices.
+    mod reference {
+        use rand::{Rng, RngCore};
+
+        pub fn cardinalities(indicators: usize, ladders: [usize; 2]) -> Vec<usize> {
+            let mut cards = vec![2; indicators];
+            cards.extend(ladders);
+            cards
+        }
+
+        pub fn sample(rng: &mut dyn RngCore, cards: &[usize]) -> Vec<usize> {
+            let n = cards.len() - 2;
+            let mut genes: Vec<usize> = (0..n).map(|_| usize::from(rng.gen_bool(0.18))).collect();
+            genes.push(rng.gen_range(0..cards[n]));
+            genes.push(rng.gen_range(0..cards[n + 1]));
+            genes
+        }
+
+        pub fn crossover(rng: &mut dyn RngCore, a: &[usize], b: &[usize]) -> Vec<usize> {
+            a.iter().zip(b.iter()).map(|(&x, &y)| if rng.gen_bool(0.5) { x } else { y }).collect()
+        }
+
+        pub fn mutate(rng: &mut dyn RngCore, genome: &[usize], cards: &[usize]) -> Vec<usize> {
+            let n = cards.len() - 2;
+            let mut out = reset(rng, &genome[..n], &cards[..n], 1.5 / n as f64);
+            let dvfs = if rng.gen_bool(0.3) {
+                reset(rng, &genome[n..], &cards[n..], 0.5)
+            } else {
+                step(rng, &genome[n..], &cards[n..], 0.7)
+            };
+            out.extend(dvfs);
+            out
+        }
+
+        fn reset(
+            rng: &mut dyn RngCore,
+            genome: &[usize],
+            cards: &[usize],
+            rate: f64,
+        ) -> Vec<usize> {
+            let mut out = genome.to_vec();
+            let mut mutated = false;
+            for (g, &c) in out.iter_mut().zip(cards.iter()) {
+                if c > 1 && rng.gen_bool(rate.clamp(0.0, 1.0)) {
+                    let old = *g;
+                    let nv = rng.gen_range(0..c - 1);
+                    *g = if nv >= old { nv + 1 } else { nv };
+                    mutated = true;
+                }
+            }
+            if !mutated {
+                let candidates: Vec<usize> = (0..out.len()).filter(|&i| cards[i] > 1).collect();
+                let pick = rng
+                    .gen_range(0..candidates.len().max(1))
+                    .min(candidates.len().saturating_sub(1));
+                if let Some(&i) = candidates.get(pick) {
+                    let nv = rng.gen_range(0..cards[i] - 1);
+                    out[i] = if nv >= out[i] { nv + 1 } else { nv };
+                }
+            }
+            out
+        }
+
+        fn step(rng: &mut dyn RngCore, genome: &[usize], cards: &[usize], rate: f64) -> Vec<usize> {
+            let mut out = genome.to_vec();
+            for (g, &c) in out.iter_mut().zip(cards.iter()) {
+                if c > 1 && rng.gen_bool(rate.clamp(0.0, 1.0)) {
+                    if *g == 0 {
+                        *g = 1;
+                    } else if *g == c - 1 {
+                        *g -= 1;
+                    } else if rng.gen_bool(0.5) {
+                        *g += 1;
+                    } else {
+                        *g -= 1;
+                    }
+                }
+            }
+            out
+        }
+    }
+
+    fn unpacked(layout: &Layout, genome: &ExitGenome) -> Vec<usize> {
+        layout.unpack(genome, &mut [0; Layout::MAX_INDICATORS + 2]).to_vec()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The packed operators breed the reference's genomes from the
+        /// reference's draws, leave the RNG where the reference leaves it,
+        /// and key each child as the reference's `Vec<usize>` hash does.
+        #[test]
+        fn packed_operators_match_the_vec_reference(
+            indicators in 1usize..=64,
+            ladders in (1usize..=14, 1usize..=14),
+            parents in (any::<u64>(), any::<u64>(), any::<usize>(), any::<usize>()),
+            backbone in proptest::collection::vec(0usize..8, 1..40),
+            seed in any::<u64>(),
+        ) {
+            let ladders = [ladders.0, ladders.1];
+            let layout = Layout { indicators, ladders };
+            let cards = reference::cardinalities(indicators, ladders);
+            let mask = u64::MAX >> (64 - indicators);
+            let (bits_a, bits_b, c, e) = parents;
+            let mut a = ExitGenome {
+                exits: bits_a & mask,
+                compute: c % ladders[0],
+                emc: e % ladders[1],
+            };
+            let mut b = ExitGenome { exits: bits_b & mask, compute: e % ladders[0], emc: c % ladders[1] };
+            let mut packed = StdRng::seed_from_u64(seed);
+            let mut reference = StdRng::seed_from_u64(seed);
+            for _ in 0..8 {
+                let sampled = layout.sample(&mut packed);
+                prop_assert_eq!(unpacked(&layout, &sampled), reference::sample(&mut reference, &cards));
+                let child = layout.crossover(&mut packed, &a, &b);
+                let want = reference::crossover(&mut reference, &unpacked(&layout, &a), &unpacked(&layout, &b));
+                prop_assert_eq!(unpacked(&layout, &child), want);
+                let mutant = layout.mutate(&mut packed, &child);
+                let want = reference::mutate(&mut reference, &unpacked(&layout, &child), &cards);
+                prop_assert_eq!(unpacked(&layout, &mutant), want.clone());
+                prop_assert_eq!(packed.next_u64(), reference.next_u64());
+
+                let mut h = DefaultHasher::new();
+                want.hash(&mut h);
+                backbone.hash(&mut h);
+                let noise = h.finish();
+                seed.hash(&mut h);
+                prop_assert_eq!(layout.keys(&mutant, &backbone, seed), (noise, h.finish()));
+                (a, b) = (mutant, sampled);
+            }
+        }
     }
 }

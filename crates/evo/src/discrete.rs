@@ -21,7 +21,7 @@ pub fn uniform_crossover(rng: &mut dyn RngCore, a: &[usize], b: &[usize]) -> Vec
 /// Per-gene reset mutation: each gene is redrawn uniformly from its range
 /// with probability `rate` (at least one gene is always mutated so the
 /// operator never returns an identical genome when any gene has more than
-/// one choice).
+/// one choice). The mutated copy of [`reset_mutation_in_place`].
 ///
 /// # Panics
 ///
@@ -33,36 +33,60 @@ pub fn reset_mutation(
     cardinalities: &[usize],
     rate: f64,
 ) -> Vec<usize> {
-    assert_eq!(genome.len(), cardinalities.len(), "genome/cardinality length mismatch");
-    assert!(cardinalities.iter().all(|&c| c > 0), "cardinalities must be positive");
     let mut out = genome.to_vec();
+    reset_mutation_in_place(rng, &mut out, cardinalities, rate);
+    out
+}
+
+/// [`reset_mutation`] applied to `genes` in place, with the same draws:
+/// one Bernoulli draw per multi-choice gene, a redraw for each hit, and,
+/// when nothing was hit, one draw picking the forced gene and its redraw.
+///
+/// # Panics
+///
+/// Panics if `genes` and `cardinalities` lengths differ or any
+/// cardinality is zero.
+pub fn reset_mutation_in_place(
+    rng: &mut dyn RngCore,
+    genes: &mut [usize],
+    cardinalities: &[usize],
+    rate: f64,
+) {
+    assert_eq!(genes.len(), cardinalities.len(), "genome/cardinality length mismatch");
+    assert!(cardinalities.iter().all(|&c| c > 0), "cardinalities must be positive");
     let mut mutated = false;
-    for (g, &c) in out.iter_mut().zip(cardinalities.iter()) {
+    for (g, &c) in genes.iter_mut().zip(cardinalities.iter()) {
         if c > 1 && rng.gen_bool(rate.clamp(0.0, 1.0)) {
-            let old = *g;
-            // Redraw excluding the current value so the flip is real.
-            let nv = rng.gen_range(0..c - 1);
-            *g = if nv >= old { nv + 1 } else { nv };
+            *g = redraw(rng, *g, c);
             mutated = true;
         }
     }
     if !mutated {
         // Force one real mutation on a random multi-choice gene, if any.
-        let candidates: Vec<usize> = (0..out.len()).filter(|&i| cardinalities[i] > 1).collect();
-        if let Some(&i) = candidates
-            .get(rng.gen_range(0..candidates.len().max(1)).min(candidates.len().saturating_sub(1)))
-        {
-            let c = cardinalities[i];
-            let nv = rng.gen_range(0..c - 1);
-            out[i] = if nv >= out[i] { nv + 1 } else { nv };
+        let choices = cardinalities.iter().filter(|&&c| c > 1).count();
+        let k = rng.gen_range(0..choices.max(1)).min(choices.saturating_sub(1));
+        let mut multi = genes.iter_mut().zip(cardinalities.iter()).filter(|(_, &c)| c > 1);
+        if let Some((g, &c)) = multi.nth(k) {
+            *g = redraw(rng, *g, c);
         }
     }
-    out
+}
+
+/// Redraws a gene uniformly from `0..c` excluding its current value, so
+/// the change is real.
+fn redraw(rng: &mut dyn RngCore, old: usize, c: usize) -> usize {
+    let nv = rng.gen_range(0..c - 1);
+    if nv >= old {
+        nv + 1
+    } else {
+        nv
+    }
 }
 
 /// Step mutation for ordered variables (e.g. DVFS ladder indices): moves a
 /// gene up or down by one step with probability `rate`, clamped to range.
 /// Unlike [`reset_mutation`], this respects the ordering of the choices.
+/// The mutated copy of [`step_mutation_in_place`].
 ///
 /// # Panics
 ///
@@ -73,10 +97,25 @@ pub fn step_mutation(
     cardinalities: &[usize],
     rate: f64,
 ) -> Vec<usize> {
-    assert_eq!(genome.len(), cardinalities.len(), "genome/cardinality length mismatch");
-    assert!(cardinalities.iter().all(|&c| c > 0), "cardinalities must be positive");
     let mut out = genome.to_vec();
-    for (g, &c) in out.iter_mut().zip(cardinalities.iter()) {
+    step_mutation_in_place(rng, &mut out, cardinalities, rate);
+    out
+}
+
+/// [`step_mutation`] applied to `genes` in place, with the same draws.
+///
+/// # Panics
+///
+/// Panics on length mismatch or zero cardinalities.
+pub fn step_mutation_in_place(
+    rng: &mut dyn RngCore,
+    genes: &mut [usize],
+    cardinalities: &[usize],
+    rate: f64,
+) {
+    assert_eq!(genes.len(), cardinalities.len(), "genome/cardinality length mismatch");
+    assert!(cardinalities.iter().all(|&c| c > 0), "cardinalities must be positive");
+    for (g, &c) in genes.iter_mut().zip(cardinalities.iter()) {
         if c > 1 && rng.gen_bool(rate.clamp(0.0, 1.0)) {
             if *g == 0 {
                 *g = 1;
@@ -89,7 +128,6 @@ pub fn step_mutation(
             }
         }
     }
-    out
 }
 
 #[cfg(test)]

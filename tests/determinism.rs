@@ -56,6 +56,46 @@ fn same_seed_gives_byte_identical_pareto_fronts() {
     assert_eq!(fingerprint(&first), GOLDEN_SEED_5, "seed-5 front moved: {first}");
 }
 
+/// `hadas::seal::fingerprint64` of `paper_ioe_bits()`.
+const GOLDEN_PAPER_IOE: u64 = 13246582095182317228;
+
+/// One paper-budget inner-engine run (tx2-gpu, baseline a2, seed 3),
+/// serialized as the exit positions, DVFS indices and the bits of every
+/// fitness field of each history entry and then each Pareto entry. The
+/// smoke goldens above run the inner engine at 60 evaluations; this pins
+/// its breeding and measurement over a full 3500-evaluation run.
+fn paper_ioe_bits() -> Vec<u8> {
+    let hadas = Hadas::for_target(HwTarget::Tx2PascalGpu);
+    let subnet = hadas.space().decode(&hadas_space::baselines::baseline_genome(2)).unwrap();
+    let outcome = hadas.run_ioe(&subnet, &HadasConfig::paper(), 3).expect("paper-budget IOE run");
+    let mut bytes = Vec::new();
+    for s in outcome.history.iter().chain(&outcome.pareto) {
+        let f = &s.fitness;
+        let positions = s.placement.positions();
+        let mut words = vec![positions.len()];
+        words.extend(positions.iter().chain([&s.dvfs.compute, &s.dvfs.emc]));
+        bytes.extend(words.iter().flat_map(|&w| (w as u64).to_le_bytes()));
+        let fields = [
+            f.exit_quality,
+            f.mean_exit_fraction,
+            f.energy_gain,
+            f.latency_gain,
+            f.accuracy_pct,
+            f.energy_mj,
+            f.latency_ms,
+        ];
+        bytes.extend(fields.iter().flat_map(|v| v.to_bits().to_le_bytes()));
+    }
+    bytes.extend((outcome.pareto.len() as u64).to_le_bytes());
+    bytes
+}
+
+#[test]
+fn paper_budget_ioe_run_is_pinned() {
+    let fingerprint = hadas::seal::fingerprint64(&paper_ioe_bits());
+    assert_eq!(fingerprint, GOLDEN_PAPER_IOE, "paper-budget IOE run moved");
+}
+
 #[test]
 fn different_seeds_explore_differently() {
     // Not a strict requirement of the algorithm, but if two different seeds
