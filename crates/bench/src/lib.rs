@@ -70,18 +70,8 @@ impl BenchEnv {
     pub fn scaled_config(&self) -> HadasConfig {
         match self.scale.as_deref() {
             Some("paper") => HadasConfig::paper(),
-            Some("mid") => {
-                let mut cfg = HadasConfig::paper();
-                cfg.ooe = hadas::EngineBudget::new(16, 128);
-                cfg.ioe = hadas::EngineBudget::new(24, 240);
-                cfg
-            }
-            _ => {
-                let mut cfg = HadasConfig::paper();
-                cfg.ooe = hadas::EngineBudget::new(12, 60);
-                cfg.ioe = hadas::EngineBudget::new(16, 96);
-                cfg
-            }
+            Some("mid") => HadasConfig::mid(),
+            _ => HadasConfig::quick(),
         }
     }
 

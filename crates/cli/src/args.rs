@@ -1,7 +1,8 @@
-use hadas::{EngineBudget, HadasConfig};
+use hadas::HadasConfig;
 use hadas_hw::HwTarget;
 use std::error::Error;
 use std::fmt;
+use std::str::FromStr;
 
 /// Search budget presets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -18,19 +19,11 @@ pub enum Scale {
 impl Scale {
     /// The corresponding engine configuration.
     pub fn config(self) -> HadasConfig {
-        let mut cfg = HadasConfig::paper();
         match self {
-            Scale::Quick => {
-                cfg.ooe = EngineBudget::new(12, 60);
-                cfg.ioe = EngineBudget::new(16, 96);
-            }
-            Scale::Mid => {
-                cfg.ooe = EngineBudget::new(16, 128);
-                cfg.ioe = EngineBudget::new(24, 240);
-            }
-            Scale::Paper => {}
+            Scale::Quick => HadasConfig::quick(),
+            Scale::Mid => HadasConfig::mid(),
+            Scale::Paper => HadasConfig::paper(),
         }
-        cfg
     }
 }
 
@@ -246,17 +239,6 @@ fn parse_target(s: &str) -> Result<HwTarget, ParseCliError> {
     })
 }
 
-fn parse_scale(s: &str) -> Result<Scale, ParseCliError> {
-    match s {
-        "quick" => Ok(Scale::Quick),
-        "mid" => Ok(Scale::Mid),
-        "paper" => Ok(Scale::Paper),
-        other => {
-            Err(ParseCliError(format!("unknown scale '{other}' (expected quick, mid, or paper)")))
-        }
-    }
-}
-
 /// Every flag `hadas fleet` accepts; the help text documents each one.
 pub(crate) const FLEET_FLAGS: &[&str] = &[
     "devices",
@@ -278,36 +260,118 @@ pub(crate) const FLEET_FLAGS: &[&str] = &[
     "json",
 ];
 
-/// Reads `--flag value` pairs out of `rest`, erroring on unknown flags.
-fn take_flags<'a>(
-    rest: &'a [String],
-    allowed: &[&str],
-) -> Result<Vec<(&'a str, &'a str)>, ParseCliError> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < rest.len() {
-        let flag = rest[i].as_str();
-        if !flag.starts_with("--") {
-            return Err(ParseCliError(format!("expected a --flag, got '{flag}'")));
-        }
-        let name = &flag[2..];
-        if !allowed.contains(&name) {
-            return Err(ParseCliError(format!(
-                "unknown flag '--{name}' (allowed: {})",
-                allowed.iter().map(|a| format!("--{a}")).collect::<Vec<_>>().join(", ")
-            )));
-        }
-        let value = rest
-            .get(i + 1)
-            .ok_or_else(|| ParseCliError(format!("flag '--{name}' needs a value")))?;
-        out.push((name, value.as_str()));
-        i += 2;
-    }
-    Ok(out)
-}
+/// The `--flag value` pairs of one subcommand, read by name. A flag
+/// given twice resolves to its first value.
+struct Flags<'a>(Vec<(&'a str, &'a str)>);
 
-fn flag<'a>(flags: &[(&'a str, &'a str)], name: &str) -> Option<&'a str> {
-    flags.iter().find(|(n, _)| *n == name).map(|(_, v)| *v)
+impl<'a> Flags<'a> {
+    /// Reads `--flag value` pairs out of `rest`, erroring on unknown flags.
+    fn take(rest: &'a [String], allowed: &[&str]) -> Result<Flags<'a>, ParseCliError> {
+        let mut out = Vec::new();
+        let mut i = 0;
+        while i < rest.len() {
+            let flag = rest[i].as_str();
+            if !flag.starts_with("--") {
+                return Err(ParseCliError(format!("expected a --flag, got '{flag}'")));
+            }
+            let name = &flag[2..];
+            if !allowed.contains(&name) {
+                return Err(ParseCliError(format!(
+                    "unknown flag '--{name}' (allowed: {})",
+                    allowed.iter().map(|a| format!("--{a}")).collect::<Vec<_>>().join(", ")
+                )));
+            }
+            let value = rest
+                .get(i + 1)
+                .ok_or_else(|| ParseCliError(format!("flag '--{name}' needs a value")))?;
+            out.push((name, value.as_str()));
+            i += 2;
+        }
+        Ok(Flags(out))
+    }
+
+    fn get(&self, name: &str) -> Option<&'a str> {
+        self.0.iter().find(|(n, _)| *n == name).map(|(_, v)| *v)
+    }
+
+    fn string(&self, name: &str) -> Option<String> {
+        self.get(name).map(str::to_string)
+    }
+
+    /// The flag's value parsed as `T`; a bad value reads `bad {what}: {e}`.
+    fn parse<T: FromStr>(&self, name: &str, what: &str) -> Result<Option<T>, ParseCliError>
+    where
+        T::Err: fmt::Display,
+    {
+        self.get(name)
+            .map(|s| s.parse().map_err(|e| ParseCliError(format!("bad {what}: {e}"))))
+            .transpose()
+    }
+
+    /// An `on`/`off` switch, off when absent.
+    fn on_off(&self, name: &str) -> Result<bool, ParseCliError> {
+        match self.get(name) {
+            None | Some("off") => Ok(false),
+            Some("on") => Ok(true),
+            Some(other) => Err(ParseCliError(format!("bad {name} '{other}' (expected on or off)"))),
+        }
+    }
+
+    /// The required `--target` of subcommand `cmd`.
+    fn target(&self, cmd: &str) -> Result<HwTarget, ParseCliError> {
+        parse_target(
+            self.get("target").ok_or_else(|| ParseCliError(format!("{cmd} requires --target")))?,
+        )
+    }
+
+    fn scale(&self) -> Result<Scale, ParseCliError> {
+        match self.get("scale") {
+            None | Some("quick") => Ok(Scale::Quick),
+            Some("mid") => Ok(Scale::Mid),
+            Some("paper") => Ok(Scale::Paper),
+            Some(other) => Err(ParseCliError(format!(
+                "unknown scale '{other}' (expected quick, mid, or paper)"
+            ))),
+        }
+    }
+
+    fn seed(&self) -> Result<u64, ParseCliError> {
+        Ok(self.parse("seed", "seed")?.unwrap_or(7))
+    }
+
+    fn governor(&self) -> Result<Option<hadas_serve::GovernorKind>, ParseCliError> {
+        self.get("governor")
+            .map(|s| {
+                hadas_serve::GovernorKind::parse(s).ok_or_else(|| {
+                    ParseCliError(format!(
+                        "unknown governor '{s}' (expected static, latency, or queue)"
+                    ))
+                })
+            })
+            .transpose()
+    }
+
+    /// The fleet's workload-drift scenario (`none` and absent are calm).
+    fn scenario(&self) -> Result<Option<String>, ParseCliError> {
+        match self.get("scenario") {
+            None | Some("none") => Ok(None),
+            Some(name) if hadas_runtime::SCENARIO_NAMES.contains(&name) => {
+                Ok(Some(name.to_string()))
+            }
+            Some(other) => Err(ParseCliError(format!(
+                "unknown scenario '{other}' (expected none, {})",
+                hadas_runtime::SCENARIO_NAMES.join(", ")
+            ))),
+        }
+    }
+
+    fn gray_kind(&self) -> Result<hadas_runtime::GrayFaultKind, ParseCliError> {
+        match self.get("gray-kind") {
+            None => Ok(hadas_runtime::GrayFaultKind::Mix),
+            Some(s) => hadas_runtime::GrayFaultKind::from_name(s)
+                .map_err(|e| ParseCliError(format!("bad gray-kind: {e}"))),
+        }
+    }
 }
 
 impl Command {
@@ -322,22 +386,20 @@ impl Command {
             return Ok(Command::Help);
         };
         let rest = &args[1..];
+        // Each literal reads its fields in source order, so when several
+        // flags are bad the first one read is the one reported.
         match sub.as_str() {
             "help" | "--help" | "-h" => Ok(Command::Help),
             "devices" => {
-                take_flags(rest, &[])?;
+                Flags::take(rest, &[])?;
                 Ok(Command::Devices)
             }
             "baselines" => {
-                let flags = take_flags(rest, &["target"])?;
-                let target = parse_target(
-                    flag(&flags, "target")
-                        .ok_or_else(|| ParseCliError("baselines requires --target".into()))?,
-                )?;
-                Ok(Command::Baselines { target })
+                let f = Flags::take(rest, &["target"])?;
+                Ok(Command::Baselines { target: f.target("baselines")? })
             }
             "search" => {
-                let flags = take_flags(
+                let f = Flags::take(
                     rest,
                     &[
                         "target",
@@ -353,62 +415,22 @@ impl Command {
                         "chaos",
                     ],
                 )?;
-                let target = parse_target(
-                    flag(&flags, "target")
-                        .ok_or_else(|| ParseCliError("search requires --target".into()))?,
-                )?;
-                let scale =
-                    flag(&flags, "scale").map(parse_scale).transpose()?.unwrap_or_default();
-                let seed = flag(&flags, "seed")
-                    .map(|s| s.parse::<u64>().map_err(|e| ParseCliError(format!("bad seed: {e}"))))
-                    .transpose()?
-                    .unwrap_or(7);
-                let max_generations = flag(&flags, "max-generations")
-                    .map(|s| {
-                        s.parse::<usize>()
-                            .map_err(|e| ParseCliError(format!("bad max-generations: {e}")))
-                    })
-                    .transpose()?;
-                let faults = flag(&flags, "faults")
-                    .map(|s| {
-                        s.parse::<u64>()
-                            .map_err(|e| ParseCliError(format!("bad fault seed: {e}")))
-                    })
-                    .transpose()?;
-                let data_chaos = flag(&flags, "data-chaos")
-                    .map(|s| {
-                        s.parse::<u64>()
-                            .map_err(|e| ParseCliError(format!("bad data-chaos seed: {e}")))
-                    })
-                    .transpose()?;
-                let workers = flag(&flags, "workers")
-                    .map(|s| {
-                        s.parse::<usize>().map_err(|e| ParseCliError(format!("bad workers: {e}")))
-                    })
-                    .transpose()?
-                    .unwrap_or(0);
-                let chaos = flag(&flags, "chaos")
-                    .map(|s| {
-                        s.parse::<u64>()
-                            .map_err(|e| ParseCliError(format!("bad chaos seed: {e}")))
-                    })
-                    .transpose()?;
                 Ok(Command::Search {
-                    target,
-                    scale,
-                    seed,
-                    json: flag(&flags, "json").map(str::to_string),
-                    checkpoint: flag(&flags, "checkpoint").map(str::to_string),
-                    resume: flag(&flags, "resume").map(str::to_string),
-                    max_generations,
-                    faults,
-                    data_chaos,
-                    workers,
-                    chaos,
+                    target: f.target("search")?,
+                    scale: f.scale()?,
+                    seed: f.seed()?,
+                    json: f.string("json"),
+                    checkpoint: f.string("checkpoint"),
+                    resume: f.string("resume"),
+                    max_generations: f.parse("max-generations", "max-generations")?,
+                    faults: f.parse("faults", "fault seed")?,
+                    data_chaos: f.parse("data-chaos", "data-chaos seed")?,
+                    workers: f.parse("workers", "workers")?.unwrap_or(0),
+                    chaos: f.parse("chaos", "chaos seed")?,
                 })
             }
             "train" => {
-                let flags = take_flags(
+                let f = Flags::take(
                     rest,
                     &[
                         "epochs",
@@ -422,109 +444,55 @@ impl Command {
                         "json",
                     ],
                 )?;
-                let epochs = flag(&flags, "epochs")
-                    .map(|s| {
-                        s.parse::<usize>().map_err(|e| ParseCliError(format!("bad epochs: {e}")))
-                    })
-                    .transpose()?
-                    .unwrap_or(4);
-                let batch = flag(&flags, "batch")
-                    .map(|s| {
-                        s.parse::<usize>().map_err(|e| ParseCliError(format!("bad batch: {e}")))
-                    })
-                    .transpose()?
-                    .unwrap_or(16);
-                let lr = flag(&flags, "lr")
-                    .map(|s| s.parse::<f32>().map_err(|e| ParseCliError(format!("bad lr: {e}"))))
-                    .transpose()?
-                    .unwrap_or(0.05);
-                let seed = flag(&flags, "seed")
-                    .map(|s| s.parse::<u64>().map_err(|e| ParseCliError(format!("bad seed: {e}"))))
-                    .transpose()?
-                    .unwrap_or(7);
-                let data_chaos = flag(&flags, "data-chaos")
-                    .map(|s| {
-                        s.parse::<u64>()
-                            .map_err(|e| ParseCliError(format!("bad data-chaos seed: {e}")))
-                    })
-                    .transpose()?;
-                let max_epochs = flag(&flags, "max-epochs")
-                    .map(|s| {
-                        s.parse::<usize>()
-                            .map_err(|e| ParseCliError(format!("bad max-epochs: {e}")))
-                    })
-                    .transpose()?;
-                let resume = flag(&flags, "resume-train")
-                    .map(|s| match s {
-                        "on" => Ok(true),
-                        "off" => Ok(false),
-                        other => Err(ParseCliError(format!(
-                            "bad resume-train '{other}' (expected on or off)"
-                        ))),
-                    })
-                    .transpose()?
-                    .unwrap_or(false);
-                let checkpoint = flag(&flags, "train-checkpoint").map(str::to_string);
-                if resume && checkpoint.is_none() {
+                let train = Command::Train {
+                    epochs: f.parse("epochs", "epochs")?.unwrap_or(4),
+                    batch: f.parse("batch", "batch")?.unwrap_or(16),
+                    lr: f.parse("lr", "lr")?.unwrap_or(0.05),
+                    seed: f.seed()?,
+                    data_chaos: f.parse("data-chaos", "data-chaos seed")?,
+                    max_epochs: f.parse("max-epochs", "max-epochs")?,
+                    resume: f.on_off("resume-train")?,
+                    checkpoint: f.string("train-checkpoint"),
+                    json: f.string("json"),
+                };
+                if let Command::Train { resume: true, checkpoint: None, .. } = train {
                     return Err(ParseCliError(
                         "--resume-train on requires --train-checkpoint PATH".into(),
                     ));
                 }
-                Ok(Command::Train {
-                    epochs,
-                    batch,
-                    lr,
-                    seed,
-                    data_chaos,
-                    checkpoint,
-                    resume,
-                    max_epochs,
-                    json: flag(&flags, "json").map(str::to_string),
-                })
+                Ok(train)
             }
             "ioe" => {
-                let flags = take_flags(rest, &["target", "baseline", "scale", "seed"])?;
-                let target = parse_target(
-                    flag(&flags, "target")
-                        .ok_or_else(|| ParseCliError("ioe requires --target".into()))?,
-                )?;
-                let baseline_str = flag(&flags, "baseline").unwrap_or("a0");
-                let baseline = baseline_str
-                    .strip_prefix('a')
-                    .and_then(|d| d.parse::<usize>().ok())
-                    .filter(|&i| i <= 6)
-                    .ok_or_else(|| {
-                        ParseCliError(format!("bad baseline '{baseline_str}' (expected a0..a6)"))
-                    })?;
-                let scale =
-                    flag(&flags, "scale").map(parse_scale).transpose()?.unwrap_or_default();
-                let seed = flag(&flags, "seed")
-                    .map(|s| s.parse::<u64>().map_err(|e| ParseCliError(format!("bad seed: {e}"))))
-                    .transpose()?
-                    .unwrap_or(7);
-                Ok(Command::Ioe { target, baseline, scale, seed })
+                let f = Flags::take(rest, &["target", "baseline", "scale", "seed"])?;
+                let baseline_str = f.get("baseline").unwrap_or("a0");
+                Ok(Command::Ioe {
+                    target: f.target("ioe")?,
+                    baseline: baseline_str
+                        .strip_prefix('a')
+                        .and_then(|d| d.parse::<usize>().ok())
+                        .filter(|&i| i <= 6)
+                        .ok_or_else(|| {
+                            ParseCliError(format!(
+                                "bad baseline '{baseline_str}' (expected a0..a6)"
+                            ))
+                        })?,
+                    scale: f.scale()?,
+                    seed: f.seed()?,
+                })
             }
             "check" => {
-                let flags = take_flags(rest, &["target"])?;
-                let target = flag(&flags, "target").map(parse_target).transpose()?;
-                Ok(Command::Check { target })
+                let f = Flags::take(rest, &["target"])?;
+                Ok(Command::Check { target: f.get("target").map(parse_target).transpose()? })
             }
             "proxy" => {
-                let flags = take_flags(rest, &["target", "samples"])?;
-                let target = parse_target(
-                    flag(&flags, "target")
-                        .ok_or_else(|| ParseCliError("proxy requires --target".into()))?,
-                )?;
-                let samples = flag(&flags, "samples")
-                    .map(|s| {
-                        s.parse::<usize>().map_err(|e| ParseCliError(format!("bad samples: {e}")))
-                    })
-                    .transpose()?
-                    .unwrap_or(3_000);
-                Ok(Command::Proxy { target, samples })
+                let f = Flags::take(rest, &["target", "samples"])?;
+                Ok(Command::Proxy {
+                    target: f.target("proxy")?,
+                    samples: f.parse("samples", "samples")?.unwrap_or(3_000),
+                })
             }
             "serve" => {
-                let flags = take_flags(
+                let f = Flags::take(
                     rest,
                     &[
                         "target",
@@ -543,225 +511,44 @@ impl Command {
                         "json",
                     ],
                 )?;
-                let target = parse_target(
-                    flag(&flags, "target")
-                        .ok_or_else(|| ParseCliError("serve requires --target".into()))?,
-                )?;
-                let scale =
-                    flag(&flags, "scale").map(parse_scale).transpose()?.unwrap_or_default();
-                let seed = flag(&flags, "seed")
-                    .map(|s| s.parse::<u64>().map_err(|e| ParseCliError(format!("bad seed: {e}"))))
-                    .transpose()?
-                    .unwrap_or(7);
-                let rps = flag(&flags, "rps")
-                    .map(|s| s.parse::<f64>().map_err(|e| ParseCliError(format!("bad rps: {e}"))))
-                    .transpose()?
-                    .unwrap_or(150.0);
-                let duration_s = flag(&flags, "duration")
-                    .map(|s| {
-                        s.parse::<f64>().map_err(|e| ParseCliError(format!("bad duration: {e}")))
-                    })
-                    .transpose()?
-                    .unwrap_or(10.0);
-                let workers = flag(&flags, "workers")
-                    .map(|s| {
-                        s.parse::<usize>().map_err(|e| ParseCliError(format!("bad workers: {e}")))
-                    })
-                    .transpose()?
-                    .unwrap_or(2);
-                let batch_max = flag(&flags, "batch-max")
-                    .map(|s| {
-                        s.parse::<usize>().map_err(|e| ParseCliError(format!("bad batch-max: {e}")))
-                    })
-                    .transpose()?
-                    .unwrap_or(8);
-                let slo_ms = flag(&flags, "slo-ms")
-                    .map(|s| {
-                        s.parse::<f64>().map_err(|e| ParseCliError(format!("bad slo-ms: {e}")))
-                    })
-                    .transpose()?
-                    .unwrap_or(120.0);
-                let governor = flag(&flags, "governor")
-                    .map(|s| {
-                        hadas_serve::GovernorKind::parse(s).ok_or_else(|| {
-                            ParseCliError(format!(
-                                "unknown governor '{s}' (expected static, latency, or queue)"
-                            ))
-                        })
-                    })
-                    .transpose()?
-                    .unwrap_or(hadas_serve::GovernorKind::Queue);
-                let faults = flag(&flags, "faults")
-                    .map(|s| {
-                        s.parse::<u64>()
-                            .map_err(|e| ParseCliError(format!("bad fault seed: {e}")))
-                    })
-                    .transpose()?;
-                let chaos = flag(&flags, "chaos")
-                    .map(|s| {
-                        s.parse::<u64>()
-                            .map_err(|e| ParseCliError(format!("bad chaos seed: {e}")))
-                    })
-                    .transpose()?;
-                let brownout = flag(&flags, "brownout")
-                    .map(|s| match s {
-                        "on" => Ok(true),
-                        "off" => Ok(false),
-                        other => Err(ParseCliError(format!(
-                            "bad brownout '{other}' (expected on or off)"
-                        ))),
-                    })
-                    .transpose()?
-                    .unwrap_or(false);
-                let hedge_factor = flag(&flags, "hedge-factor")
-                    .map(|s| {
-                        s.parse::<f64>()
-                            .map_err(|e| ParseCliError(format!("bad hedge-factor: {e}")))
-                    })
-                    .transpose()?
-                    .unwrap_or(3.0);
                 Ok(Command::Serve {
-                    target,
-                    scale,
-                    seed,
-                    rps,
-                    duration_s,
-                    workers,
-                    batch_max,
-                    slo_ms,
-                    governor,
-                    faults,
-                    chaos,
-                    brownout,
-                    hedge_factor,
-                    json: flag(&flags, "json").map(str::to_string),
+                    target: f.target("serve")?,
+                    scale: f.scale()?,
+                    seed: f.seed()?,
+                    rps: f.parse("rps", "rps")?.unwrap_or(150.0),
+                    duration_s: f.parse("duration", "duration")?.unwrap_or(10.0),
+                    workers: f.parse("workers", "workers")?.unwrap_or(2),
+                    batch_max: f.parse("batch-max", "batch-max")?.unwrap_or(8),
+                    slo_ms: f.parse("slo-ms", "slo-ms")?.unwrap_or(120.0),
+                    governor: f.governor()?.unwrap_or(hadas_serve::GovernorKind::Queue),
+                    faults: f.parse("faults", "fault seed")?,
+                    chaos: f.parse("chaos", "chaos seed")?,
+                    brownout: f.on_off("brownout")?,
+                    hedge_factor: f.parse("hedge-factor", "hedge-factor")?.unwrap_or(3.0),
+                    json: f.string("json"),
                 })
             }
             "fleet" => {
-                let flags = take_flags(rest, FLEET_FLAGS)?;
-                let devices = hadas_fleet::parse_device_spec(
-                    flag(&flags, "devices").unwrap_or("mixed:8"),
-                )
-                .map_err(|e| ParseCliError(format!("bad devices spec: {e}")))?;
-                let scale =
-                    flag(&flags, "scale").map(parse_scale).transpose()?.unwrap_or_default();
-                let seed = flag(&flags, "seed")
-                    .map(|s| s.parse::<u64>().map_err(|e| ParseCliError(format!("bad seed: {e}"))))
-                    .transpose()?
-                    .unwrap_or(7);
-                let users = flag(&flags, "users")
-                    .map(|s| {
-                        s.parse::<usize>().map_err(|e| ParseCliError(format!("bad users: {e}")))
-                    })
-                    .transpose()?
-                    .unwrap_or(4_000);
-                let rps = flag(&flags, "rps")
-                    .map(|s| s.parse::<f64>().map_err(|e| ParseCliError(format!("bad rps: {e}"))))
-                    .transpose()?
-                    .unwrap_or(400.0);
-                let workers = flag(&flags, "workers")
-                    .map(|s| {
-                        s.parse::<usize>().map_err(|e| ParseCliError(format!("bad workers: {e}")))
-                    })
-                    .transpose()?
-                    .unwrap_or(1);
-                let slo_ms = flag(&flags, "slo-ms")
-                    .map(|s| {
-                        s.parse::<f64>().map_err(|e| ParseCliError(format!("bad slo-ms: {e}")))
-                    })
-                    .transpose()?
-                    .unwrap_or(120.0);
-                let governor = flag(&flags, "governor")
-                    .map(|s| {
-                        hadas_serve::GovernorKind::parse(s).ok_or_else(|| {
-                            ParseCliError(format!(
-                                "unknown governor '{s}' (expected static, latency, or queue)"
-                            ))
-                        })
-                    })
-                    .transpose()?;
-                let energy_weight = flag(&flags, "energy-weight")
-                    .map(|s| {
-                        s.parse::<f64>()
-                            .map_err(|e| ParseCliError(format!("bad energy-weight: {e}")))
-                    })
-                    .transpose()?
-                    .unwrap_or(0.02);
-                let faults = flag(&flags, "faults")
-                    .map(|s| {
-                        s.parse::<u64>()
-                            .map_err(|e| ParseCliError(format!("bad fault seed: {e}")))
-                    })
-                    .transpose()?;
-                let chaos = flag(&flags, "chaos")
-                    .map(|s| {
-                        s.parse::<u64>()
-                            .map_err(|e| ParseCliError(format!("bad chaos seed: {e}")))
-                    })
-                    .transpose()?;
-                let scenario = match flag(&flags, "scenario") {
-                    None | Some("none") => None,
-                    Some(name) if hadas_runtime::SCENARIO_NAMES.contains(&name) => {
-                        Some(name.to_string())
-                    }
-                    Some(other) => {
-                        return Err(ParseCliError(format!(
-                            "unknown scenario '{other}' (expected none, {})",
-                            hadas_runtime::SCENARIO_NAMES.join(", ")
-                        )));
-                    }
-                };
-                let reconfigure = flag(&flags, "reconfigure")
-                    .map(|s| match s {
-                        "on" => Ok(true),
-                        "off" => Ok(false),
-                        other => Err(ParseCliError(format!(
-                            "bad reconfigure '{other}' (expected on or off)"
-                        ))),
-                    })
-                    .transpose()?
-                    .unwrap_or(false);
-                let gray_faults = flag(&flags, "gray-faults")
-                    .map(|s| {
-                        s.parse::<u64>()
-                            .map_err(|e| ParseCliError(format!("bad gray-faults seed: {e}")))
-                    })
-                    .transpose()?;
-                let gray_kind = flag(&flags, "gray-kind")
-                    .map(|s| {
-                        hadas_runtime::GrayFaultKind::from_name(s)
-                            .map_err(|e| ParseCliError(format!("bad gray-kind: {e}")))
-                    })
-                    .transpose()?
-                    .unwrap_or(hadas_runtime::GrayFaultKind::Mix);
-                let detection = flag(&flags, "detection")
-                    .map(|s| match s {
-                        "on" => Ok(true),
-                        "off" => Ok(false),
-                        other => Err(ParseCliError(format!(
-                            "bad detection '{other}' (expected on or off)"
-                        ))),
-                    })
-                    .transpose()?
-                    .unwrap_or(false);
+                let f = Flags::take(rest, FLEET_FLAGS)?;
                 Ok(Command::Fleet {
-                    devices,
-                    scale,
-                    seed,
-                    users,
-                    rps,
-                    workers,
-                    slo_ms,
-                    governor,
-                    energy_weight,
-                    faults,
-                    chaos,
-                    scenario,
-                    reconfigure,
-                    gray_faults,
-                    gray_kind,
-                    detection,
-                    json: flag(&flags, "json").map(str::to_string),
+                    devices: hadas_fleet::parse_device_spec(f.get("devices").unwrap_or("mixed:8"))
+                        .map_err(|e| ParseCliError(format!("bad devices spec: {e}")))?,
+                    scale: f.scale()?,
+                    seed: f.seed()?,
+                    users: f.parse("users", "users")?.unwrap_or(4_000),
+                    rps: f.parse("rps", "rps")?.unwrap_or(400.0),
+                    workers: f.parse("workers", "workers")?.unwrap_or(1),
+                    slo_ms: f.parse("slo-ms", "slo-ms")?.unwrap_or(120.0),
+                    governor: f.governor()?,
+                    energy_weight: f.parse("energy-weight", "energy-weight")?.unwrap_or(0.02),
+                    faults: f.parse("faults", "fault seed")?,
+                    chaos: f.parse("chaos", "chaos seed")?,
+                    scenario: f.scenario()?,
+                    reconfigure: f.on_off("reconfigure")?,
+                    gray_faults: f.parse("gray-faults", "gray-faults seed")?,
+                    gray_kind: f.gray_kind()?,
+                    detection: f.on_off("detection")?,
+                    json: f.string("json"),
                 })
             }
             other => Err(ParseCliError(format!(
@@ -1117,6 +904,106 @@ mod tests {
     #[test]
     fn missing_value_errors() {
         assert!(Command::parse(&argv("search --target")).is_err());
+    }
+
+    /// Exact error texts, including which error wins when two flags are
+    /// bad: the first one the parser reads, so a reordered literal shows.
+    #[test]
+    fn error_texts_are_exact() {
+        let cases: &[(&str, &str)] = &[
+            ("frobnicate", "unknown command 'frobnicate' (try: devices, baselines, search, train, ioe, check, proxy, serve, fleet, help)"),
+            ("devices --x 1", "unknown flag '--x' (allowed: )"),
+            ("devices extra", "expected a --flag, got 'extra'"),
+            ("baselines", "baselines requires --target"),
+            ("baselines --target warp", "unknown target 'warp' (expected agx-gpu, agx-cpu, tx2-gpu, or tx2-cpu)"),
+            ("baselines --target", "flag '--target' needs a value"),
+            ("baselines --seed 1", "unknown flag '--seed' (allowed: --target)"),
+            ("search", "search requires --target"),
+            ("search --target warp-drive", "unknown target 'warp-drive' (expected agx-gpu, agx-cpu, tx2-gpu, or tx2-cpu)"),
+            ("search --target tx2-gpu --scale huge", "unknown scale 'huge' (expected quick, mid, or paper)"),
+            ("search --target tx2-gpu --seed x", "bad seed: invalid digit found in string"),
+            ("search --target tx2-gpu --seed -1", "bad seed: invalid digit found in string"),
+            ("search --target tx2-gpu --max-generations lots", "bad max-generations: invalid digit found in string"),
+            ("search --target tx2-gpu --faults many", "bad fault seed: invalid digit found in string"),
+            ("search --target tx2-gpu --data-chaos loud", "bad data-chaos seed: invalid digit found in string"),
+            ("search --target tx2-gpu --workers many", "bad workers: invalid digit found in string"),
+            ("search --target tx2-gpu --chaos loud", "bad chaos seed: invalid digit found in string"),
+            ("search --target tx2-gpu --bogus 1", "unknown flag '--bogus' (allowed: --target, --scale, --seed, --json, --checkpoint, --resume, --max-generations, --faults, --data-chaos, --workers, --chaos)"),
+            ("search --target", "flag '--target' needs a value"),
+            ("search --target tx2-gpu --json", "flag '--json' needs a value"),
+            ("search --seed x --target warp", "unknown target 'warp' (expected agx-gpu, agx-cpu, tx2-gpu, or tx2-cpu)"),
+            ("search --target tx2-gpu --scale huge --seed x", "unknown scale 'huge' (expected quick, mid, or paper)"),
+            ("search --target tx2-gpu --workers x --chaos y", "bad workers: invalid digit found in string"),
+            ("search --target tx2-gpu --faults x --max-generations y", "bad max-generations: invalid digit found in string"),
+            ("train --epochs many", "bad epochs: invalid digit found in string"),
+            ("train --batch x", "bad batch: invalid digit found in string"),
+            ("train --lr hot", "bad lr: invalid float literal"),
+            ("train --seed s", "bad seed: invalid digit found in string"),
+            ("train --data-chaos wild", "bad data-chaos seed: invalid digit found in string"),
+            ("train --max-epochs x", "bad max-epochs: invalid digit found in string"),
+            ("train --resume-train maybe", "bad resume-train 'maybe' (expected on or off)"),
+            ("train --resume-train on", "--resume-train on requires --train-checkpoint PATH"),
+            ("train --max-epochs x --resume-train maybe", "bad max-epochs: invalid digit found in string"),
+            ("train --resume-train maybe --train-checkpoint c.json --epochs x", "bad epochs: invalid digit found in string"),
+            ("train --resume-train on --lr x", "bad lr: invalid float literal"),
+            ("train --bogus 1", "unknown flag '--bogus' (allowed: --epochs, --batch, --lr, --seed, --data-chaos, --train-checkpoint, --resume-train, --max-epochs, --json)"),
+            ("train positional", "expected a --flag, got 'positional'"),
+            ("ioe", "ioe requires --target"),
+            ("ioe --target tx2-cpu --baseline a7", "bad baseline 'a7' (expected a0..a6)"),
+            ("ioe --target tx2-cpu --baseline b1", "bad baseline 'b1' (expected a0..a6)"),
+            ("ioe --baseline a9", "ioe requires --target"),
+            ("ioe --target tx2-cpu --baseline a9 --scale huge", "bad baseline 'a9' (expected a0..a6)"),
+            ("ioe --target tx2-cpu --scale huge --seed x", "unknown scale 'huge' (expected quick, mid, or paper)"),
+            ("ioe --target tx2-cpu --seed x", "bad seed: invalid digit found in string"),
+            ("check --target warp-drive", "unknown target 'warp-drive' (expected agx-gpu, agx-cpu, tx2-gpu, or tx2-cpu)"),
+            ("check --scale quick", "unknown flag '--scale' (allowed: --target)"),
+            ("proxy", "proxy requires --target"),
+            ("proxy --target tx2-gpu --samples x", "bad samples: invalid digit found in string"),
+            ("proxy --target warp --samples x", "unknown target 'warp' (expected agx-gpu, agx-cpu, tx2-gpu, or tx2-cpu)"),
+            ("serve", "serve requires --target"),
+            ("serve --target tx2-gpu --governor warp", "unknown governor 'warp' (expected static, latency, or queue)"),
+            ("serve --target tx2-gpu --rps fast", "bad rps: invalid float literal"),
+            ("serve --target tx2-gpu --duration x", "bad duration: invalid float literal"),
+            ("serve --target tx2-gpu --workers x", "bad workers: invalid digit found in string"),
+            ("serve --target tx2-gpu --batch-max x", "bad batch-max: invalid digit found in string"),
+            ("serve --target tx2-gpu --slo-ms x", "bad slo-ms: invalid float literal"),
+            ("serve --target tx2-gpu --faults x", "bad fault seed: invalid digit found in string"),
+            ("serve --target tx2-gpu --chaos loud", "bad chaos seed: invalid digit found in string"),
+            ("serve --target tx2-gpu --brownout maybe", "bad brownout 'maybe' (expected on or off)"),
+            ("serve --target tx2-gpu --hedge-factor soon", "bad hedge-factor: invalid float literal"),
+            ("serve --target tx2-gpu --hedge-factor soon --rps x", "bad rps: invalid float literal"),
+            ("serve --target tx2-gpu --brownout maybe --governor warp", "unknown governor 'warp' (expected static, latency, or queue)"),
+            ("serve --target tx2-gpu --scale huge", "unknown scale 'huge' (expected quick, mid, or paper)"),
+            ("serve --target tx2-gpu --seed x", "bad seed: invalid digit found in string"),
+            ("serve --target tx2-gpu --users 5", "unknown flag '--users' (allowed: --target, --scale, --seed, --rps, --duration, --workers, --batch-max, --slo-ms, --governor, --faults, --chaos, --brownout, --hedge-factor, --json)"),
+            ("fleet --devices tx2-gpu:0", "bad devices spec: invalid configuration: device count must be ≥ 1 in 'tx2-gpu:0'"),
+            ("fleet --devices warp-drive:2", "bad devices spec: invalid configuration: unknown device target 'warp-drive' in 'warp-drive:2' (expected agx-gpu, agx-cpu, tx2-gpu, tx2-cpu, or mixed)"),
+            ("fleet --scale huge", "unknown scale 'huge' (expected quick, mid, or paper)"),
+            ("fleet --seed x", "bad seed: invalid digit found in string"),
+            ("fleet --users none", "bad users: invalid digit found in string"),
+            ("fleet --rps x", "bad rps: invalid float literal"),
+            ("fleet --workers x", "bad workers: invalid digit found in string"),
+            ("fleet --slo-ms x", "bad slo-ms: invalid float literal"),
+            ("fleet --governor warp", "unknown governor 'warp' (expected static, latency, or queue)"),
+            ("fleet --energy-weight heavy", "bad energy-weight: invalid float literal"),
+            ("fleet --faults x", "bad fault seed: invalid digit found in string"),
+            ("fleet --chaos x", "bad chaos seed: invalid digit found in string"),
+            ("fleet --scenario heatwave", "unknown scenario 'heatwave' (expected none, calm, diurnal, thermal-season, battery-decay, demand-shift, composite)"),
+            ("fleet --reconfigure maybe", "bad reconfigure 'maybe' (expected on or off)"),
+            ("fleet --gray-faults many", "bad gray-faults seed: invalid digit found in string"),
+            ("fleet --gray-kind sideways", "bad gray-kind: invalid configuration: unknown gray-fault kind 'sideways' (expected stale|corrupt|drop|slow|flap|mix)"),
+            ("fleet --detection maybe", "bad detection 'maybe' (expected on or off)"),
+            ("fleet --scenario z --chaos x", "bad chaos seed: invalid digit found in string"),
+            ("fleet --gray-kind q --gray-faults x", "bad gray-faults seed: invalid digit found in string"),
+            ("fleet --detection maybe --gray-kind q", "bad gray-kind: invalid configuration: unknown gray-fault kind 'q' (expected stale|corrupt|drop|slow|flap|mix)"),
+            ("fleet --reconfigure maybe --scenario z", "unknown scenario 'z' (expected none, calm, diurnal, thermal-season, battery-decay, demand-shift, composite)"),
+            ("fleet --devices warp:1 --scale huge", "bad devices spec: invalid configuration: unknown device target 'warp' in 'warp:1' (expected agx-gpu, agx-cpu, tx2-gpu, tx2-cpu, or mixed)"),
+            ("fleet --target tx2-gpu", "unknown flag '--target' (allowed: --devices, --scale, --seed, --users, --rps, --workers, --slo-ms, --governor, --energy-weight, --faults, --chaos, --scenario, --reconfigure, --gray-faults, --gray-kind, --detection, --json)"),
+            ("fleet --json", "flag '--json' needs a value"),
+        ];
+        for (args, text) in cases {
+            assert_eq!(Command::parse(&argv(args)), Err(ParseCliError(text.to_string())), "{args}");
+        }
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! `main`, a buffer in tests).
 
 use crate::Command;
-use hadas::{seal, DeploymentPicker, Hadas, JointModel, SearchCheckpoint, SearchOptions};
+use hadas::{
+    seal, DeploymentPicker, ExecTelemetry, Hadas, JointModel, SearchCheckpoint, SearchOptions,
+};
 use hadas_dataset::{CorruptionConfig, DatasetConfig, SyntheticDataset};
 use hadas_hw::{DeviceModel, HwTarget, ProxyCostModel};
 use hadas_runtime::{modes_from_pareto, FaultConfig, FaultInjector};
@@ -285,20 +287,7 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> Result<(), Box<dyn Error>> 
                 )?;
             }
             if chaos.is_some() {
-                let exec = outcome.exec_telemetry();
-                writeln!(
-                    out,
-                    "chaos healed: {} crashes ({} respawns), {} retries, {} re-dispatches, \
-                     {} hedges ({} duplicates), {} breaker trips, {} dead-lettered",
-                    exec.crashes,
-                    exec.respawns,
-                    exec.retries,
-                    exec.redispatches,
-                    exec.hedges,
-                    exec.duplicate_results,
-                    exec.breaker_trips,
-                    exec.dead_letter_units
-                )?;
+                writeln!(out, "{}", chaos_healed(outcome.exec_telemetry(), None))?;
             }
             if telemetry.interrupted {
                 let resume_hint = opts
@@ -577,19 +566,7 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> Result<(), Box<dyn Error>> 
                 )?;
             }
             if chaos.is_some() {
-                writeln!(
-                    out,
-                    "chaos healed: {} crashes ({} respawns), {} retries, {} re-dispatches, \
-                     {} hedges ({} duplicates), {} breaker trips, {} dead-lettered",
-                    telemetry.crashes,
-                    telemetry.respawns,
-                    telemetry.retries,
-                    telemetry.redispatches,
-                    telemetry.hedges,
-                    telemetry.duplicate_results,
-                    telemetry.breaker_trips,
-                    telemetry.dead_letter_units
-                )?;
+                writeln!(out, "{}", chaos_healed(&telemetry, None))?;
             }
             if report.brownout.enabled {
                 writeln!(
@@ -767,21 +744,7 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> Result<(), Box<dyn Error>> 
                 )?;
             }
             if chaos.is_some() {
-                let t = &run.telemetry;
-                writeln!(
-                    out,
-                    "chaos healed: {} unit crashes ({} respawns), {} retries, \
-                     {} re-dispatches, {} hedges ({} duplicates), {} breaker trips, \
-                     {} dead-lettered unit(s)",
-                    t.crashes,
-                    t.respawns,
-                    t.retries,
-                    t.redispatches,
-                    t.hedges,
-                    t.duplicate_results,
-                    t.breaker_trips,
-                    t.dead_letter_units
-                )?;
+                writeln!(out, "{}", chaos_healed(&run.telemetry, Some("unit")))?;
             }
             if let Some(path) = json {
                 seal::write(Path::new(&path), report)?;
@@ -804,6 +767,28 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> Result<(), Box<dyn Error>> 
         }
     }
     Ok(())
+}
+
+/// The `chaos healed:` summary of a supervised run's recovery work.
+/// `unit` names what crashed and dead-lettered when it is not an
+/// executor worker (the fleet's device units).
+fn chaos_healed(t: &ExecTelemetry, unit: Option<&str>) -> String {
+    let (crashed, lettered) = match unit {
+        Some(u) => (format!("{u} crashes"), format!(" {u}(s)")),
+        None => ("crashes".to_string(), String::new()),
+    };
+    format!(
+        "chaos healed: {} {crashed} ({} respawns), {} retries, {} re-dispatches, \
+         {} hedges ({} duplicates), {} breaker trips, {} dead-lettered{lettered}",
+        t.crashes,
+        t.respawns,
+        t.retries,
+        t.redispatches,
+        t.hedges,
+        t.duplicate_results,
+        t.breaker_trips,
+        t.dead_letter_units
+    )
 }
 
 #[cfg(test)]

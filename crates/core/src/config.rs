@@ -57,6 +57,26 @@ impl HadasConfig {
         }
     }
 
+    /// The paper's configuration at seconds-scale budgets (OOE 12/60,
+    /// IOE 16/96): the `quick` scale of the CLI and the bench binaries.
+    pub fn quick() -> Self {
+        HadasConfig {
+            ooe: EngineBudget::new(12, 60),
+            ioe: EngineBudget::new(16, 96),
+            ..Self::paper()
+        }
+    }
+
+    /// The paper's configuration at minutes-scale budgets (OOE 16/128,
+    /// IOE 24/240) that still preserve its shapes: the `mid` scale.
+    pub fn mid() -> Self {
+        HadasConfig {
+            ooe: EngineBudget::new(16, 128),
+            ioe: EngineBudget::new(24, 240),
+            ..Self::paper()
+        }
+    }
+
     /// A reduced-budget configuration that preserves the paper's shape
     /// while finishing quickly — used by examples and integration tests.
     pub fn smoke_test() -> Self {

@@ -468,15 +468,7 @@ impl<'a> Ooe<'a> {
         let mut modeled_ms = 0.0f64;
         let lanes = effective_workers(opts.workers);
 
-        let mut ioe_cache: BTreeMap<Vec<usize>, IoeOutcome> = BTreeMap::new();
         let mut state = self.initial_state(opts)?;
-        // Re-warm the IOE cache from restored history so resumed runs do
-        // not recompute inner searches they already paid for.
-        for b in &state.history {
-            if let Some(ioe) = &b.ioe {
-                ioe_cache.insert(b.subnet.genome().genes().to_vec(), ioe.clone());
-            }
-        }
 
         let mut ran_this_call = 0usize;
         let mut completed = state.generation >= generations;
@@ -582,20 +574,17 @@ impl<'a> Ooe<'a> {
             let promoted: Vec<usize> = order.iter().take(promote).map(|&k| indices[k]).collect();
 
             // Nested IOEs for promoted backbones, driven through the same
-            // supervised executor and cached across generations. Substrate
-            // faults are retried per candidate inside the IOE; the
-            // executor handles execution-plane failures of the job. The
-            // fold below runs in job order on this thread, so cache
-            // contents, telemetry (including the float overhead sum),
-            // and the surfaced error no longer depend on completion
-            // order.
+            // supervised executor; each outcome lands on the backbone's one
+            // history entry, which carries it across generations and resume.
+            // Substrate faults are retried per candidate inside the IOE; the
+            // executor handles execution-plane failures of the job. The fold
+            // below runs in job order on this thread, so stored outcomes,
+            // telemetry (including the float overhead sum), and the surfaced
+            // error no longer depend on completion order.
             let ioe_jobs: Vec<IoeEvalJob> = promoted
                 .iter()
                 .copied()
-                .filter(|&i| {
-                    state.history[i].ioe.is_none()
-                        && !ioe_cache.contains_key(state.history[i].subnet.genome().genes())
-                })
+                .filter(|&i| state.history[i].ioe.is_none())
                 .map(|i| {
                     let subnet = state.history[i].subnet.clone();
                     let seed = self.genome_seed(subnet.genome());
@@ -636,7 +625,7 @@ impl<'a> Ooe<'a> {
             for (job, slot) in ioe_jobs.into_iter().zip(slots) {
                 match slot {
                     Some(Ok((outcome, inner))) => {
-                        ioe_cache.insert(job.subnet.genome().genes().to_vec(), outcome);
+                        state.history[job.history_idx].ioe = Some(outcome);
                         telemetry.retried_evals += inner.retried_evals;
                         telemetry.transient_failures += inner.transient_failures;
                         telemetry.timeouts += inner.timeouts;
@@ -655,12 +644,6 @@ impl<'a> Ooe<'a> {
             // Surface the error of the lowest-indexed failed backbone.
             if let Some((_, e)) = errors.into_iter().next() {
                 return Err(e);
-            }
-            for &i in &promoted {
-                if state.history[i].ioe.is_none() {
-                    state.history[i].ioe =
-                        ioe_cache.get(state.history[i].subnet.genome().genes()).cloned();
-                }
             }
 
             ran_this_call += 1;

@@ -89,7 +89,7 @@ pub struct ServeTrace {
 /// governor/brownout state, and all folded accumulators (histogram
 /// included). A swap moves it as it is into the engine of the new
 /// window; it also serializes, and [`crate::EngineSnapshot`] seals it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SessionState {
     /// The virtual clock (seconds).
     pub now_s: f64,
@@ -286,48 +286,12 @@ impl<'a> ServeEngine<'a> {
     /// Returns [`HadasError::InvalidConfig`] for an invalid embedded
     /// fault configuration.
     pub fn session(&self) -> Result<ServeSession<'a, '_>, HadasError> {
-        let exit_slots = self.exit_slots();
         let state = SessionState {
-            now_s: 0.0,
-            seq: 0,
-            offered: 0,
-            queued_interactive: Vec::new(),
-            queued_bulk: Vec::new(),
             worker_free_s: vec![0.0; self.config.workers],
-            shed: 0,
-            rejected: 0,
-            current_mode: 0,
-            next_control_s: 0.0,
-            mode_switches: 0,
-            switch_energy_j: 0.0,
-            throttled_windows: 0,
-            window_degraded: false,
-            degraded_batches: 0,
-            makespan_s: 0.0,
-            brownout: None,
-            win_latencies_ms: Vec::new(),
-            win_completed: 0,
-            win_violations: 0,
-            health: Vec::new(),
-            served: 0,
-            correct: 0,
-            energy_j: 0.0,
-            sag_energy_j: 0.0,
-            batches: 0,
-            latencies: Histogram::new(),
-            violations: 0,
-            interactive_served: 0,
-            interactive_violations: 0,
-            bulk_served: 0,
-            bulk_violations: 0,
-            exit_counts: vec![0; exit_slots],
+            exit_counts: vec![0; self.exit_slots()],
             mode_occupancy: vec![0; self.modes.len()],
             per_worker_served: vec![0; self.config.workers],
-            dead_lettered: 0,
-            windows_opened: 0,
-            last_emitted: None,
-            telemetry_defects: TelemetryCounters::default(),
-            latency_sum_ms: 0.0,
+            ..SessionState::default()
         };
         self.open_session(state, self.config.brownout.map(BrownoutLadder::new))
     }

@@ -92,9 +92,8 @@ fn hadas_exploits_exit_friendly_backbones() {
     // Needs a few OOE generations for the selection pressure to act, so
     // this test runs at a mid-size budget.
     let hadas = Hadas::for_target(HwTarget::Tx2PascalGpu);
-    let mut cfg = quick().with_seed(7);
-    cfg.ooe = hadas_suite::core::EngineBudget::new(16, 128);
-    cfg.ioe = hadas_suite::core::EngineBudget::new(24, 240);
+    let mid = HadasConfig::mid();
+    let cfg = HadasConfig { ooe: mid.ooe, ioe: mid.ioe, ..quick().with_seed(7) };
     let outcome = hadas.run(&cfg).expect("runs");
     let searched: Vec<f64> =
         outcome.pareto_models().iter().map(|m| hadas.accuracy().exitability(&m.subnet)).collect();

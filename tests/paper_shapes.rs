@@ -2,17 +2,10 @@
 //! reduced search budget. These guard the calibration of the accuracy
 //! surrogate and the hardware simulator against regressions.
 
-use hadas_suite::core::{EngineBudget, Hadas, HadasConfig};
+use hadas_suite::core::{Hadas, HadasConfig};
 use hadas_suite::evo::{hypervolume_2d, pareto_indices, ratio_of_dominance};
 use hadas_suite::hw::{DeviceModel, HwTarget};
 use hadas_suite::space::baselines;
-
-fn mid() -> HadasConfig {
-    let mut cfg = HadasConfig::paper();
-    cfg.ooe = EngineBudget::new(16, 128);
-    cfg.ioe = EngineBudget::new(24, 240);
-    cfg
-}
 
 fn front(axes: &[Vec<f64>]) -> Vec<Vec<f64>> {
     pareto_indices(axes).into_iter().map(|i| axes[i].clone()).collect()
@@ -36,7 +29,7 @@ fn tx2_energy_anchors_hold() {
 #[test]
 fn ooe_front_dominates_baselines() {
     let hadas = Hadas::for_target(HwTarget::AgxVoltaGpu);
-    let outcome = hadas.run(&mid()).expect("runs");
+    let outcome = hadas.run(&HadasConfig::mid()).expect("runs");
     let front: Vec<Vec<f64>> =
         outcome.static_pareto().iter().map(|b| b.fitness.to_plot_axes()).collect();
     let mut dominated = 0;
@@ -57,7 +50,7 @@ fn ooe_front_dominates_baselines() {
 /// baselines on hypervolume and ratio of dominance.
 #[test]
 fn ioe_front_beats_optimized_baselines() {
-    let cfg = mid();
+    let cfg = HadasConfig::mid();
     let hadas = Hadas::for_target(HwTarget::Tx2PascalGpu);
     let outcome = hadas.run(&cfg).expect("runs");
     let mut hadas_axes = Vec::new();
@@ -92,7 +85,7 @@ fn ioe_front_beats_optimized_baselines() {
 /// optimisation stages (Static ≥ Dyn ≥ Dyn w/HW) for the searched models.
 #[test]
 fn optimisation_stages_are_monotone() {
-    let cfg = mid();
+    let cfg = HadasConfig::mid();
     let hadas = Hadas::for_target(HwTarget::Tx2PascalGpu);
     let outcome = hadas.run(&cfg).expect("runs");
     let mut checked = 0;
@@ -116,7 +109,7 @@ fn optimisation_stages_are_monotone() {
 fn dissimilarity_regularizer_helps() {
     let hadas = Hadas::for_target(HwTarget::Tx2PascalGpu);
     let subnet = hadas.space().decode(&baselines::baseline_genome(3)).expect("a3 decodes");
-    let cfg = mid();
+    let cfg = HadasConfig::mid();
     // Individual runs are noisy (search-time N_i estimates are), so the
     // claim is statistical: averaged over ten seeds, the regularised fronts
     // dominate the unregularised ones more than vice versa. Five seeds is
