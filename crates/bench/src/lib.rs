@@ -54,34 +54,59 @@ pub struct BenchRecord<T> {
 /// this struct.
 #[derive(Debug, Clone, Default)]
 pub struct BenchEnv {
-    scale: Option<String>,
+    scale: Tier,
     results_override: Option<PathBuf>,
+}
+
+/// A `HADAS_SCALE` tier.
+#[derive(Debug, Clone, Copy, Default)]
+enum Tier {
+    #[default]
+    Quick,
+    Mid,
+    Paper,
 }
 
 impl BenchEnv {
     /// Packs ambient values read by the caller: the `HADAS_SCALE` tier
     /// (`quick` default | `mid` | `paper`) and an optional
     /// `HADAS_RESULTS_DIR` override.
-    pub fn new(scale: Option<String>, results_override: Option<PathBuf>) -> BenchEnv {
-        BenchEnv { scale, results_override }
+    ///
+    /// # Errors
+    ///
+    /// Any other scale name, in the words the `hadas` CLI uses for an
+    /// unknown `--scale`, so a mistyped tier never runs as quick.
+    pub fn new(
+        scale: Option<String>,
+        results_override: Option<PathBuf>,
+    ) -> Result<BenchEnv, String> {
+        let scale = match scale.as_deref() {
+            None | Some("quick") => Tier::Quick,
+            Some("mid") => Tier::Mid,
+            Some("paper") => Tier::Paper,
+            Some(other) => {
+                return Err(format!("unknown scale '{other}' (expected quick, mid, or paper)"))
+            }
+        };
+        Ok(BenchEnv { scale, results_override })
     }
 
     /// The experiment configuration for the selected scale tier.
     pub fn scaled_config(&self) -> HadasConfig {
-        match self.scale.as_deref() {
-            Some("paper") => HadasConfig::paper(),
-            Some("mid") => HadasConfig::mid(),
-            _ => HadasConfig::quick(),
+        match self.scale {
+            Tier::Quick => HadasConfig::quick(),
+            Tier::Mid => HadasConfig::mid(),
+            Tier::Paper => HadasConfig::paper(),
         }
     }
 
     /// The scale tier this environment resolves to (`quick` | `mid` |
     /// `paper`) — the normalized echo stamped into bench headers.
     pub fn scale_name(&self) -> &'static str {
-        match self.scale.as_deref() {
-            Some("paper") => "paper",
-            Some("mid") => "mid",
-            _ => "quick",
+        match self.scale {
+            Tier::Quick => "quick",
+            Tier::Mid => "mid",
+            Tier::Paper => "paper",
         }
     }
 
@@ -123,14 +148,22 @@ impl BenchEnv {
 /// Builds a [`BenchEnv`] by reading `HADAS_SCALE` and
 /// `HADAS_RESULTS_DIR` **at the expansion site** — intended for bench
 /// binaries' `main`, which is the sanctioned ambient boundary. The env
-/// reads expand into the binary, not this library.
+/// reads expand into the binary, not this library. An unknown
+/// `HADAS_SCALE` prints `error: unknown scale …` and exits with status
+/// 2, as the CLI does for a bad `--scale`, before any search runs.
 #[macro_export]
 macro_rules! bench_env {
     () => {
-        $crate::BenchEnv::new(
+        match $crate::BenchEnv::new(
             ::std::env::var("HADAS_SCALE").ok(),
             ::std::env::var("HADAS_RESULTS_DIR").ok().map(::std::path::PathBuf::from),
-        )
+        ) {
+            Ok(env) => env,
+            Err(e) => {
+                eprintln!("error: {e}");
+                ::std::process::exit(2)
+            }
+        }
     };
 }
 
@@ -152,11 +185,33 @@ mod tests {
     }
 
     #[test]
-    fn scale_tiers_and_results_override_are_pure() {
-        let paper = BenchEnv::new(Some("paper".into()), None).scaled_config();
+    fn scale_tiers_and_results_override_are_pure() -> Result<(), String> {
+        let paper = BenchEnv::new(Some("paper".into()), None)?.scaled_config();
         assert!(paper.ooe.iterations > BenchEnv::default().scaled_config().ooe.iterations);
-        let env = BenchEnv::new(None, Some(PathBuf::from("elsewhere")));
+        let env = BenchEnv::new(None, Some(PathBuf::from("elsewhere")))?;
         assert_eq!(env.results_dir(), PathBuf::from("elsewhere"));
         assert_eq!(BenchEnv::default().results_dir(), PathBuf::from("results"));
+        Ok(())
+    }
+
+    #[test]
+    fn every_known_scale_resolves_and_an_unknown_one_is_refused() -> Result<(), String> {
+        for (scale, name, cfg) in [
+            (None, "quick", HadasConfig::quick()),
+            (Some("quick"), "quick", HadasConfig::quick()),
+            (Some("mid"), "mid", HadasConfig::mid()),
+            (Some("paper"), "paper", HadasConfig::paper()),
+        ] {
+            let env = BenchEnv::new(scale.map(str::to_string), None)?;
+            assert_eq!(env.scale_name(), name);
+            assert_eq!(env.scaled_config(), cfg);
+        }
+        for bad in ["papr", "", "Paper", "quick "] {
+            assert_eq!(
+                BenchEnv::new(Some(bad.to_string()), None).err(),
+                Some(format!("unknown scale '{bad}' (expected quick, mid, or paper)"))
+            );
+        }
+        Ok(())
     }
 }

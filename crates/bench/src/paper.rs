@@ -225,7 +225,7 @@ mod tests {
     #[test]
     fn every_view_reads_the_shared_runs_and_writes_a_headed_record() -> Result<(), Box<dyn Error>> {
         let dir = std::env::temp_dir().join(format!("hadas-paper-views-{}", std::process::id()));
-        let env = BenchEnv::new(None, Some(dir.clone()));
+        let env = BenchEnv::new(None, Some(dir.clone()))?;
         let cfg = env.scaled_config();
         let runs = PaperRun::all(&cfg)?;
         assert_eq!(runs.iter().map(PaperRun::target).collect::<Vec<_>>(), HwTarget::ALL);

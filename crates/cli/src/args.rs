@@ -260,12 +260,14 @@ pub(crate) const FLEET_FLAGS: &[&str] = &[
     "json",
 ];
 
-/// The `--flag value` pairs of one subcommand, read by name. A flag
-/// given twice resolves to its first value.
+/// The `--flag value` pairs of one subcommand, read by name. Each flag
+/// is given at most once: a repeated flag is an error, not a choice
+/// between two values.
 struct Flags<'a>(Vec<(&'a str, &'a str)>);
 
 impl<'a> Flags<'a> {
-    /// Reads `--flag value` pairs out of `rest`, erroring on unknown flags.
+    /// Reads `--flag value` pairs out of `rest`, left to right, erroring
+    /// on the first unknown, valueless or repeated flag.
     fn take(rest: &'a [String], allowed: &[&str]) -> Result<Flags<'a>, ParseCliError> {
         let mut out = Vec::new();
         let mut i = 0;
@@ -284,6 +286,9 @@ impl<'a> Flags<'a> {
             let value = rest
                 .get(i + 1)
                 .ok_or_else(|| ParseCliError(format!("flag '--{name}' needs a value")))?;
+            if out.iter().any(|&(n, _)| n == name) {
+                return Err(ParseCliError(format!("flag '--{name}' given twice")));
+            }
             out.push((name, value.as_str()));
             i += 2;
         }
@@ -1000,6 +1005,12 @@ mod tests {
             ("fleet --devices warp:1 --scale huge", "bad devices spec: invalid configuration: unknown device target 'warp' in 'warp:1' (expected agx-gpu, agx-cpu, tx2-gpu, tx2-cpu, or mixed)"),
             ("fleet --target tx2-gpu", "unknown flag '--target' (allowed: --devices, --scale, --seed, --users, --rps, --workers, --slo-ms, --governor, --energy-weight, --faults, --chaos, --scenario, --reconfigure, --gray-faults, --gray-kind, --detection, --json)"),
             ("fleet --json", "flag '--json' needs a value"),
+            ("baselines --target tx2-gpu --target agx-gpu", "flag '--target' given twice"),
+            ("search --target tx2-gpu --seed 1 --seed 1", "flag '--seed' given twice"),
+            ("search --seed 1 --target tx2-gpu --seed x", "flag '--seed' given twice"),
+            ("serve --target tx2-gpu --rps x --rps 5 --bogus 1", "flag '--rps' given twice"),
+            ("fleet --json a.json --scale huge --json b.json", "flag '--json' given twice"),
+            ("train --max-epochs 3 --max-epochs", "flag '--max-epochs' needs a value"),
         ];
         for (args, text) in cases {
             assert_eq!(Command::parse(&argv(args)), Err(ParseCliError(text.to_string())), "{args}");

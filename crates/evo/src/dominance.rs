@@ -67,173 +67,341 @@ fn finiteness<P: AsRef<[f64]>>(points: &[P]) -> Vec<bool> {
     points.iter().map(check).collect()
 }
 
-/// Points copied into one contiguous column-major buffer (objective `d`
-/// of point `i` at `d * len + i`), with each point's finiteness: the
-/// layout the row kernel reads.
-struct Columns {
+/// Points copied into one contiguous column-major buffer, each column
+/// padded to whole blocks of 64 points (objective `d` of point `i` at
+/// `d * stride + i`), with each point's finiteness as a bit: the layout
+/// the pair kernel reads. Reloading reuses the buffers.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Columns {
     flat: Vec<f64>,
-    finite: Vec<bool>,
+    /// Bit `i % 64` of word `i / 64` is set when point `i` is finite;
+    /// padding is not.
+    finite: Vec<u64>,
+    n: usize,
+    stride: usize,
     dims: usize,
 }
 
 impl Columns {
-    /// Copies `points` after checking that all share one dimensionality.
+    /// Replaces the contents with `points`, after checking that all share
+    /// one dimensionality.
     ///
     /// # Panics
     ///
     /// Panics on mixed dimensionality, as [`dominates`] does.
-    fn new<P: AsRef<[f64]>>(points: &[P]) -> Self {
-        let finite = finiteness(points);
-        let dims = points.first().map_or(0, |p| p.as_ref().len());
+    pub(crate) fn load<'p>(&mut self, points: impl ExactSizeIterator<Item = &'p [f64]>) {
         let n = points.len();
-        let mut flat = vec![0.0; n * dims];
-        for (i, p) in points.iter().enumerate() {
-            for (d, &v) in p.as_ref().iter().enumerate() {
-                flat[d * n + i] = v;
+        let stride = n.next_multiple_of(64);
+        self.n = n;
+        self.stride = stride;
+        self.dims = 0;
+        self.flat.clear();
+        self.finite.clear();
+        self.finite.resize(stride / 64, 0);
+        for (i, p) in points.enumerate() {
+            if i == 0 {
+                self.dims = p.len();
+                self.flat.resize(stride * self.dims, 0.0);
+            }
+            assert!(p.len() == self.dims, "objective dimensionality mismatch");
+            self.finite[i / 64] |= u64::from(is_finite(p)) << (i % 64);
+            for (d, &v) in p.iter().enumerate() {
+                self.flat[d * stride + i] = v;
             }
         }
-        Columns { flat, finite, dims }
     }
 
     fn len(&self) -> usize {
-        self.finite.len()
+        self.n
     }
 
-    fn column(&self, d: usize) -> &[f64] {
-        &self.flat[d * self.len()..(d + 1) * self.len()]
+    fn is_finite(&self, i: usize) -> bool {
+        self.finite[i / 64] >> (i % 64) & 1 == 1
     }
 
-    /// Whether point `i` dominates point `j`.
-    fn beats(&self, i: usize, j: usize) -> bool {
-        let (mut gt, mut lt) = (false, false);
-        for d in 0..self.dims {
-            let column = self.column(d);
-            gt |= column[i] > column[j];
-            lt |= column[i] < column[j];
-        }
-        verdict((gt, lt), self.finite[i], self.finite[j])
+    fn value(&self, d: usize, i: usize) -> f64 {
+        self.flat[d * self.stride + i]
     }
 
-    /// Writes to `out[k]` whether point `i` dominates point `from + k`.
-    /// Three-objective points, the arity every search ranks, run a pass
-    /// over the three columns side by side, branch-free on the data;
-    /// other arities compare point by point.
-    fn beats_row(&self, i: usize, from: usize, out: &mut [u8]) {
-        if self.dims != 3 {
-            for (k, b) in out.iter_mut().enumerate() {
-                *b = u8::from(self.beats(i, from + k));
+    /// Objective `d` of the 64 points of block `c`.
+    fn block(&self, d: usize, c: usize) -> &[f64; 64] {
+        &self.flat[d * self.stride..(d + 1) * self.stride].as_chunks::<64>().0[c]
+    }
+
+    /// Point `j` against the `len` points of block `c` (the block's first
+    /// `len`), each pair compared once: bit `k` of the first word says
+    /// `j` dominates point `64c + k`, bit `k` of the second that point
+    /// `64c + k` dominates `j`. The compare pass fills one byte lane per
+    /// point with whether `j` is better (`gt`) and worse (`lt`) somewhere,
+    /// branch-free on the data: three-objective points, the arity every
+    /// search ranks, compare their three columns side by side, other
+    /// arities one column at a time. The lanes pack into words, and the
+    /// verdicts of [`verdict`] follow word-wide: `j ≻ i` from `(gt, lt)`,
+    /// `i ≻ j` from `(lt, gt)`, with the quarantine from the finiteness
+    /// bits and the lanes past `len` masked off.
+    fn duel(&self, j: usize, c: usize, len: usize) -> (u64, u64) {
+        let (mut gt, mut lt) = ([0u8; 64], [0u8; 64]);
+        if self.dims == 3 {
+            let (xs, ys, zs) = (self.block(0, c), self.block(1, c), self.block(2, c));
+            let (a0, a1, a2) = (self.value(0, j), self.value(1, j), self.value(2, j));
+            for (k, (g, l)) in gt.iter_mut().zip(&mut lt).enumerate() {
+                *g = u8::from((a0 > xs[k]) | (a1 > ys[k]) | (a2 > zs[k]));
+                *l = u8::from((a0 < xs[k]) | (a1 < ys[k]) | (a2 < zs[k]));
             }
-            return;
+        } else {
+            for d in 0..self.dims {
+                let (xs, a) = (self.block(d, c), self.value(d, j));
+                for (k, (g, l)) in gt.iter_mut().zip(&mut lt).enumerate() {
+                    *g |= u8::from(a > xs[k]);
+                    *l |= u8::from(a < xs[k]);
+                }
+            }
         }
-        let (xs, ys, zs) = (self.column(0), self.column(1), self.column(2));
-        let (a0, a1, a2, fa) = (xs[i], ys[i], zs[i], self.finite[i]);
-        let rest = xs[from..].iter().zip(&ys[from..]).zip(&zs[from..]).zip(&self.finite[from..]);
-        for (b, (((&x, &y), &z), &fb)) in out.iter_mut().zip(rest) {
-            let gt = (a0 > x) | (a1 > y) | (a2 > z);
-            let lt = (a0 < x) | (a1 < y) | (a2 < z);
-            *b = u8::from(verdict((gt, lt), fa, fb));
+        let (gt, lt) = (pack(&gt), pack(&lt));
+        let (finite, tail) = (self.finite[c], u64::MAX >> (64 - len));
+        if self.is_finite(j) {
+            (((gt & !lt & finite) | !finite) & tail, lt & !gt & finite & tail)
+        } else {
+            (0, finite & tail)
         }
     }
 }
 
-/// The dominance relation over a list of points: `beats[i * n + j] == 1`
-/// when point `i` dominates point `j`, and each point's domination count
-/// (how many points dominate it). Deb's peel reads nothing else, so a
-/// relation carried from one list to the next ranks exactly as one
-/// computed afresh.
+/// 64 byte lanes of 0 or 1 as the bits of one word, lane `k` at bit `k`:
+/// the multiply gathers each 8 lanes' low bits into its top byte.
+#[inline(always)]
+fn pack(lanes: &[u8; 64]) -> u64 {
+    let (groups, _) = lanes.as_chunks::<8>();
+    groups.iter().enumerate().fold(0, |word, (g, bytes)| {
+        let bits = u64::from_le_bytes(*bytes).wrapping_mul(0x0102_0408_1020_4080) >> 56;
+        word | bits << (8 * g)
+    })
+}
+
+/// Calls `f` with the position of each set bit of `bits`, ascending.
+#[inline(always)]
+fn for_each_bit(mut bits: u64, mut f: impl FnMut(usize)) {
+    while bits != 0 {
+        f(bits.trailing_zeros() as usize);
+        bits &= bits - 1;
+    }
+}
+
+/// The dominance relation over a list of points: bit `j` of row `i` (a
+/// run of `u64` words) is set when point `i` dominates point `j`, and
+/// each point's domination count (how many points dominate it). Deb's
+/// peel reads nothing else, so a relation carried from one list to the
+/// next ranks exactly as one computed afresh. Every operation rewrites
+/// the relation in place, reusing its buffers.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Dominance {
     n: usize,
-    beats: Vec<u8>,
-    count: Vec<usize>,
+    /// Words per row.
+    words: usize,
+    beats: Vec<u64>,
+    count: Vec<u32>,
+    /// [`Dominance::gather`]'s scratch: the picked points of the source
+    /// as a bit set, and each one's position among the picks.
+    picked: Vec<u64>,
+    slot: Vec<u32>,
 }
 
 impl Dominance {
-    /// The relation over `points`, whose leading points are the ones this
-    /// relation covers, in its order: their verdicts are copied, and only
-    /// the verdicts that involve a later point are computed (all of them,
-    /// from the empty default relation).
+    /// Becomes the relation over `columns`, whose leading points are the
+    /// ones `old` covers, in its order: their verdicts are copied, and
+    /// only the pairs that involve a later point are compared, once each
+    /// (every pair, from the empty default relation).
     ///
     /// # Panics
     ///
-    /// Panics if the points have different dimensionality or are fewer
-    /// than this relation covers.
-    pub(crate) fn extend<P: AsRef<[f64]>>(&self, points: &[P]) -> Self {
-        let columns = Columns::new(points);
-        let (n, p) = (columns.len(), self.n);
-        let mut beats = vec![0u8; n * n];
-        let mut count = vec![0usize; n];
-        count[..p].copy_from_slice(&self.count);
-        for i in 0..n {
-            let row = &mut beats[i * n..(i + 1) * n];
-            let from = if i < p {
-                row[..p].copy_from_slice(&self.beats[i * p..(i + 1) * p]);
-                p
-            } else {
-                0
-            };
-            columns.beats_row(i, from, &mut row[from..]);
-            for (c, &b) in count[from..].iter_mut().zip(&row[from..]) {
-                *c += usize::from(b);
+    /// Panics if `columns` holds fewer points than `old` covers.
+    pub(crate) fn extend(&mut self, old: &Dominance, columns: &Columns) {
+        let (n, p) = (columns.len(), old.n);
+        assert!(p <= n, "the points must include the {p} the relation covers");
+        let words = n.div_ceil(64);
+        self.n = n;
+        self.words = words;
+        self.beats.clear();
+        self.beats.resize(n * words, 0);
+        self.count.clear();
+        self.count.extend_from_slice(&old.count);
+        self.count.resize(n, 0);
+        for i in 0..p {
+            let row = &old.beats[i * old.words..(i + 1) * old.words];
+            self.beats[i * words..i * words + old.words].copy_from_slice(row);
+        }
+        for j in p..n {
+            let (word, bit) = (j / 64, 1u64 << (j % 64));
+            for c in 0..j.div_ceil(64) {
+                let from = c * 64;
+                let (wins, losses) = columns.duel(j, c, (j - from).min(64));
+                self.beats[j * words + c] = wins;
+                for_each_bit(wins, |k| self.count[from + k] += 1);
+                self.count[j] += losses.count_ones();
+                for_each_bit(losses, |k| self.beats[(from + k) * words + word] |= bit);
             }
         }
-        Dominance { n, beats, count }
     }
 
-    /// The relation restricted to the points at `picks`, in that order.
-    pub(crate) fn gather(&self, picks: &[usize]) -> Self {
-        let (n, m) = (self.n, picks.len());
-        let mut beats = vec![0u8; m * m];
-        let mut count = vec![0usize; m];
-        for (out, &i) in beats.chunks_exact_mut(m.max(1)).zip(picks) {
-            let row = &self.beats[i * n..(i + 1) * n];
-            for (b, &j) in out.iter_mut().zip(picks) {
-                *b = row[j];
-            }
-            for (c, &b) in count.iter_mut().zip(out.iter()) {
-                *c += usize::from(b);
+    /// Becomes `from` restricted to the points at `picks`, in that order.
+    pub(crate) fn gather(&mut self, from: &Dominance, picks: &[usize]) {
+        let (m, words) = (picks.len(), picks.len().div_ceil(64));
+        self.n = m;
+        self.words = words;
+        self.beats.clear();
+        self.beats.resize(m * words, 0);
+        self.count.clear();
+        self.count.resize(m, 0);
+        self.picked.clear();
+        self.picked.resize(from.words, 0);
+        self.slot.clear();
+        self.slot.resize(from.n, 0);
+        for (k, &i) in picks.iter().enumerate() {
+            self.picked[i / 64] |= 1 << (i % 64);
+            self.slot[i] = k as u32;
+        }
+        for (out, &i) in self.beats.chunks_exact_mut(words.max(1)).zip(picks) {
+            let row = &from.beats[i * from.words..(i + 1) * from.words];
+            for (c, (&word, &picked)) in row.iter().zip(&self.picked).enumerate() {
+                for_each_bit(word & picked, |b| {
+                    let l = self.slot[c * 64 + b] as usize;
+                    out[l / 64] |= 1 << (l % 64);
+                    self.count[l] += 1;
+                });
             }
         }
-        Dominance { n: m, beats, count }
     }
 
-    /// Deb's peel: the fronts of [`fast_non_dominated_sort`]. Deb's list
-    /// of the points `i` dominates is row `i` of the matrix, in ascending
-    /// index order; the row is read eight bytes at a time, so runs of
-    /// points `i` does not dominate cost one test per word.
-    pub(crate) fn fronts(&self) -> Vec<Vec<usize>> {
-        let n = self.n;
-        let mut count = self.count.clone();
-        let mut fronts: Vec<Vec<usize>> = Vec::new();
-        let mut current: Vec<usize> = (0..n).filter(|&i| count[i] == 0).collect();
-        while !current.is_empty() {
-            let mut next = Vec::new();
-            let mut release = |j: usize| {
-                count[j] -= 1;
-                if count[j] == 0 {
-                    next.push(j);
-                }
-            };
-            for &i in &current {
-                let (words, tail) = self.beats[i * n..(i + 1) * n].as_chunks::<8>();
-                for (w, word) in words.iter().enumerate() {
-                    // Each byte is 0 or 1, so each set bit is one point.
-                    let mut bits = u64::from_le_bytes(*word);
-                    while bits != 0 {
-                        release(w * 8 + bits.trailing_zeros() as usize / 8);
-                        bits &= bits - 1;
-                    }
-                }
-                for (k, &b) in tail.iter().enumerate() {
-                    if b != 0 {
-                        release(words.len() * 8 + k);
-                    }
+    /// Whether point `i` dominates point `j`.
+    #[cfg(test)]
+    fn get(&self, i: usize, j: usize) -> bool {
+        self.beats[i * self.words + j / 64] >> (j % 64) & 1 == 1
+    }
+
+    /// Deb's peel: the fronts of [`fast_non_dominated_sort`], written
+    /// into `fronts`. Deb's list of the points `i` dominates is row `i`,
+    /// walked set bit by set bit in ascending index order.
+    pub(crate) fn peel(&self, fronts: &mut Fronts) {
+        let Fronts { members, ends, left } = fronts;
+        members.clear();
+        ends.clear();
+        left.clear();
+        left.extend_from_slice(&self.count);
+        members.extend((0..self.n).filter(|&i| left[i] == 0));
+        let mut start = 0;
+        while start < members.len() {
+            let end = members.len();
+            for at in start..end {
+                let i = members[at];
+                for (c, &word) in
+                    self.beats[i * self.words..(i + 1) * self.words].iter().enumerate()
+                {
+                    for_each_bit(word, |b| {
+                        let j = c * 64 + b;
+                        left[j] -= 1;
+                        if left[j] == 0 {
+                            members.push(j);
+                        }
+                    });
                 }
             }
-            fronts.push(std::mem::replace(&mut current, next));
+            ends.push(end);
+            start = end;
         }
-        debug_assert_fronts_partition(n, &fronts);
-        fronts
+        debug_assert_fronts_partition(self.n, fronts);
+    }
+}
+
+/// The fronts of one peel, stored flat: front `r` is the run of
+/// `members` up to `ends[r]`, from the previous front's end. Peeling
+/// again reuses the buffers.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Fronts {
+    members: Vec<usize>,
+    ends: Vec<usize>,
+    /// The peel's domination counts still outstanding.
+    left: Vec<u32>,
+}
+
+impl Fronts {
+    /// The fronts in rank order, front 0 first.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &[usize]> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts.zip(&self.ends).map(|(start, &end)| &self.members[start..end])
+    }
+
+    /// Front 0, or `None` when there are no points.
+    pub(crate) fn first(&self) -> Option<&[usize]> {
+        self.iter().next()
+    }
+}
+
+/// Crowding distance buffers, reused from one front to the next; see
+/// [`crowding_distance`].
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Crowding {
+    distance: Vec<f64>,
+    /// The finite members.
+    finite: Vec<usize>,
+    /// One objective of each finite member, beside the member.
+    values: Vec<(f64, usize)>,
+}
+
+impl Crowding {
+    /// [`crowding_distance`] of the `m` points of `columns` at
+    /// `at(0), …, at(m - 1)`, in that order.
+    pub(crate) fn of(
+        &mut self,
+        columns: &Columns,
+        m: usize,
+        at: impl Fn(usize) -> usize,
+    ) -> &[f64] {
+        let finite = |w: usize| columns.is_finite(at(w));
+        self.compute(m, columns.dims, finite, |w, d| columns.value(d, at(w)))
+    }
+
+    /// The crowding distances of `m` members, member `w` being finite
+    /// when `finite(w)` and having objective `d` equal to `value(w, d)`.
+    fn compute(
+        &mut self,
+        m: usize,
+        dims: usize,
+        finite: impl Fn(usize) -> bool,
+        value: impl Fn(usize, usize) -> f64,
+    ) -> &[f64] {
+        let Crowding { distance, finite: kept, values } = self;
+        distance.clear();
+        distance.resize(m, 0.0);
+        kept.clear();
+        kept.extend((0..m).filter(|&w| finite(w)));
+        let k = kept.len();
+        if k <= 2 {
+            for &w in kept.iter() {
+                distance[w] = f64::INFINITY;
+            }
+            return distance;
+        }
+        // One objective of the finite members at a time, copied out beside
+        // each member so the stable sort compares plain values.
+        for d in 0..dims {
+            values.clear();
+            values.extend(kept.iter().map(|&w| (value(w, d), w)));
+            values.sort_by(|a, b| a.0.total_cmp(&b.0));
+            let (lo, hi) = (values[0].0, values[k - 1].0);
+            distance[values[0].1] = f64::INFINITY;
+            distance[values[k - 1].1] = f64::INFINITY;
+            let span = hi - lo;
+            if span <= 0.0 {
+                continue;
+            }
+            for run in values.windows(3) {
+                let member = run[1].1;
+                if distance[member].is_finite() {
+                    distance[member] += (run[2].0 - run[0].0) / span;
+                }
+            }
+        }
+        distance
     }
 }
 
@@ -281,21 +449,25 @@ pub fn pareto_indices<P: AsRef<[f64]>>(points: &[P]) -> Vec<usize> {
 ///
 /// Panics if the points have different dimensionality.
 pub fn fast_non_dominated_sort<P: AsRef<[f64]>>(points: &[P]) -> Vec<Vec<usize>> {
-    Dominance::default().extend(points).fronts()
+    let mut columns = Columns::default();
+    columns.load(points.iter().map(AsRef::as_ref));
+    let mut relation = Dominance::default();
+    relation.extend(&Dominance::default(), &columns);
+    let mut fronts = Fronts::default();
+    relation.peel(&mut fronts);
+    fronts.iter().map(<[usize]>::to_vec).collect()
 }
 
 /// Debug-mode invariant: the fronts are pairwise disjoint and jointly
 /// cover all `n` population indices (a partition). Compiled out in
 /// release builds.
-fn debug_assert_fronts_partition(n: usize, fronts: &[Vec<usize>]) {
+fn debug_assert_fronts_partition(n: usize, fronts: &Fronts) {
     if cfg!(debug_assertions) {
         let mut seen = vec![false; n];
-        for front in fronts {
-            for &i in front {
-                debug_assert!(i < n, "front index {i} out of range for population {n}");
-                debug_assert!(!seen[i], "fronts must be disjoint: index {i} appears twice");
-                seen[i] = true;
-            }
+        for &i in fronts.iter().flatten() {
+            debug_assert!(i < n, "front index {i} out of range for population {n}");
+            debug_assert!(!seen[i], "fronts must be disjoint: index {i} appears twice");
+            seen[i] = true;
         }
         debug_assert!(
             seen.iter().all(|&s| s),
@@ -315,51 +487,239 @@ fn debug_assert_fronts_partition(n: usize, fronts: &[Vec<usize>]) {
 /// bit-identical to the classical algorithm.
 ///
 /// Returned in the same order as `front`.
-#[allow(clippy::needless_range_loop)]
 pub fn crowding_distance<P: AsRef<[f64]>>(points: &[P], front: &[usize]) -> Vec<f64> {
-    let m = front.len();
-    if m == 0 {
-        return Vec::new();
+    let member = |w: usize| points[front[w]].as_ref();
+    let dims = (0..front.len()).map(member).find(|p| is_finite(p)).map_or(0, <[f64]>::len);
+    let mut crowding = Crowding::default();
+    crowding.compute(front.len(), dims, |w| is_finite(member(w)), |w, d| member(w)[d]);
+    crowding.distance
+}
+
+/// The relation as it was before it was bit-packed: a byte per pair,
+/// each verdict computed both ways round, a fresh matrix per call; and
+/// the crowding distance with its buffers allocated per call. The
+/// reference the packed relation and the reused crowding buffers are
+/// held to.
+#[cfg(test)]
+mod reference {
+    use super::{finiteness, is_finite, verdict};
+
+    /// Points copied into one contiguous column-major buffer (objective `d`
+    /// of point `i` at `d * len + i`), with each point's finiteness: the
+    /// layout the row kernel reads.
+    struct Columns {
+        flat: Vec<f64>,
+        finite: Vec<bool>,
+        dims: usize,
     }
-    let mut distance = vec![0.0f64; m];
-    let finite: Vec<usize> = (0..m).filter(|&w| is_finite(points[front[w]].as_ref())).collect();
-    let k = finite.len();
-    if k <= 2 {
-        for &w in &finite {
-            distance[w] = f64::INFINITY;
+
+    impl Columns {
+        /// Copies `points` after checking that all share one dimensionality.
+        ///
+        /// # Panics
+        ///
+        /// Panics on mixed dimensionality, as [`dominates`] does.
+        fn new<P: AsRef<[f64]>>(points: &[P]) -> Self {
+            let finite = finiteness(points);
+            let dims = points.first().map_or(0, |p| p.as_ref().len());
+            let n = points.len();
+            let mut flat = vec![0.0; n * dims];
+            for (i, p) in points.iter().enumerate() {
+                for (d, &v) in p.as_ref().iter().enumerate() {
+                    flat[d * n + i] = v;
+                }
+            }
+            Columns { flat, finite, dims }
         }
-        return distance;
-    }
-    let dims = points[front[finite[0]]].as_ref().len();
-    // One objective of the finite members at a time, copied out so the
-    // sort compares plain values; `order` holds positions in `finite`.
-    let mut values = vec![0.0f64; k];
-    let mut order: Vec<usize> = Vec::with_capacity(k);
-    for d in 0..dims {
-        for (v, &w) in values.iter_mut().zip(&finite) {
-            *v = points[front[w]].as_ref()[d];
+
+        fn len(&self) -> usize {
+            self.finite.len()
         }
-        order.clear();
-        order.extend(0..k);
-        order.sort_by(|&a, &b| values[a].total_cmp(&values[b]));
-        let lo = values[order[0]];
-        let hi = values[order[k - 1]];
-        distance[finite[order[0]]] = f64::INFINITY;
-        distance[finite[order[k - 1]]] = f64::INFINITY;
-        let span = hi - lo;
-        if span <= 0.0 {
-            continue;
+
+        fn column(&self, d: usize) -> &[f64] {
+            &self.flat[d * self.len()..(d + 1) * self.len()]
         }
-        for w in 1..k - 1 {
-            let prev = values[order[w - 1]];
-            let next = values[order[w + 1]];
-            let member = finite[order[w]];
-            if distance[member].is_finite() {
-                distance[member] += (next - prev) / span;
+
+        /// Whether point `i` dominates point `j`.
+        fn beats(&self, i: usize, j: usize) -> bool {
+            let (mut gt, mut lt) = (false, false);
+            for d in 0..self.dims {
+                let column = self.column(d);
+                gt |= column[i] > column[j];
+                lt |= column[i] < column[j];
+            }
+            verdict((gt, lt), self.finite[i], self.finite[j])
+        }
+
+        /// Writes to `out[k]` whether point `i` dominates point `from + k`.
+        /// Three-objective points, the arity every search ranks, run a pass
+        /// over the three columns side by side, branch-free on the data;
+        /// other arities compare point by point.
+        fn beats_row(&self, i: usize, from: usize, out: &mut [u8]) {
+            if self.dims != 3 {
+                for (k, b) in out.iter_mut().enumerate() {
+                    *b = u8::from(self.beats(i, from + k));
+                }
+                return;
+            }
+            let (xs, ys, zs) = (self.column(0), self.column(1), self.column(2));
+            let (a0, a1, a2, fa) = (xs[i], ys[i], zs[i], self.finite[i]);
+            let rest =
+                xs[from..].iter().zip(&ys[from..]).zip(&zs[from..]).zip(&self.finite[from..]);
+            for (b, (((&x, &y), &z), &fb)) in out.iter_mut().zip(rest) {
+                let gt = (a0 > x) | (a1 > y) | (a2 > z);
+                let lt = (a0 < x) | (a1 < y) | (a2 < z);
+                *b = u8::from(verdict((gt, lt), fa, fb));
             }
         }
     }
-    distance
+
+    /// The dominance relation over a list of points: `beats[i * n + j] == 1`
+    /// when point `i` dominates point `j`, and each point's domination count
+    /// (how many points dominate it). Deb's peel reads nothing else, so a
+    /// relation carried from one list to the next ranks exactly as one
+    /// computed afresh.
+    #[derive(Debug, Clone, Default)]
+    pub(super) struct Dominance {
+        pub(super) n: usize,
+        pub(super) beats: Vec<u8>,
+        pub(super) count: Vec<usize>,
+    }
+
+    impl Dominance {
+        /// The relation over `points`, whose leading points are the ones this
+        /// relation covers, in its order: their verdicts are copied, and only
+        /// the verdicts that involve a later point are computed (all of them,
+        /// from the empty default relation).
+        ///
+        /// # Panics
+        ///
+        /// Panics if the points have different dimensionality or are fewer
+        /// than this relation covers.
+        pub(super) fn extend<P: AsRef<[f64]>>(&self, points: &[P]) -> Self {
+            let columns = Columns::new(points);
+            let (n, p) = (columns.len(), self.n);
+            let mut beats = vec![0u8; n * n];
+            let mut count = vec![0usize; n];
+            count[..p].copy_from_slice(&self.count);
+            for i in 0..n {
+                let row = &mut beats[i * n..(i + 1) * n];
+                let from = if i < p {
+                    row[..p].copy_from_slice(&self.beats[i * p..(i + 1) * p]);
+                    p
+                } else {
+                    0
+                };
+                columns.beats_row(i, from, &mut row[from..]);
+                for (c, &b) in count[from..].iter_mut().zip(&row[from..]) {
+                    *c += usize::from(b);
+                }
+            }
+            Dominance { n, beats, count }
+        }
+
+        /// The relation restricted to the points at `picks`, in that order.
+        pub(super) fn gather(&self, picks: &[usize]) -> Self {
+            let (n, m) = (self.n, picks.len());
+            let mut beats = vec![0u8; m * m];
+            let mut count = vec![0usize; m];
+            for (out, &i) in beats.chunks_exact_mut(m.max(1)).zip(picks) {
+                let row = &self.beats[i * n..(i + 1) * n];
+                for (b, &j) in out.iter_mut().zip(picks) {
+                    *b = row[j];
+                }
+                for (c, &b) in count.iter_mut().zip(out.iter()) {
+                    *c += usize::from(b);
+                }
+            }
+            Dominance { n: m, beats, count }
+        }
+
+        /// Deb's peel: the fronts of [`fast_non_dominated_sort`]. Deb's list
+        /// of the points `i` dominates is row `i` of the matrix, in ascending
+        /// index order; the row is read eight bytes at a time, so runs of
+        /// points `i` does not dominate cost one test per word.
+        pub(super) fn fronts(&self) -> Vec<Vec<usize>> {
+            let n = self.n;
+            let mut count = self.count.clone();
+            let mut fronts: Vec<Vec<usize>> = Vec::new();
+            let mut current: Vec<usize> = (0..n).filter(|&i| count[i] == 0).collect();
+            while !current.is_empty() {
+                let mut next = Vec::new();
+                let mut release = |j: usize| {
+                    count[j] -= 1;
+                    if count[j] == 0 {
+                        next.push(j);
+                    }
+                };
+                for &i in &current {
+                    let (words, tail) = self.beats[i * n..(i + 1) * n].as_chunks::<8>();
+                    for (w, word) in words.iter().enumerate() {
+                        // Each byte is 0 or 1, so each set bit is one point.
+                        let mut bits = u64::from_le_bytes(*word);
+                        while bits != 0 {
+                            release(w * 8 + bits.trailing_zeros() as usize / 8);
+                            bits &= bits - 1;
+                        }
+                    }
+                    for (k, &b) in tail.iter().enumerate() {
+                        if b != 0 {
+                            release(words.len() * 8 + k);
+                        }
+                    }
+                }
+                fronts.push(std::mem::replace(&mut current, next));
+            }
+            fronts
+        }
+    }
+
+    /// The crowding distance of each member of `front`, allocating its
+    /// buffers per call.
+    #[allow(clippy::needless_range_loop)]
+    pub(super) fn crowding_distance<P: AsRef<[f64]>>(points: &[P], front: &[usize]) -> Vec<f64> {
+        let m = front.len();
+        if m == 0 {
+            return Vec::new();
+        }
+        let mut distance = vec![0.0f64; m];
+        let finite: Vec<usize> = (0..m).filter(|&w| is_finite(points[front[w]].as_ref())).collect();
+        let k = finite.len();
+        if k <= 2 {
+            for &w in &finite {
+                distance[w] = f64::INFINITY;
+            }
+            return distance;
+        }
+        let dims = points[front[finite[0]]].as_ref().len();
+        let mut values = vec![0.0f64; k];
+        let mut order: Vec<usize> = Vec::with_capacity(k);
+        for d in 0..dims {
+            for (v, &w) in values.iter_mut().zip(&finite) {
+                *v = points[front[w]].as_ref()[d];
+            }
+            order.clear();
+            order.extend(0..k);
+            order.sort_by(|&a, &b| values[a].total_cmp(&values[b]));
+            let lo = values[order[0]];
+            let hi = values[order[k - 1]];
+            distance[finite[order[0]]] = f64::INFINITY;
+            distance[finite[order[k - 1]]] = f64::INFINITY;
+            let span = hi - lo;
+            if span <= 0.0 {
+                continue;
+            }
+            for w in 1..k - 1 {
+                let prev = values[order[w - 1]];
+                let next = values[order[w + 1]];
+                let member = finite[order[w]];
+                if distance[member].is_finite() {
+                    distance[member] += (next - prev) / span;
+                }
+            }
+        }
+        distance
+    }
 }
 
 #[cfg(test)]
@@ -550,5 +910,150 @@ mod tests {
         assert_eq!(fronts[0].len(), 3);
         let d = crowding_distance(&pts, &fronts[0]);
         assert!(d.iter().all(|v| *v == 0.0));
+    }
+
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    /// The packed relation holds exactly the reference's verdicts and
+    /// counts, and peels into the same fronts in the same order.
+    fn assert_same(packed: &Dominance, bytes: &reference::Dominance) -> Result<(), TestCaseError> {
+        let n = bytes.n;
+        prop_assert_eq!(packed.n, n);
+        for i in 0..n {
+            for j in 0..n {
+                prop_assert!(
+                    packed.get(i, j) == (bytes.beats[i * n + j] == 1),
+                    "verdict {} over {}",
+                    i,
+                    j
+                );
+            }
+        }
+        let count: Vec<usize> = packed.count.iter().map(|&c| c as usize).collect();
+        prop_assert_eq!(&count, &bytes.count);
+        let mut fronts = Fronts::default();
+        packed.peel(&mut fronts);
+        let fronts: Vec<Vec<usize>> = fronts.iter().map(<[usize]>::to_vec).collect();
+        prop_assert_eq!(fronts, bytes.fronts());
+        Ok(())
+    }
+
+    /// Objective value `k` of 16: a grid of four (so ties and duplicate
+    /// points are common), NaN, or ±inf.
+    fn grid(k: u8) -> f64 {
+        match k {
+            13 => f64::NAN,
+            14 => f64::INFINITY,
+            15 => f64::NEG_INFINITY,
+            k => f64::from(k % 4),
+        }
+    }
+
+    fn value() -> impl Strategy<Value = f64> {
+        (0u8..16).prop_map(grid)
+    }
+
+    /// Points of one dimensionality in 1..=4, their count straddling a
+    /// word boundary (63/64/65, 127/128/129) as often as not, with a
+    /// prefix length in 0..=n, the empty and the full prefix included.
+    fn prefixed_points() -> impl Strategy<Value = (Vec<Vec<f64>>, usize)> {
+        let n = prop_oneof![0usize..=3, 62usize..=66, 126usize..=130, 0usize..=140];
+        (1usize..=4, n)
+            .prop_flat_map(|(dims, n)| {
+                proptest::collection::vec(proptest::collection::vec(value(), dims), n)
+            })
+            .prop_flat_map(|points| {
+                let n = points.len();
+                (Just(points), prop_oneof![Just(0), Just(n), 0..=n])
+            })
+    }
+
+    /// A random subset of `0..n` in random order.
+    fn picks(rng: &mut StdRng, n: usize) -> Vec<usize> {
+        let mut picks: Vec<usize> = (0..n).collect();
+        for k in (1..n).rev() {
+            picks.swap(k, rng.gen_range(0..=k));
+        }
+        picks.truncate(rng.gen_range(0..=n));
+        picks
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Extending a relation over a prefix of the points, then
+        /// gathering a random subset of them in random order, matches
+        /// the byte-matrix reference verdict for verdict.
+        #[test]
+        fn packed_relation_matches_the_byte_matrix((points, p) in prefixed_points(), seed in any::<u64>()) {
+            let mut columns = Columns::default();
+            columns.load(points[..p].iter().map(Vec::as_slice));
+            let mut prefix = Dominance::default();
+            prefix.extend(&Dominance::default(), &columns);
+            let bytes = reference::Dominance::default().extend(&points[..p]);
+            assert_same(&prefix, &bytes)?;
+
+            columns.load(points.iter().map(Vec::as_slice));
+            let mut full = Dominance::default();
+            full.extend(&prefix, &columns);
+            let bytes = bytes.extend(&points);
+            assert_same(&full, &bytes)?;
+
+            let picks = picks(&mut StdRng::seed_from_u64(seed), points.len());
+            prefix.gather(&full, &picks);
+            assert_same(&prefix, &bytes.gather(&picks))?;
+        }
+
+        /// Rounds of extend and gather on the same two relations and the
+        /// same columns, as a run reuses them: nothing left over from a
+        /// larger or smaller round leaks into the next.
+        #[test]
+        fn reused_relations_match_the_byte_matrix_round_after_round(
+            dims in 1usize..=4,
+            batches in proptest::collection::vec(0usize..=70, 1..6),
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut points: Vec<Vec<f64>> = Vec::new();
+            let (mut columns, mut relation, mut spare) = (Columns::default(), Dominance::default(), Dominance::default());
+            let mut bytes = reference::Dominance::default();
+            for batch in batches {
+                for _ in 0..batch {
+                    points.push((0..dims).map(|_| grid(rng.gen_range(0..16))).collect());
+                }
+                columns.load(points.iter().map(Vec::as_slice));
+                spare.extend(&relation, &columns);
+                bytes = bytes.extend(&points);
+                assert_same(&spare, &bytes)?;
+
+                let picks = picks(&mut rng, points.len());
+                relation.gather(&spare, &picks);
+                bytes = bytes.gather(&picks);
+                assert_same(&relation, &bytes)?;
+                points = picks.iter().map(|&k| points[k].clone()).collect();
+            }
+        }
+
+        /// The reused crowding buffers give the reference's distances bit
+        /// for bit, over members picked through an index map, quarantined
+        /// members included; so does the public wrapper.
+        #[test]
+        fn reused_crowding_matches_the_reference(
+            (points, _) in prefixed_points(),
+            seeds in proptest::collection::vec(any::<u64>(), 1..4),
+        ) {
+            let bits = |d: &[f64]| d.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+            let mut columns = Columns::default();
+            columns.load(points.iter().map(Vec::as_slice));
+            let mut crowding = Crowding::default();
+            for seed in seeds {
+                let front = picks(&mut StdRng::seed_from_u64(seed), points.len());
+                let expected = bits(&reference::crowding_distance(&points, &front));
+                prop_assert_eq!(bits(crowding.of(&columns, front.len(), |w| front[w])), expected.clone());
+                prop_assert_eq!(bits(&crowding_distance(&points, &front)), expected);
+            }
+        }
     }
 }

@@ -1,4 +1,4 @@
-use crate::dominance::{crowding_distance, pareto_indices, Dominance};
+use crate::dominance::{pareto_indices, Columns, Crowding, Dominance, Fronts};
 use rand::{Rng, RngCore};
 
 /// An optimisation problem NSGA-II can drive.
@@ -196,8 +196,9 @@ impl Nsga2 {
     /// Each individual is stored once, in the history; the population is
     /// a list of history indices. The dominance relation among the
     /// survivors is carried into the next generation, so the merged sort
-    /// computes only the verdicts that involve an offspring, and the
+    /// compares only the pairs that involve an offspring, and the
     /// tournament ranks come from peeling the survivors' block of it.
+    /// Selection works in one [`Selection`] the whole run.
     fn run_observed<P: Problem>(
         &self,
         problem: &P,
@@ -211,14 +212,14 @@ impl Nsga2 {
             let objectives = problem.evaluate(&genome);
             history.push(Evaluated { genome, objectives, generation: 0 });
         }
-        let mut population: Vec<usize> = (0..cfg.population).collect();
-        let mut relation = Dominance::default().extend(&objectives(&history, &population));
-        let mut fronts = relation.fronts();
         // The initial population's indices are its history indices.
-        let mut entrants: Vec<usize> = fronts.first().cloned().unwrap_or_default();
+        let mut population: Vec<usize> = (0..cfg.population).collect();
+        let mut selection = Selection::new(&history);
+        let mut entrants: Vec<usize> = selection.fronts.first().unwrap_or_default().to_vec();
 
         for generation in 1..cfg.generations {
-            let (rank, crowd) = tournament_keys(&objectives(&history, &population), &fronts);
+            selection.tournament_keys();
+            let (rank, crowd) = (&selection.rank, &selection.crowd);
             let tournament = |rng: &mut dyn RngCore| -> usize {
                 let a = rng.gen_range(0..population.len());
                 let b = rng.gen_range(0..population.len());
@@ -244,23 +245,10 @@ impl Nsga2 {
                 history.push(Evaluated { genome, objectives, generation });
             }
 
-            // Environmental selection over parents ∪ offspring.
-            let merged: Vec<usize> =
-                population.iter().copied().chain(bred..history.len()).collect();
-            let pts = objectives(&history, &merged);
-            let merged_relation = relation.extend(&pts);
-            let merged_fronts = merged_relation.fronts();
-            if let Some(front) = merged_fronts.first() {
-                let offspring = front.iter().filter(|&&k| k >= population.len());
-                entrants.extend(offspring.map(|&k| merged[k]));
-            }
-            let picks = truncate(&pts, &merged_fronts, cfg.population);
-            relation = merged_relation.gather(&picks);
-            fronts = relation.fronts();
-            population = picks.iter().map(|&k| merged[k]).collect();
+            selection.select(&history, bred, &mut population, &mut entrants);
             observe(&Generation {
-                rank: &rank,
-                crowd: &crowd,
+                rank: &selection.rank,
+                crowd: &selection.crowd,
                 history: &history,
                 survivors: &population,
             });
@@ -276,45 +264,119 @@ fn objectives<'h, G>(history: &'h [Evaluated<G>], members: &[usize]) -> Vec<&'h 
     members.iter().map(|&i| history[i].objectives.as_slice()).collect()
 }
 
-/// Each point's front rank and its crowding distance within that front.
-fn tournament_keys(pts: &[&[f64]], fronts: &[Vec<usize>]) -> (Vec<usize>, Vec<f64>) {
-    let mut rank = vec![0usize; pts.len()];
-    let mut crowd = vec![0.0f64; pts.len()];
-    for (r, front) in fronts.iter().enumerate() {
-        let d = crowding_distance(pts, front);
-        for (k, &i) in front.iter().enumerate() {
-            rank[i] = r;
-            crowd[i] = d[k];
-        }
-    }
-    (rank, crowd)
+/// The buffers a run's selection works in, created once per run and
+/// carried across generations, so selection allocates nothing per
+/// generation once they have grown to size.
+#[derive(Debug, Default)]
+struct Selection {
+    /// The objectives of the last points ranked: the merged parents and
+    /// offspring (the initial population before the first generation).
+    columns: Columns,
+    /// The relation among the survivors, in population order.
+    survivors: Dominance,
+    /// The relation over `columns`.
+    merged_relation: Dominance,
+    /// The last peel: the merged fronts during selection, the survivors'
+    /// fronts between generations.
+    fronts: Fronts,
+    crowding: Crowding,
+    /// Tournament rank of each population member.
+    rank: Vec<usize>,
+    /// Its crowding distance within its front.
+    crowd: Vec<f64>,
+    /// History index of each point of `columns`.
+    merged: Vec<usize>,
+    /// The survivors' positions in `columns`, in selection order.
+    picks: Vec<usize>,
+    /// Truncation's crowding order over the front it cuts.
+    order: Vec<usize>,
 }
 
-/// Indices of the `target` points elitist truncation keeps, given the
-/// fronts of `pts`, in selection order: whole fronts while they fit,
-/// then the next front's members by descending crowding distance (ties
-/// in front order).
-fn truncate(pts: &[&[f64]], fronts: &[Vec<usize>], target: usize) -> Vec<usize> {
-    let mut picks: Vec<usize> = Vec::with_capacity(target);
-    for front in fronts {
-        if picks.len() + front.len() <= target {
-            picks.extend_from_slice(front);
-        } else {
-            let d = crowding_distance(pts, front);
-            let mut order: Vec<usize> = (0..front.len()).collect();
-            order.sort_by(|&a, &b| d[b].total_cmp(&d[a]));
-            let room = target - picks.len();
-            picks.extend(order.iter().take(room).map(|&k| front[k]));
-            break;
+impl Selection {
+    /// The workspace over the initial population, the whole `history`,
+    /// with its relation and fronts.
+    fn new<G>(history: &[Evaluated<G>]) -> Self {
+        let mut selection = Selection::default();
+        selection.columns.load(history.iter().map(|e| e.objectives.as_slice()));
+        selection.survivors.extend(&Dominance::default(), &selection.columns);
+        selection.survivors.peel(&mut selection.fronts);
+        selection.picks.extend(0..history.len());
+        selection
+    }
+
+    /// Each population member's front rank and its crowding distance
+    /// within that front, from the survivors' fronts.
+    fn tournament_keys(&mut self) {
+        let n = self.picks.len();
+        self.rank.clear();
+        self.rank.resize(n, 0);
+        self.crowd.clear();
+        self.crowd.resize(n, 0.0);
+        let picks = &self.picks;
+        for (r, front) in self.fronts.iter().enumerate() {
+            let d = self.crowding.of(&self.columns, front.len(), |w| picks[front[w]]);
+            for (&i, &d) in front.iter().zip(d) {
+                self.rank[i] = r;
+                self.crowd[i] = d;
+            }
         }
     }
-    picks
+
+    /// Elitist selection over `population` and the offspring at
+    /// `history[bred..]`: ranks the merged points, records the
+    /// offspring in its front 0 in `entrants`, and replaces `population`
+    /// with the survivors, leaving their relation and fronts for the
+    /// next generation.
+    fn select<G>(
+        &mut self,
+        history: &[Evaluated<G>],
+        bred: usize,
+        population: &mut Vec<usize>,
+        entrants: &mut Vec<usize>,
+    ) {
+        let target = population.len();
+        self.merged.clear();
+        self.merged.extend(population.iter().copied().chain(bred..history.len()));
+        self.columns.load(self.merged.iter().map(|&i| history[i].objectives.as_slice()));
+        self.merged_relation.extend(&self.survivors, &self.columns);
+        self.merged_relation.peel(&mut self.fronts);
+        if let Some(front) = self.fronts.first() {
+            let offspring = front.iter().filter(|&&k| k >= target);
+            entrants.extend(offspring.map(|&k| self.merged[k]));
+        }
+        self.truncate(target);
+        self.survivors.gather(&self.merged_relation, &self.picks);
+        self.survivors.peel(&mut self.fronts);
+        population.clear();
+        population.extend(self.picks.iter().map(|&k| self.merged[k]));
+    }
+
+    /// Sets `picks` to the `target` points of `columns` elitist
+    /// truncation keeps, given their `fronts`, in selection order: whole
+    /// fronts while they fit, then the next front's members by
+    /// descending crowding distance (ties in front order).
+    fn truncate(&mut self, target: usize) {
+        self.picks.clear();
+        for front in self.fronts.iter() {
+            if self.picks.len() + front.len() <= target {
+                self.picks.extend_from_slice(front);
+            } else {
+                let d = self.crowding.of(&self.columns, front.len(), |w| front[w]);
+                self.order.clear();
+                self.order.extend(0..front.len());
+                self.order.sort_by(|&a, &b| d[b].total_cmp(&d[a]));
+                let room = target - self.picks.len();
+                self.picks.extend(self.order.iter().take(room).map(|&k| front[k]));
+                break;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dominance::{dominates, fast_non_dominated_sort};
+    use crate::dominance::{crowding_distance, dominates, fast_non_dominated_sort};
     use proptest::prelude::*;
     use rand::{rngs::StdRng, SeedableRng};
 
@@ -624,13 +686,15 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Selection by move keeps the same individuals in the same order
-        /// as the clone-based reference, and truncation over the fronts
-        /// of a fresh sort picks what the from-scratch selection picks.
+        /// as the clone-based reference, and the workspace's truncation
+        /// over the fronts it ranks picks what the from-scratch selection
+        /// picks.
         #[test]
         fn selection_by_move_matches_the_clone_reference((merged, target) in merged_strategy()) {
             let pts: Vec<&[f64]> = merged.iter().map(|e| e.objectives.as_slice()).collect();
-            let picks = truncate(&pts, &fast_non_dominated_sort(&pts), target);
-            prop_assert_eq!(&picks, &survivors(&pts, target));
+            let mut selection = Selection::new(&merged);
+            selection.truncate(target);
+            prop_assert_eq!(&selection.picks, &survivors(&pts, target));
             let by_clone = environmental_selection_by_clone(merged.clone(), target);
             let by_move = environmental_selection(merged, target);
             prop_assert_eq!(by_move.len(), target);
