@@ -1,21 +1,24 @@
 //! # hadas-bench
 //!
-//! The experiment harness of the HADAS reproduction: the `paper` binary,
-//! which regenerates every table and figure of the paper from one joint
-//! search per hardware target ([`paper`]); the serving, search and fleet
-//! scaling studies (one binary each, see `src/bin/`); and Criterion
-//! micro- and end-to-end benches (`benches/`).
+//! The experiment harness of the HADAS reproduction. Two drivers under
+//! `src/bin/` write JSON records: `paper` regenerates every table and
+//! figure of the paper from one joint search per hardware target
+//! ([`paper`]), and `studies` runs the serving, search, fleet,
+//! reconfiguration and gray-failure scaling studies over one searched
+//! plane per target ([`studies`]). The `probe_headroom` diagnostic only
+//! prints. Criterion micro- and end-to-end benches live in `benches/`.
 //!
-//! Every binary
+//! Both drivers
 //!
-//! 1. runs at a *scaled* budget by default so the whole suite finishes in
+//! 1. run at a *scaled* budget by default so the whole suite finishes in
 //!    minutes — set `HADAS_SCALE=paper` for the paper's 450/3500-iteration
 //!    budgets,
-//! 2. prints its tables to stdout in the paper's layout, and
-//! 3. writes JSON records with the `hadas-bench/1` header under
+//! 2. print their tables to stdout in the paper's layout, and
+//! 3. write JSON records with the `hadas-bench/1` header under
 //!    `results/` for external re-plotting.
 
 pub mod paper;
+pub mod studies;
 pub mod svg;
 
 use hadas::{seal, HadasConfig};
@@ -93,21 +96,22 @@ impl BenchEnv {
 
     /// The experiment configuration for the selected scale tier.
     pub fn scaled_config(&self) -> HadasConfig {
+        self.by_tier(HadasConfig::quick(), HadasConfig::mid(), HadasConfig::paper())
+    }
+
+    /// The value for the selected scale tier: `quick`, `mid` or `paper`.
+    pub fn by_tier<T>(&self, quick: T, mid: T, paper: T) -> T {
         match self.scale {
-            Tier::Quick => HadasConfig::quick(),
-            Tier::Mid => HadasConfig::mid(),
-            Tier::Paper => HadasConfig::paper(),
+            Tier::Quick => quick,
+            Tier::Mid => mid,
+            Tier::Paper => paper,
         }
     }
 
     /// The scale tier this environment resolves to (`quick` | `mid` |
     /// `paper`) — the normalized echo stamped into bench headers.
     pub fn scale_name(&self) -> &'static str {
-        match self.scale {
-            Tier::Quick => "quick",
-            Tier::Mid => "mid",
-            Tier::Paper => "paper",
-        }
+        self.by_tier("quick", "mid", "paper")
     }
 
     /// The directory experiment JSON lands in (`results/` at the
@@ -196,15 +200,16 @@ mod tests {
 
     #[test]
     fn every_known_scale_resolves_and_an_unknown_one_is_refused() -> Result<(), String> {
-        for (scale, name, cfg) in [
-            (None, "quick", HadasConfig::quick()),
-            (Some("quick"), "quick", HadasConfig::quick()),
-            (Some("mid"), "mid", HadasConfig::mid()),
-            (Some("paper"), "paper", HadasConfig::paper()),
+        for (scale, name, cfg, tier) in [
+            (None, "quick", HadasConfig::quick(), 0),
+            (Some("quick"), "quick", HadasConfig::quick(), 0),
+            (Some("mid"), "mid", HadasConfig::mid(), 1),
+            (Some("paper"), "paper", HadasConfig::paper(), 2),
         ] {
             let env = BenchEnv::new(scale.map(str::to_string), None)?;
             assert_eq!(env.scale_name(), name);
             assert_eq!(env.scaled_config(), cfg);
+            assert_eq!(env.by_tier(0, 1, 2), tier);
         }
         for bad in ["papr", "", "Paper", "quick "] {
             assert_eq!(
