@@ -416,7 +416,7 @@ impl<'a> Ioe<'a> {
             fault_salt,
             data_chaos,
             telemetry: RefCell::new(SearchTelemetry::default()),
-            log: RefCell::new(Vec::new()),
+            log: RefCell::new(Vec::with_capacity(self.config.ioe.iterations)),
         })
     }
 

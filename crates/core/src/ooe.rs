@@ -4,7 +4,9 @@ use crate::executor::{
     modeled_makespan_ms, run_supervised, ChaosPlan, ExecTelemetry, FateResolver, JobSpec,
 };
 use crate::resilience::{CircuitBreaker, FaultModel, NoFaults, RetryPolicy, SearchTelemetry};
-use crate::{DynamicFitness, Hadas, HadasConfig, HadasError, Ioe, IoeOutcome, StaticFitness};
+use crate::{
+    DynamicFitness, Hadas, HadasConfig, HadasError, Ioe, IoeOutcome, IoeSolution, StaticFitness,
+};
 use hadas_evo::{crowding_distance, discrete, fast_non_dominated_sort, pareto_indices};
 use hadas_exits::ExitPlacement;
 use hadas_hw::DvfsSetting;
@@ -109,6 +111,17 @@ pub struct JointModel {
 }
 
 impl JointModel {
+    /// The model of one IOE Pareto point of a backbone.
+    fn of((b, s): (&EvaluatedBackbone, &IoeSolution)) -> Self {
+        JointModel {
+            subnet: b.subnet.clone(),
+            static_fitness: b.fitness,
+            placement: s.placement.clone(),
+            dvfs: s.dvfs,
+            dynamic: s.fitness,
+        }
+    }
+
     /// The model as one row of a serialized front: backbone genome, exit
     /// positions, DVFS indices, and dynamic accuracy, energy and latency.
     pub fn front_row(&self) -> serde_json::Value {
@@ -249,34 +262,32 @@ impl OoeOutcome {
         pareto_indices(&self.static_axes()).into_iter().map(|i| &self.backbones[i]).collect()
     }
 
-    /// All `(b, x, f)` combinations discovered by the nested IOEs.
-    pub fn joint_models(&self) -> Vec<JointModel> {
+    /// Every IOE Pareto point with its backbone, in evaluation order.
+    fn joint_points(&self) -> Vec<(&EvaluatedBackbone, &IoeSolution)> {
         let mut out = Vec::new();
         for b in &self.backbones {
             if let Some(ioe) = &b.ioe {
-                for s in &ioe.pareto {
-                    out.push(JointModel {
-                        subnet: b.subnet.clone(),
-                        static_fitness: b.fitness,
-                        placement: s.placement.clone(),
-                        dvfs: s.dvfs,
-                        dynamic: s.fitness,
-                    });
-                }
+                out.extend(ioe.pareto.iter().map(|s| (b, s)));
             }
         }
         out
+    }
+
+    /// All `(b, x, f)` combinations discovered by the nested IOEs.
+    pub fn joint_models(&self) -> Vec<JointModel> {
+        self.joint_points().into_iter().map(JointModel::of).collect()
     }
 
     /// The final Pareto set over (dynamic accuracy, −dynamic energy) —
     /// the `(b*, x*, f*)` solutions the paper returns at generation `G`.
     /// On an interrupted run this is the partial front over everything
     /// evaluated so far — graceful degradation, never an empty panic.
+    /// Only the front's models are built.
     pub fn pareto_models(&self) -> Vec<JointModel> {
-        let all = self.joint_models();
-        let axes: Vec<Vec<f64>> =
-            all.iter().map(|m| vec![m.dynamic.accuracy_pct, -m.dynamic.energy_mj]).collect();
-        pareto_indices(&axes).into_iter().map(|i| all[i].clone()).collect()
+        let points = self.joint_points();
+        let axes: Vec<[f64; 2]> =
+            points.iter().map(|(_, s)| [s.fitness.accuracy_pct, -s.fitness.energy_mj]).collect();
+        pareto_indices(&axes).into_iter().map(|i| JointModel::of(points[i])).collect()
     }
 }
 
@@ -759,6 +770,19 @@ mod tests {
         let pa: Vec<f64> = a.pareto_models().iter().map(|m| m.dynamic.energy_mj).collect();
         let pb: Vec<f64> = b.pareto_models().iter().map(|m| m.dynamic.energy_mj).collect();
         assert_eq!(pa, pb);
+    }
+
+    #[test]
+    fn pareto_models_equal_filtering_every_joint_model() {
+        let out = quick_run(12);
+        let all = out.joint_models();
+        let axes: Vec<Vec<f64>> =
+            all.iter().map(|m| vec![m.dynamic.accuracy_pct, -m.dynamic.energy_mj]).collect();
+        let filtered: Vec<String> =
+            pareto_indices(&axes).into_iter().map(|i| format!("{:?}", all[i])).collect();
+        let front: Vec<String> = out.pareto_models().iter().map(|m| format!("{m:?}")).collect();
+        assert!(front.len() > 1 && front.len() < all.len(), "{} of {}", front.len(), all.len());
+        assert_eq!(front, filtered);
     }
 
     #[test]

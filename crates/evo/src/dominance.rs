@@ -3,6 +3,8 @@
 //!
 //! All objectives are maximised.
 
+use std::cmp::Ordering;
+
 /// Whether point `a` Pareto-dominates point `b`: no worse in every
 /// objective and strictly better in at least one.
 ///
@@ -406,38 +408,117 @@ impl Crowding {
 }
 
 /// Indices of the non-dominated points — exactly
-/// `fast_non_dominated_sort(points)[0]`, in the same ascending order, for
-/// O(N·|front|) instead of O(N²) comparisons.
+/// `fast_non_dominated_sort(points)[0]`, in the same ascending order —
+/// from one sort and one sweep: O(n log n) for up to three objectives.
 ///
-/// Keeps an archive: a point some archive member dominates is skipped;
-/// otherwise the members it dominates leave and it joins. Dominance
-/// (quarantine included) is transitive, so every point is in the archive
-/// or dominated by a member of it, and the archive ends up as the set
-/// nothing dominates.
+/// **Quarantine.** Every finite point dominates every non-finite one,
+/// and a non-finite point dominates nothing: when any point is finite,
+/// the non-finite ones drop out; when none is, every point is returned.
+///
+/// **Sort.** The finite points are sorted once in descending
+/// lexicographic order, compared as `partial_cmp` compares them (so
+/// `-0.0 == 0.0`; up to three objectives as integers of the same order),
+/// equal points by index. A point that dominates another is no worse in
+/// every objective and better in one, so it sorts first: a point is on
+/// the front exactly when no point kept before it dominates it, and a
+/// kept point is never dropped.
+///
+/// **Identical points** dominate neither each other and sort into one
+/// run. Every point of a run takes the verdict of the run's first point,
+/// tested before any of the run is kept.
+///
+/// **Staircase.** Every kept point is no worse than the tested one in
+/// objective 0, so it dominates the tested one when it is no worse in
+/// objectives 1 and 2 (missing objectives read as 0). The kept points'
+/// (objective 1, objective 2) pairs that no other pair covers form a
+/// staircase, objective 1 descending and objective 2 ascending. The
+/// kept points with objective 1 at least the tested one's are a prefix
+/// of it, whose last step has the largest objective 2: one binary
+/// search answers the test. A newly kept point replaces the steps it
+/// covers, a contiguous run, with one `splice`. With more than three
+/// objectives, each run's first point is compared with every point kept
+/// so far instead: O(n · |front|).
 ///
 /// # Panics
 ///
 /// Panics if the points have different dimensionality.
 pub fn pareto_indices<P: AsRef<[f64]>>(points: &[P]) -> Vec<usize> {
     let finite = finiteness(points);
+    let row = |i: usize| points[i].as_ref();
+    let healthy = (0..points.len()).filter(|&i| finite[i]);
     let dims = points.first().map_or(0, |p| p.as_ref().len());
-    let mut flat = Vec::with_capacity(points.len() * dims);
-    for p in points {
-        flat.extend_from_slice(p.as_ref());
-    }
-    let beats = |i: usize, j: usize| {
-        let (a, b) = (&flat[i * dims..(i + 1) * dims], &flat[j * dims..(j + 1) * dims]);
-        verdict(order(a, b), finite[i], finite[j])
+    let mut kept = if dims <= 3 {
+        let mut rows: Vec<([u64; 3], usize)> = healthy
+            .map(|i| {
+                let mut key = [ordered_bits(0.0); 3];
+                for (k, &v) in key.iter_mut().zip(row(i)) {
+                    *k = ordered_bits(v);
+                }
+                (key, i)
+            })
+            .collect();
+        rows.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        // (objective 1, objective 2) of each step.
+        let mut steps: Vec<(u64, u64)> = Vec::new();
+        sweep(&rows, |&[_, y, z]| {
+            let above = steps.partition_point(|s| s.0 >= y);
+            if above > 0 && steps[above - 1].1 >= z {
+                return false;
+            }
+            let from = steps.partition_point(|s| s.0 > y);
+            let to = steps.partition_point(|s| s.1 <= z);
+            steps.splice(from..to, [(y, z)]);
+            true
+        })
+    } else {
+        let mut rows: Vec<(&[f64], usize)> = healthy.map(|i| (row(i), i)).collect();
+        rows.sort_unstable_by(|a, b| {
+            b.0.partial_cmp(a.0).unwrap_or(Ordering::Equal).then(a.1.cmp(&b.1))
+        });
+        let mut front: Vec<&[f64]> = Vec::new();
+        sweep(&rows, |&key| {
+            // A kept point sorts first and differs from `key`, so it
+            // dominates `key` when it is worse nowhere.
+            if front.iter().any(|k| !order(k, key).1) {
+                return false;
+            }
+            front.push(key);
+            true
+        })
     };
-    let mut archive: Vec<usize> = Vec::new();
-    for i in 0..points.len() {
-        if archive.iter().any(|&m| beats(m, i)) {
-            continue;
-        }
-        archive.retain(|&m| !beats(i, m));
-        archive.push(i);
+    if kept.is_empty() {
+        // No point is finite: the quarantined points dominate nothing.
+        return (0..points.len()).collect();
     }
-    archive
+    kept.sort_unstable();
+    kept
+}
+
+/// A finite `v` as an integer that orders as `partial_cmp` orders the
+/// values, so that `-0.0` and `0.0` are one integer: `-0.0` becomes `0.0`,
+/// then a non-negative value's sign bit is set and a negative value's
+/// bits are all flipped.
+fn ordered_bits(v: f64) -> u64 {
+    let bits = (v + 0.0).to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// The indices of `rows` (keys with their point's index, sorted so that
+/// a dominating key comes first) whose run of identical keys `admit`
+/// lets in. `admit` sees each run's key once, in order, and keeps what
+/// it needs to judge the later ones.
+fn sweep<K: PartialEq>(rows: &[(K, usize)], mut admit: impl FnMut(&K) -> bool) -> Vec<usize> {
+    let mut kept = Vec::new();
+    for run in rows.chunk_by(|a, b| a.0 == b.0) {
+        if admit(&run[0].0) {
+            kept.extend(run.iter().map(|&(_, i)| i));
+        }
+    }
+    kept
 }
 
 /// Deb's fast non-dominated sort: partitions point indices into fronts,
@@ -764,6 +845,16 @@ mod tests {
         assert_eq!(pareto_indices(&pts), vec![2, 3, 4, 5]);
         assert_eq!(pareto_indices(&pts), fast_non_dominated_sort(&pts)[0]);
         assert!(pareto_indices::<Vec<f64>>(&[]).is_empty());
+    }
+
+    #[test]
+    fn ordered_bits_order_as_the_values_do() {
+        let values = [f64::NEG_INFINITY, -1.0e30, -2.5, -f64::MIN_POSITIVE, -1.0e-310, -0.0];
+        let values = values.into_iter().chain([0.0, 1.0e-310, f64::MIN_POSITIVE, 0.5, 3.0]);
+        let bits: Vec<u64> = values.chain([f64::MAX, f64::INFINITY]).map(ordered_bits).collect();
+        assert_eq!(bits[5], bits[6], "-0.0 and 0.0 are one key");
+        assert!(bits[..6].windows(2).all(|w| w[0] < w[1]));
+        assert!(bits[6..].windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]

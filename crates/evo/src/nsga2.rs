@@ -1,5 +1,6 @@
 use crate::dominance::{pareto_indices, Columns, Crowding, Dominance, Fronts};
 use rand::{Rng, RngCore};
+use std::cmp::Ordering;
 
 /// An optimisation problem NSGA-II can drive.
 ///
@@ -130,14 +131,7 @@ impl<G: Clone> SearchResult<G> {
             None => (0..self.history.len()).collect(),
         };
         let pts = objectives(&self.history, &scan);
-        // Deduplicate identical objective vectors to keep fronts tidy.
-        let mut out: Vec<usize> = Vec::new();
-        for k in pareto_indices(&pts) {
-            if !out.iter().any(|&j| self.history[j].objectives == pts[k]) {
-                out.push(scan[k]);
-            }
-        }
-        out
+        first_of_each(&pts, &pareto_indices(&pts)).map(|k| scan[k]).collect()
     }
 
     /// The Pareto front the run discovered: the history entries at
@@ -257,6 +251,25 @@ impl Nsga2 {
         let final_population = population.iter().map(|&i| history[i].clone()).collect();
         SearchResult { final_population: Some(final_population), history, entrants: Some(entrants) }
     }
+}
+
+/// The positions of `front` (ascending, into `points`) but the later of
+/// any two identical points: equal under `f64 ==` in every objective, so
+/// `-0.0 == 0.0` and a point holding a NaN is identical to none. The
+/// positions are sorted once by point, equal points by position, and
+/// each is compared with its neighbour: O(f log f) for a front of `f`.
+fn first_of_each<'f>(points: &[&[f64]], front: &'f [usize]) -> impl Iterator<Item = usize> + 'f {
+    let row = |w: usize| points[front[w]];
+    let mut by_row: Vec<usize> =
+        (0..front.len()).filter(|&w| !row(w).iter().any(|v| v.is_nan())).collect();
+    by_row.sort_unstable_by(|&a, &b| {
+        row(a).partial_cmp(row(b)).unwrap_or(Ordering::Equal).then(a.cmp(&b))
+    });
+    let mut repeat = vec![false; front.len()];
+    for pair in by_row.windows(2) {
+        repeat[pair[1]] = row(pair[0]) == row(pair[1]);
+    }
+    front.iter().zip(repeat).filter(|&(_, repeat)| !repeat).map(|(&k, _)| k)
 }
 
 /// The objective vectors of the history entries at `members`, in order.

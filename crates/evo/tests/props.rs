@@ -4,7 +4,7 @@
 
 use hadas_evo::{
     crowding_distance, dominates, fast_non_dominated_sort, hypervolume, hypervolume_2d,
-    pareto_indices, ratio_of_dominance,
+    pareto_indices, ratio_of_dominance, Evaluated, SearchResult,
 };
 use proptest::prelude::*;
 
@@ -12,21 +12,73 @@ fn points_strategy(dims: usize, max_n: usize) -> impl Strategy<Value = Vec<Vec<f
     proptest::collection::vec(proptest::collection::vec(0.0f64..10.0, dims), 1..max_n)
 }
 
+/// Objective value `k`: NaN, ±inf, `-0.0`, one of four negative halves
+/// (17..=20), or else a grid of four (0..4), so that ties and duplicate
+/// points are common.
+fn grid(k: u8) -> f64 {
+    match k {
+        13 => f64::NAN,
+        14 => f64::INFINITY,
+        15 => f64::NEG_INFINITY,
+        16 => -0.0,
+        17..=20 => -f64::from(k - 16) / 2.0,
+        k => f64::from(k % 4),
+    }
+}
+
 /// Grid-valued points (values 0..4, so ties and duplicates are common)
 /// of one dimensionality in 1..=4, with NaN and ±inf injected: the
 /// sort's arity-unrolled pair pass and its any-arity pass both run.
 fn grid_points_strategy() -> impl Strategy<Value = Vec<Vec<f64>>> {
-    let value = || {
-        (0u8..16).prop_map(|k| match k {
-            13 => f64::NAN,
-            14 => f64::INFINITY,
-            15 => f64::NEG_INFINITY,
-            k => f64::from(k % 4),
-        })
-    };
     (1usize..=4).prop_flat_map(move |dims| {
-        proptest::collection::vec(proptest::collection::vec(value(), dims), 0..60)
+        proptest::collection::vec(proptest::collection::vec((0u8..16).prop_map(grid), dims), 0..60)
     })
+}
+
+/// Points for the front filter: 1 to 5 objectives (the staircase up to
+/// three, the scan above), grid values of both signs with `-0.0` beside
+/// `0.0` and NaN and ±inf mixed in; an empty input or a single point as often as not
+/// among the small ones, and now and then every point poisoned.
+fn front_points_strategy() -> impl Strategy<Value = Vec<Vec<f64>>> {
+    let n = prop_oneof![0usize..=1, 2usize..80];
+    (1usize..=5, n, (0u8..5).prop_map(|k| k == 0)).prop_flat_map(|(dims, n, poisoned)| {
+        let row = proptest::collection::vec((0u8..21).prop_map(grid), dims);
+        let row = (row, 0..dims, 13u8..16).prop_map(move |(mut row, at, k)| {
+            if poisoned {
+                row[at] = grid(k);
+            }
+            row
+        });
+        proptest::collection::vec(row, n)
+    })
+}
+
+/// The front-0 filter the staircase replaced: an archive of points, a
+/// point some member dominates skipped, otherwise the members it
+/// dominates evicted and the point added. O(N·|front|).
+fn archive_front(points: &[Vec<f64>]) -> Vec<usize> {
+    let mut archive: Vec<usize> = Vec::new();
+    for (i, p) in points.iter().enumerate() {
+        if archive.iter().any(|&m| dominates(&points[m], p)) {
+            continue;
+        }
+        archive.retain(|&m| !dominates(p, &points[m]));
+        archive.push(i);
+    }
+    archive
+}
+
+/// The duplicate removal the sorted one replaced: each front index in
+/// turn, kept unless a kept index's point equals its point under
+/// `f64 ==`. O(|front|²).
+fn quadratic_first_of_each(points: &[Vec<f64>], front: &[usize]) -> Vec<usize> {
+    let mut out: Vec<usize> = Vec::new();
+    for &k in front {
+        if !out.iter().any(|&j| points[j] == points[k]) {
+            out.push(k);
+        }
+    }
+    out
 }
 
 /// Deb's peeling written directly from `dominates`: a point's count is
@@ -90,12 +142,34 @@ fn naive_crowding(points: &[Vec<f64>], front: &[usize]) -> Vec<f64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// The archive filter returns exactly front 0 of the sort, in order.
+    /// The front filter returns exactly front 0 of the sort, in order.
     #[test]
     fn pareto_indices_is_front_zero(pts in grid_points_strategy()) {
         let fronts = fast_non_dominated_sort(&pts);
         let front0 = fronts.first().cloned().unwrap_or_default();
         prop_assert_eq!(pareto_indices(&pts), front0);
+    }
+
+    /// The sort-and-staircase filter returns what the archive returns,
+    /// ties, signed zeros, poisoned, empty and single-point inputs
+    /// included.
+    #[test]
+    fn pareto_indices_matches_the_archive(pts in front_points_strategy()) {
+        prop_assert_eq!(pareto_indices(&pts), archive_front(&pts));
+    }
+
+    /// A result's front drops identical points as the quadratic pass
+    /// does: `-0.0 == 0.0`, `inf == inf`, and a point holding a NaN
+    /// equals none.
+    #[test]
+    fn front_indices_drop_duplicates_like_the_quadratic_pass(pts in front_points_strategy()) {
+        let history =
+            pts.iter().map(|p| Evaluated { genome: (), objectives: p.clone(), generation: 0 });
+        let result = SearchResult::from_history(history.collect());
+        prop_assert_eq!(
+            result.pareto_front_indices(),
+            quadratic_first_of_each(&pts, &archive_front(&pts))
+        );
     }
 
     /// The one-pass sort returns the reference's fronts, element order

@@ -18,16 +18,20 @@ impl DvfsLadder {
     ///
     /// # Panics
     ///
-    /// Panics if either step count is zero or a range is inverted — ladder
-    /// construction is compile-time configuration, not runtime input.
+    /// Panics if either step count is zero or above `u32::MAX`, or a
+    /// range is inverted — ladder construction is compile-time
+    /// configuration, not runtime input.
     pub fn linspace(n: usize, c_lo: f64, c_hi: f64, m: usize, m_lo: f64, m_hi: f64) -> Self {
         assert!(n > 0 && m > 0, "ladders must have at least one step");
         assert!(c_lo <= c_hi && m_lo <= m_hi, "frequency ranges must be ordered");
+        assert!(u32::try_from(n.max(m)).is_ok(), "ladders must have at most u32::MAX steps");
         let lin = |k: usize, lo: f64, hi: f64| -> Vec<f64> {
+            // Exact through `u32`, which `f64` holds every value of.
+            let k = u32::try_from(k).unwrap_or(u32::MAX);
             if k == 1 {
                 vec![hi]
             } else {
-                (0..k).map(|i| lo + (hi - lo) * i as f64 / (k - 1) as f64).collect()
+                (0..k).map(|i| lo + (hi - lo) * f64::from(i) / f64::from(k - 1)).collect()
             }
         };
         DvfsLadder { compute_ghz: lin(n, c_lo, c_hi), emc_ghz: lin(m, m_lo, m_hi) }

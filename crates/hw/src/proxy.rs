@@ -52,6 +52,14 @@ fn erg_features(latency: f64, f_c: f64, f_m: f64) -> [f64; ERG_FEATURES] {
     [latency, latency * v * v * f_c, latency * f_m, latency * f_c]
 }
 
+/// `n` as an `f64`, exactly: through `u32`, which `f64` holds every
+/// value of. A count past `u32::MAX` is refused.
+fn exact_count(n: usize, what: &str) -> Result<f64, HwError> {
+    u32::try_from(n)
+        .map(f64::from)
+        .map_err(|_| HwError::ProxyFit(format!("{n} {what} exceed u32::MAX")))
+}
+
 /// Solves the `n×n` normal equations `(XᵀX) w = Xᵀy` by Gaussian
 /// elimination with partial pivoting (n ≤ 4 here).
 #[allow(clippy::needless_range_loop)]
@@ -112,8 +120,9 @@ impl ProxyCostModel {
     /// # Errors
     ///
     /// Returns [`HwError::ProxyFit`] if `samples == 0` (fitting needs
-    /// data) or a sampled genome fails to decode, and propagates device
-    /// cost-model errors.
+    /// data), a sampled genome fails to decode or the ladder has more
+    /// than `u32::MAX` compute steps, and propagates device cost-model
+    /// errors.
     pub fn fit(
         device: &DeviceModel,
         space: &SearchSpace,
@@ -163,11 +172,12 @@ impl ProxyCostModel {
         let mut inv_rows = Vec::new();
         let mut inv_targets = Vec::new();
         let mut per_inv = 0.0;
+        let steps = exact_count(ladder.compute_steps(), "DVFS ladder steps")?;
         for c in 0..ladder.compute_steps() {
             let setting = DvfsSetting::new(c, 0);
             let (f_c, f_m) = ladder.resolve(&setting)?;
             let truth = device.invoke_cost(&setting)?;
-            per_inv += truth.latency_s * f_c / c_hi / ladder.compute_steps() as f64;
+            per_inv += truth.latency_s * f_c / c_hi / steps;
             inv_rows.push(erg_features(truth.latency_s, f_c, f_m));
             inv_targets.push(truth.energy_j);
         }
@@ -194,7 +204,8 @@ impl ProxyCostModel {
     /// # Errors
     ///
     /// Returns [`HwError::ProxyFit`] if a sampled genome fails to
-    /// decode, and propagates device cost-model errors.
+    /// decode or `queries` exceeds `u32::MAX`, and propagates device
+    /// cost-model errors.
     pub fn validate(
         &self,
         device: &DeviceModel,
@@ -202,6 +213,7 @@ impl ProxyCostModel {
         queries: usize,
         seed: u64,
     ) -> Result<ProxyValidation, HwError> {
+        let count = exact_count(queries, "validation queries")?;
         let mut rng = StdRng::seed_from_u64(seed);
         let mut lat_err = 0.0;
         let mut erg_err = 0.0;
@@ -218,11 +230,7 @@ impl ProxyCostModel {
             lat_err += ((pred.latency_s - truth.latency_s) / truth.latency_s).abs();
             erg_err += ((pred.energy_j - truth.energy_j) / truth.energy_j).abs();
         }
-        Ok(ProxyValidation {
-            latency_mape: lat_err / queries as f64,
-            energy_mape: erg_err / queries as f64,
-            queries,
-        })
+        Ok(ProxyValidation { latency_mape: lat_err / count, energy_mape: erg_err / count, queries })
     }
 }
 
