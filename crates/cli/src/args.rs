@@ -313,6 +313,26 @@ impl<'a> Flags<'a> {
             .transpose()
     }
 
+    /// Like [`Flags::parse`], then refuses a value `valid` rejects; that
+    /// reads `bad {name} '{value}' (expected {expected})`.
+    fn parse_valid<T: FromStr>(
+        &self,
+        name: &str,
+        valid: fn(&T) -> bool,
+        expected: &str,
+    ) -> Result<Option<T>, ParseCliError>
+    where
+        T::Err: fmt::Display,
+    {
+        let value = self.parse(name, name)?;
+        match (value, self.get(name)) {
+            (Some(v), Some(raw)) if !valid(&v) => {
+                Err(ParseCliError(format!("bad {name} '{raw}' (expected {expected})")))
+            }
+            (value, _) => Ok(value),
+        }
+    }
+
     /// An `on`/`off` switch, off when absent.
     fn on_off(&self, name: &str) -> Result<bool, ParseCliError> {
         match self.get(name) {
@@ -451,8 +471,10 @@ impl Command {
                 )?;
                 let train = Command::Train {
                     epochs: f.parse("epochs", "epochs")?.unwrap_or(4),
-                    batch: f.parse("batch", "batch")?.unwrap_or(16),
-                    lr: f.parse("lr", "lr")?.unwrap_or(0.05),
+                    batch: f.parse_valid("batch", |&b| b > 0, "at least 1")?.unwrap_or(16),
+                    lr: f
+                        .parse_valid("lr", |lr: &f32| lr.is_finite() && *lr > 0.0, "a finite number above 0")?
+                        .unwrap_or(0.05),
                     seed: f.seed()?,
                     data_chaos: f.parse("data-chaos", "data-chaos seed")?,
                     max_epochs: f.parse("max-epochs", "max-epochs")?,
@@ -943,6 +965,12 @@ mod tests {
             ("train --epochs many", "bad epochs: invalid digit found in string"),
             ("train --batch x", "bad batch: invalid digit found in string"),
             ("train --lr hot", "bad lr: invalid float literal"),
+            ("train --lr 0", "bad lr '0' (expected a finite number above 0)"),
+            ("train --lr -0.1", "bad lr '-0.1' (expected a finite number above 0)"),
+            ("train --lr nan", "bad lr 'nan' (expected a finite number above 0)"),
+            ("train --lr inf", "bad lr 'inf' (expected a finite number above 0)"),
+            ("train --batch 0", "bad batch '0' (expected at least 1)"),
+            ("train --batch 0 --lr 0", "bad batch '0' (expected at least 1)"),
             ("train --seed s", "bad seed: invalid digit found in string"),
             ("train --data-chaos wild", "bad data-chaos seed: invalid digit found in string"),
             ("train --max-epochs x", "bad max-epochs: invalid digit found in string"),

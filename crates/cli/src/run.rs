@@ -8,6 +8,7 @@ use hadas::{
 };
 use hadas_dataset::{CorruptionConfig, DatasetConfig, SyntheticDataset};
 use hadas_hw::{DeviceModel, HwTarget, ProxyCostModel};
+use hadas_nn::WithLoopOptions;
 use hadas_runtime::{modes_from_pareto, FaultConfig, FaultInjector};
 use hadas_serve::{ServeConfig, ServeEngine};
 use hadas_space::{baselines, SearchSpace};

@@ -18,6 +18,10 @@
 //!   the hybrid NLL + knowledge-distillation loss of paper eq. (4), using
 //!   the `hadas-nn` micro framework. This exercises the full training
 //!   code path that the paper runs on a 32-GPU cluster, at laptop scale.
+//!   [`ExitTrainer::train_with`] trains one head or all heads of a
+//!   placement jointly (§IV-B.2) through the shared guarded loop
+//!   ([`hadas_nn::train_guarded`]); [`MultiExitTrainer`] builds a
+//!   placement's heads and simulators and trains them that way.
 //!
 //! ```
 //! use hadas_exits::ExitPlacement;
@@ -45,7 +49,7 @@ pub use head::ExitHead;
 pub use multi::{MultiExitReport, MultiExitTrainer};
 pub use placement::ExitPlacement;
 pub use simulator::FeatureSimulator;
-pub use trainer::{ExitTrainOptions, ExitTrainer, TrainReport};
+pub use trainer::{ExitTrainer, TrainReport};
 
 /// First layer (1-based) at which the paper allows an exit.
 pub const MIN_EXIT_POSITION: usize = 5;

@@ -2,26 +2,22 @@
 //! procedure (§IV-B.2): all candidate exit heads train **simultaneously**
 //! against a frozen backbone with the hybrid loss of eq. (4), each head
 //! combining its own cross-entropy with distillation from the final
-//! classifier.
+//! classifier. This module builds the heads and simulators of a
+//! placement; [`ExitTrainer::train_with`] trains them.
 
-use crate::{ExitError, ExitHead, ExitPlacement, FeatureSimulator, TrainReport};
+use crate::{ExitError, ExitHead, ExitPlacement, ExitTrainer, FeatureSimulator, TrainReport};
 use hadas_dataset::DifficultyDistribution;
-use hadas_nn::{accuracy, hybrid_exit_loss, Sgd};
-use hadas_tensor::Tensor;
-use rand::{rngs::StdRng, Rng, SeedableRng};
+use hadas_nn::LoopOptions;
+use rand::{rngs::StdRng, SeedableRng};
 
 /// A multi-exit training setup: one [`FeatureSimulator`] and one
 /// [`ExitHead`] per exit position of a placement, trained jointly.
 #[derive(Debug)]
 pub struct MultiExitTrainer {
-    classes: usize,
-    difficulty: DifficultyDistribution,
-    final_capability: f64,
+    trainer: ExitTrainer,
     capabilities: Vec<f64>,
     simulators: Vec<FeatureSimulator>,
     heads: Vec<ExitHead>,
-    kd_temp: f32,
-    lr: f32,
 }
 
 /// Per-exit outcome of a joint training run.
@@ -73,14 +69,10 @@ impl MultiExitTrainer {
             heads.push(ExitHead::new(&mut rng, channels, size, classes)?);
         }
         Ok(MultiExitTrainer {
-            classes,
-            difficulty,
-            final_capability: final_capability.clamp(0.0, 1.0),
+            trainer: ExitTrainer::new(classes, difficulty, final_capability),
             capabilities,
             simulators,
             heads,
-            kd_temp: 4.0,
-            lr: 0.05,
         })
     }
 
@@ -94,32 +86,9 @@ impl MultiExitTrainer {
         &self.heads
     }
 
-    fn teacher_logits<R: Rng>(
-        &self,
-        rng: &mut R,
-        samples: &[(usize, f64)],
-    ) -> Result<Tensor, ExitError> {
-        let mut data = vec![0.0f32; samples.len() * self.classes];
-        for (i, &(label, d)) in samples.iter().enumerate() {
-            let winner = if d <= self.final_capability {
-                label
-            } else {
-                let w = rng.gen_range(0..self.classes.max(2) - 1);
-                if w >= label {
-                    w + 1
-                } else {
-                    w
-                }
-            };
-            data[i * self.classes + winner] = 6.0;
-        }
-        Tensor::from_vec(data, &[samples.len(), self.classes])
-            .map_err(|e| ExitError::Nn(hadas_nn::NnError::Tensor(e)))
-    }
-
     /// Trains every head jointly for `epochs` × `batches` steps of batch
-    /// size `batch`, per eq. (4): each batch's hybrid loss sums NLL and KD
-    /// terms across **all** exits before the optimizers step.
+    /// size `batch` through [`ExitTrainer::train_with`] under
+    /// monitor-only defaults.
     ///
     /// # Errors
     ///
@@ -131,58 +100,11 @@ impl MultiExitTrainer {
         batch: usize,
         seed: u64,
     ) -> Result<MultiExitReport, ExitError> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut opts: Vec<Sgd> = self.heads.iter().map(|_| Sgd::new(self.lr, 0.9, 1e-4)).collect();
-        let mut last_epoch_loss = 0.0f32;
-        let mut steps = 0usize;
-        for head in &mut self.heads {
-            head.set_training(true);
-        }
-        for _epoch in 0..epochs {
-            let mut epoch_loss = 0.0f32;
-            for _b in 0..batches {
-                let samples: Vec<(usize, f64)> = (0..batch)
-                    .map(|_| (rng.gen_range(0..self.classes), self.difficulty.sample(&mut rng)))
-                    .collect();
-                let teacher = self.teacher_logits(&mut rng, &samples)?;
-                // Forward every exit on its own prefix features.
-                let mut all_logits = Vec::with_capacity(self.heads.len());
-                let mut all_feats = Vec::with_capacity(self.heads.len());
-                for (head, sim) in self.heads.iter_mut().zip(&self.simulators) {
-                    let (feats, _) = sim.batch(&mut rng, &samples)?;
-                    all_logits.push(head.forward(&feats)?);
-                    all_feats.push(feats);
-                }
-                let labels: Vec<usize> = samples.iter().map(|&(l, _)| l).collect();
-                let (loss, grads) = hybrid_exit_loss(&all_logits, &teacher, &labels, self.kd_temp)?;
-                for ((head, grad), opt) in self.heads.iter_mut().zip(&grads).zip(&mut opts) {
-                    head.net_mut().zero_grad();
-                    head.backward(grad)?;
-                    opt.step(head.net_mut().params_mut());
-                }
-                epoch_loss += loss;
-                steps += 1;
-            }
-            last_epoch_loss = epoch_loss / batches as f32;
-        }
-
-        // Held-out evaluation per exit.
-        let mut per_exit = Vec::with_capacity(self.heads.len());
-        for (head, sim) in self.heads.iter_mut().zip(&self.simulators) {
-            head.set_training(false);
-            let samples: Vec<(usize, f64)> = (0..batch * 4)
-                .map(|_| (rng.gen_range(0..self.classes), self.difficulty.sample(&mut rng)))
-                .collect();
-            let (feats, labels) = sim.batch(&mut rng, &samples)?;
-            let logits = head.forward(&feats)?;
-            per_exit.push(TrainReport {
-                final_loss: last_epoch_loss,
-                test_accuracy: accuracy(&logits, &labels)?,
-                steps,
-            });
-            head.set_training(true);
-        }
-        Ok(MultiExitReport { per_exit, final_loss: last_epoch_loss })
+        let trainer = self.trainer.clone().with_schedule(epochs, batches, batch);
+        let mut exits: Vec<_> = self.heads.iter_mut().zip(&self.simulators).collect();
+        let (per_exit, _) = trainer.train_with(&mut exits, seed, &LoopOptions::default())?;
+        let final_loss = per_exit.first().map_or(0.0, |r| r.final_loss);
+        Ok(MultiExitReport { per_exit, final_loss })
     }
 
     /// The capability each exit's features were generated with.

@@ -1,14 +1,13 @@
 use crate::{ExitError, ExitHead, FeatureSimulator};
 use hadas_dataset::DifficultyDistribution;
 use hadas_nn::{
-    accuracy, hybrid_exit_loss, seal, GuardConfig, NnError, Sgd, TrainCheckpoint, TrainGuard,
-    TrainTelemetry,
+    accuracy, hybrid_exit_loss, train_guarded, LoopOptions, LoopPlan, NnError, Param,
+    TrainTelemetry, Trainable,
 };
 use hadas_tensor::Tensor;
-use rand::{rngs::StdRng, Rng, SeedableRng};
+use rand::Rng;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use std::path::PathBuf;
 
 /// Outcome of one exit-head training run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -101,7 +100,7 @@ impl ExitTrainer {
 
     /// Trains `head` against features from `sim`, returning the report.
     ///
-    /// Equivalent to [`ExitTrainer::train_with`] under monitor-only
+    /// One head through [`ExitTrainer::train_with`] under monitor-only
     /// defaults — bit-identical to the historical unguarded loop on
     /// healthy training.
     ///
@@ -115,223 +114,150 @@ impl ExitTrainer {
         sim: &FeatureSimulator,
         seed: u64,
     ) -> Result<TrainReport, ExitError> {
-        self.train_with(head, sim, seed, &ExitTrainOptions::default()).map(|(r, _)| r)
+        let (reports, _) = self.train_with(&mut [(head, sim)], seed, &LoopOptions::default())?;
+        // One head, one report.
+        Ok(reports[0])
     }
 
     /// Fingerprint of everything shaping the exit-head trajectory:
-    /// trainer schedule and loss parameters, simulator, seed, guard
+    /// trainer schedule and loss parameters, every simulator, seed, guard
     /// thresholds, and rollback policy. Checkpoints from a different
     /// fingerprint are refused on resume.
-    fn fingerprint(&self, sim: &FeatureSimulator, seed: u64, opts: &ExitTrainOptions) -> u64 {
+    fn fingerprint(
+        &self,
+        exits: &[(&mut ExitHead, &FeatureSimulator)],
+        seed: u64,
+        opts: &LoopOptions,
+    ) -> u64 {
         let mut h = DefaultHasher::new();
         format!("{self:?}").hash(&mut h);
-        format!("{sim:?}").hash(&mut h);
+        for (_, sim) in exits {
+            format!("{sim:?}").hash(&mut h);
+        }
         seed.hash(&mut h);
-        format!("{:?}", opts.guard).hash(&mut h);
-        opts.max_rollbacks.hash(&mut h);
-        opts.lr_backoff.to_bits().hash(&mut h);
+        opts.hash_policy(&mut h);
         h.finish()
     }
 
-    /// Divergence-guarded exit-head training: a [`TrainGuard`] checks
-    /// every hybrid loss and gradient, epoch boundaries snapshot the
-    /// resumable state (head params, SGD velocity, RNG stream, learning
-    /// rate — to disk when `opts.checkpoint` is set), and a tripped
-    /// guard rolls back to the last good epoch with the learning rate
-    /// backed off, up to `opts.max_rollbacks` times.
+    /// Trains every `(head, simulator)` pair of `exits` jointly, per
+    /// eq. (4): each batch draws one set of samples, each simulator's
+    /// features for them, then the teacher's logits, and the hybrid loss
+    /// sums NLL and KD terms across **all** exits before one optimizer
+    /// step. The shared guarded loop ([`train_guarded`]) runs the epochs:
+    /// a [`hadas_nn::TrainGuard`] on every loss and gradient, epoch
+    /// snapshots of the heads' parameters and batch-norm buffers (to disk
+    /// when `opts.checkpoint` is set), and rollback with the learning rate
+    /// backed off. Each head is then scored on its own held-out batch.
     ///
     /// Kill/resume contract: a run stopped at epoch `k` via
     /// `opts.stop_after_epochs` and resumed with `opts.resume` produces
-    /// a **byte-identical** [`TrainReport`] to an uninterrupted run.
+    /// **byte-identical** reports to an uninterrupted run.
     ///
     /// # Errors
     ///
-    /// Propagates NN and checkpoint errors; returns
-    /// [`ExitError::Nn`] wrapping [`NnError::Numeric`] once the
-    /// rollback budget is exhausted.
+    /// Propagates NN and checkpoint errors, including the loop's refusal
+    /// of a schedule without a full batch; returns [`ExitError::Nn`]
+    /// wrapping [`NnError::Numeric`] once the rollback budget is
+    /// exhausted.
     pub fn train_with(
         &self,
-        head: &mut ExitHead,
-        sim: &FeatureSimulator,
+        exits: &mut [(&mut ExitHead, &FeatureSimulator)],
         seed: u64,
-        opts: &ExitTrainOptions,
-    ) -> Result<(TrainReport, TrainTelemetry), ExitError> {
-        let mut telemetry = TrainTelemetry::default();
-        let fingerprint = self.fingerprint(sim, seed, opts);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut opt = Sgd::new(self.lr, 0.9, 1e-4);
-        let mut guard = TrainGuard::new(opts.guard.clone());
-        let mut steps = 0usize;
-        let mut epoch = 0usize;
-        let mut rollbacks = 0u32;
-        let mut last_epoch_loss = 0.0f32;
-        head.set_training(true);
-
-        if opts.resume {
-            if let Some(path) = &opts.checkpoint {
-                if path.exists() {
-                    let ckpt: TrainCheckpoint = seal::load(path).map_err(NnError::from)?;
-                    ckpt.validate_against(fingerprint)?;
-                    let mut params = head.net_mut().params_mut();
-                    ckpt.restore(&mut params, &mut opt)?;
-                    drop(params);
-                    head.net_mut().load_state_buffers(&ckpt.buffers)?;
-                    rng = StdRng::from_state(ckpt.rng_state);
-                    epoch = ckpt.epoch;
-                    steps = ckpt.steps;
-                    rollbacks = ckpt.rollbacks;
-                    telemetry.resumed_from_epoch = Some(ckpt.epoch);
-                }
-            }
-        }
-
-        let mut last_good = {
-            let buffers = head.net_mut().state_buffers();
-            let params = head.net_mut().params_mut();
-            TrainCheckpoint::capture(
-                fingerprint,
-                epoch,
-                steps,
-                rollbacks,
-                rng.state(),
-                &params,
-                &opt,
-            )
-            .with_buffers(buffers)
+        opts: &LoopOptions,
+    ) -> Result<(Vec<TrainReport>, TrainTelemetry), ExitError> {
+        let plan = LoopPlan {
+            epochs: self.epochs,
+            batches: if self.batch_size == 0 { 0 } else { self.train_batches },
+            lr: self.lr,
+            seed,
+            fingerprint: self.fingerprint(exits, seed, opts),
         };
-
-        'training: while epoch < self.epochs {
-            let mut epoch_loss = 0.0f32;
-            for _b in 0..self.train_batches {
-                let samples = self.draw_samples(&mut rng, self.batch_size);
-                let (feats, labels) = sim.batch(&mut rng, &samples)?;
-                let teacher = self.teacher_logits(&mut rng, &samples)?;
-                let logits = head.forward(&feats)?;
-                let (loss, grads) = hybrid_exit_loss(&[logits], &teacher, &labels, self.kd_temp)?;
-                head.net_mut().zero_grad();
-                head.backward(&grads[0])?;
-                let guarded = guard.observe_loss(loss).and_then(|()| {
-                    let mut params = head.net_mut().params_mut();
-                    guard.clip_gradients(&mut params).map(|_| ())
-                });
-                if let Err(anomaly) = guarded {
-                    telemetry.anomalies.push(anomaly.to_string());
-                    if rollbacks >= opts.max_rollbacks {
-                        return Err(ExitError::Nn(NnError::Numeric(anomaly)));
-                    }
-                    rollbacks += 1;
-                    telemetry.rollbacks = rollbacks;
-                    let mut params = head.net_mut().params_mut();
-                    last_good.restore(&mut params, &mut opt)?;
-                    drop(params);
-                    head.net_mut().load_state_buffers(&last_good.buffers)?;
-                    let new_lr = (opt.lr() / opts.lr_backoff).max(1e-6);
-                    opt.set_lr(new_lr);
-                    rng = StdRng::from_state(last_good.rng_state);
-                    epoch = last_good.epoch;
-                    steps = last_good.steps;
-                    guard.reset_window();
-                    last_good.lr = new_lr;
-                    last_good.rollbacks = rollbacks;
-                    continue 'training;
-                }
-                opt.step(head.net_mut().params_mut());
-                epoch_loss += loss;
-                steps += 1;
-            }
-            last_epoch_loss = epoch_loss / self.train_batches as f32;
-            epoch += 1;
-            last_good = {
-                let buffers = head.net_mut().state_buffers();
-                let params = head.net_mut().params_mut();
-                TrainCheckpoint::capture(
-                    fingerprint,
-                    epoch,
-                    steps,
-                    rollbacks,
-                    rng.state(),
-                    &params,
-                    &opt,
-                )
-                .with_buffers(buffers)
-            };
-            if let Some(path) = &opts.checkpoint {
-                seal::write(path, &last_good).map_err(NnError::from)?;
-                telemetry.checkpoints_written += 1;
-            }
-            if let Some(stop) = opts.stop_after_epochs {
-                if epoch >= stop && epoch < self.epochs {
-                    telemetry.interrupted = true;
-                    break 'training;
-                }
-            }
+        for (head, _) in exits.iter_mut() {
+            head.set_training(true);
         }
-        telemetry.clipped_steps = guard.clipped_steps();
-        // Held-out evaluation.
-        head.set_training(false);
-        let samples = self.draw_samples(&mut rng, self.batch_size * 4);
-        let (feats, labels) = sim.batch(&mut rng, &samples)?;
-        let logits = head.forward(&feats)?;
-        let test_accuracy = accuracy(&logits, &labels)?;
-        head.set_training(true);
-        Ok((TrainReport { final_loss: last_epoch_loss, test_accuracy, steps }, telemetry))
-    }
-}
-
-/// Options for divergence-guarded exit-head training
-/// ([`ExitTrainer::train_with`]). The defaults are monitor-only and
-/// bit-identical to the historical unguarded loop.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExitTrainOptions {
-    /// Numeric-guard thresholds.
-    pub guard: GuardConfig,
-    /// Epoch-boundary checkpoint file, if any.
-    pub checkpoint: Option<PathBuf>,
-    /// Resume from `checkpoint` when it exists.
-    pub resume: bool,
-    /// Stop gracefully after this many completed epochs (chaos kill
-    /// point); the final checkpoint is written first.
-    pub stop_after_epochs: Option<usize>,
-    /// Divergence rollbacks allowed before the run fails.
-    pub max_rollbacks: u32,
-    /// Factor the learning rate is divided by on each rollback.
-    pub lr_backoff: f32,
-}
-
-impl Default for ExitTrainOptions {
-    fn default() -> Self {
-        ExitTrainOptions {
-            guard: GuardConfig::monitor_only(),
-            checkpoint: None,
-            resume: false,
-            stop_after_epochs: None,
-            max_rollbacks: 3,
-            lr_backoff: 2.0,
+        let run =
+            train_guarded(&mut Heads(exits), &plan, opts, |heads, rng, _| self.step(heads.0, rng))?;
+        // Held-out evaluation, exit by exit.
+        let mut rng = run.rng;
+        let mut reports = Vec::with_capacity(exits.len());
+        for (head, sim) in exits.iter_mut() {
+            head.set_training(false);
+            let samples = self.draw_samples(&mut rng, self.batch_size * 4);
+            let (feats, labels) = sim.batch(&mut rng, &samples)?;
+            let test_accuracy = accuracy(&head.forward(&feats)?, &labels)?;
+            head.set_training(true);
+            reports.push(TrainReport {
+                final_loss: run.final_loss,
+                test_accuracy,
+                steps: run.steps,
+            });
         }
+        Ok((reports, run.telemetry))
+    }
+
+    /// Forward and backward of one joint batch; returns its hybrid loss.
+    fn step<R: Rng>(
+        &self,
+        exits: &mut [(&mut ExitHead, &FeatureSimulator)],
+        rng: &mut R,
+    ) -> Result<f32, ExitError> {
+        let samples = self.draw_samples(rng, self.batch_size);
+        let mut logits = Vec::with_capacity(exits.len());
+        for (head, sim) in exits.iter_mut() {
+            let (feats, _) = sim.batch(rng, &samples)?;
+            logits.push(head.forward(&feats)?);
+        }
+        let teacher = self.teacher_logits(rng, &samples)?;
+        let labels: Vec<usize> = samples.iter().map(|&(label, _)| label).collect();
+        let (loss, grads) = hybrid_exit_loss(&logits, &teacher, &labels, self.kd_temp)?;
+        for ((head, _), grad) in exits.iter_mut().zip(&grads) {
+            head.net_mut().zero_grad();
+            head.backward(grad)?;
+        }
+        Ok(loss)
     }
 }
 
-impl ExitTrainOptions {
-    /// Enables epoch-boundary checkpoints at `path`; `resume` restores
-    /// from an existing checkpoint first.
-    #[must_use]
-    pub fn with_checkpoint(mut self, path: PathBuf, resume: bool) -> Self {
-        self.checkpoint = Some(path);
-        self.resume = resume;
-        self
+/// The heads of one joint run as the guarded loop sees them: their
+/// parameters and layer buffers, head after head.
+struct Heads<'a, 'h, 's>(&'a mut [(&'h mut ExitHead, &'s FeatureSimulator)]);
+
+impl Trainable for Heads<'_, '_, '_> {
+    fn params_mut(&mut self) -> Vec<&mut Param> {
+        self.0.iter_mut().flat_map(|(head, _)| head.net_mut().params_mut()).collect()
     }
 
-    /// Sets the graceful kill point (chaos harness).
-    #[must_use]
-    pub fn stop_after(mut self, epochs: usize) -> Self {
-        self.stop_after_epochs = Some(epochs);
-        self
+    fn state_buffers(&mut self) -> Vec<Vec<f32>> {
+        self.0.iter_mut().flat_map(|(head, _)| head.net_mut().state_buffers()).collect()
+    }
+
+    fn load_state_buffers(&mut self, buffers: &[Vec<f32>]) -> Result<(), NnError> {
+        // Empty buffers restore nothing, as for one `Sequential`.
+        if buffers.is_empty() {
+            return Ok(());
+        }
+        let layers: usize = self.0.iter_mut().map(|(head, _)| head.net_mut().len()).sum();
+        if buffers.len() != layers {
+            return Err(NnError::Checkpoint(format!(
+                "checkpoint has {} layer-state buffers, the heads have {layers} layers",
+                buffers.len()
+            )));
+        }
+        let mut rest = buffers;
+        for (head, _) in self.0.iter_mut() {
+            let (own, tail) = rest.split_at(head.net_mut().len());
+            head.net_mut().load_state_buffers(own)?;
+            rest = tail;
+        }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hadas_nn::WithLoopOptions;
+    use rand::{rngs::StdRng, SeedableRng};
 
     fn quick_train(capability: f64, seed: u64) -> TrainReport {
         let classes = 6;
@@ -397,20 +323,22 @@ mod tests {
         let seed = 41;
         let (trainer, sim, mut straight) = fixture(seed);
         let (full, _) = trainer
-            .train_with(&mut straight, &sim, seed + 2, &ExitTrainOptions::default())
+            .train_with(&mut [(&mut straight, &sim)], seed + 2, &LoopOptions::default())
             .unwrap();
 
         let path = scratch("kill-resume");
         let (_, _, mut killed) = fixture(seed);
-        let opts = ExitTrainOptions::default().with_checkpoint(path.clone(), false).stop_after(2);
-        let (_, t1) = trainer.train_with(&mut killed, &sim, seed + 2, &opts).unwrap();
+        let opts = LoopOptions::default().with_checkpoint(path.clone(), false).stop_after(2);
+        let (_, t1) = trainer.train_with(&mut [(&mut killed, &sim)], seed + 2, &opts).unwrap();
         assert!(t1.interrupted, "kill point should interrupt the run");
         assert_eq!(t1.checkpoints_written, 2);
 
         // Resume in a *fresh* head — everything must come from the checkpoint.
         let (_, _, mut resumed) = fixture(seed + 7);
-        let opts = ExitTrainOptions::default().with_checkpoint(path.clone(), true);
-        let (resumed_report, t2) = trainer.train_with(&mut resumed, &sim, seed + 2, &opts).unwrap();
+        let opts = LoopOptions::default().with_checkpoint(path.clone(), true);
+        let (resumed, t2) =
+            trainer.train_with(&mut [(&mut resumed, &sim)], seed + 2, &opts).unwrap();
+        let (resumed_report, full) = (resumed[0], full[0]);
         assert_eq!(t2.resumed_from_epoch, Some(2));
         assert_eq!(resumed_report.final_loss.to_bits(), full.final_loss.to_bits());
         assert_eq!(resumed_report.test_accuracy.to_bits(), full.test_accuracy.to_bits());
@@ -423,12 +351,12 @@ mod tests {
         let seed = 47;
         let path = scratch("fingerprint");
         let (trainer, sim, mut head) = fixture(seed);
-        let opts = ExitTrainOptions::default().with_checkpoint(path.clone(), false).stop_after(1);
-        trainer.train_with(&mut head, &sim, seed + 2, &opts).unwrap();
+        let opts = LoopOptions::default().with_checkpoint(path.clone(), false).stop_after(1);
+        trainer.train_with(&mut [(&mut head, &sim)], seed + 2, &opts).unwrap();
 
         // Different seed ⇒ different trajectory ⇒ refuse the checkpoint.
-        let opts = ExitTrainOptions::default().with_checkpoint(path.clone(), true);
-        let err = trainer.train_with(&mut head, &sim, seed + 3, &opts);
+        let opts = LoopOptions::default().with_checkpoint(path.clone(), true);
+        let err = trainer.train_with(&mut [(&mut head, &sim)], seed + 3, &opts);
         assert!(
             matches!(err, Err(ExitError::Nn(NnError::Checkpoint(_)))),
             "expected a checkpoint refusal, got {err:?}"

@@ -34,6 +34,14 @@ pub enum NnError {
     Numeric(NumericAnomaly),
     /// A training checkpoint could not be written, read, or applied.
     Checkpoint(String),
+    /// A guarded run was given a learning rate that is not finite and
+    /// positive.
+    InvalidLearningRate {
+        /// The refused learning rate.
+        lr: f32,
+    },
+    /// A guarded run's epoch holds no full batch, so no step would run.
+    EmptyEpoch,
 }
 
 impl fmt::Display for NnError {
@@ -51,6 +59,10 @@ impl fmt::Display for NnError {
             }
             NnError::Numeric(a) => write!(f, "numeric anomaly during training: {a}"),
             NnError::Checkpoint(msg) => write!(f, "train checkpoint failed: {msg}"),
+            NnError::InvalidLearningRate { lr } => {
+                write!(f, "learning rate {lr} is not a finite positive number")
+            }
+            NnError::EmptyEpoch => write!(f, "an epoch holds no full batch, so no step would run"),
         }
     }
 }

@@ -5,8 +5,9 @@
 //! 2-D convolution, batch normalisation, ReLU/hard-swish activations,
 //! linear classifiers, global average pooling, a [`Sequential`] container
 //! with full forward/backward passes, negative log-likelihood and
-//! knowledge-distillation losses (the hybrid loss of HADAS eq. (4)), and an
-//! SGD optimizer with momentum.
+//! knowledge-distillation losses (the hybrid loss of HADAS eq. (4)), an
+//! SGD optimizer with momentum, and the one guarded epoch loop
+//! ([`train_guarded`]) that every trainer runs.
 //!
 //! The paper trains exit heads with the *backbone frozen*; here that means
 //! a backbone produces feature tensors (or a simulator stands in for it)
@@ -40,14 +41,13 @@ mod bn;
 mod conv;
 mod error;
 mod guard;
+mod guarded;
 mod linear;
 mod loss;
-mod maxpool;
 mod metrics;
 mod optim;
 mod param;
 mod pool;
-mod schedule;
 pub mod seal;
 mod sequential;
 mod train_state;
@@ -57,13 +57,12 @@ pub use bn::BatchNorm2d;
 pub use conv::Conv2d;
 pub use error::NnError;
 pub use guard::{GuardConfig, NumericAnomaly, TrainGuard, TrainTelemetry};
+pub use guarded::{train_guarded, LoopOptions, LoopOutcome, LoopPlan, Trainable, WithLoopOptions};
 pub use linear::Linear;
 pub use loss::{hybrid_exit_loss, kd_loss, nll_loss};
-pub use maxpool::MaxPool2d;
-pub use metrics::{accuracy, entropy_rows};
+pub use metrics::accuracy;
 pub use optim::Sgd;
 pub use param::Param;
-pub use pool::{Flatten, GlobalAvgPool};
-pub use schedule::{CosineAnnealing, LrSchedule, StepDecay};
+pub use pool::GlobalAvgPool;
 pub use sequential::{Layer, Sequential};
 pub use train_state::{TrainCheckpoint, TRAIN_CHECKPOINT_SCHEMA};

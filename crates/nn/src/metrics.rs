@@ -1,4 +1,4 @@
-//! Evaluation metrics shared by training loops and runtime controllers.
+//! Evaluation metrics of the training loops.
 
 use crate::NnError;
 use hadas_tensor::Tensor;
@@ -31,33 +31,6 @@ pub fn accuracy(logits: &Tensor, labels: &[usize]) -> Result<f32, NnError> {
     Ok(correct as f32 / labels.len() as f32)
 }
 
-/// Shannon entropy (nats) of each row's softmax distribution.
-///
-/// Entropy-threshold runtime controllers use this as the "confidence"
-/// signal for early-exit decisions: low entropy means the exit is sure.
-///
-/// # Errors
-///
-/// Returns a rank error unless `logits` is rank 2.
-pub fn entropy_rows(logits: &Tensor) -> Result<Vec<f32>, NnError> {
-    let probs = logits.softmax_rows()?;
-    let dims = probs.shape().dims();
-    let (batch, classes) = (dims[0], dims[1]);
-    let p = probs.as_slice();
-    let mut out = Vec::with_capacity(batch);
-    for r in 0..batch {
-        let mut h = 0.0f32;
-        for c in 0..classes {
-            let v = p[r * classes + c];
-            if v > 0.0 {
-                h -= v * v.ln();
-            }
-        }
-        out.push(h);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,22 +46,5 @@ mod tests {
     fn accuracy_checks_label_count() {
         let logits = Tensor::zeros(&[2, 2]);
         assert!(accuracy(&logits, &[0]).is_err());
-    }
-
-    #[test]
-    fn entropy_is_zero_for_peaked_and_max_for_uniform() {
-        let peaked = Tensor::from_vec(vec![100.0, 0.0, 0.0], &[1, 3]).unwrap();
-        let uniform = Tensor::from_vec(vec![1.0, 1.0, 1.0], &[1, 3]).unwrap();
-        let hp = entropy_rows(&peaked).unwrap()[0];
-        let hu = entropy_rows(&uniform).unwrap()[0];
-        assert!(hp < 1e-3);
-        assert!((hu - 3.0f32.ln()).abs() < 1e-4);
-    }
-
-    #[test]
-    fn entropy_orders_confidence() {
-        let logits = Tensor::from_vec(vec![5.0, 0.0, 0.0, 1.0, 0.5, 0.0], &[2, 3]).unwrap();
-        let h = entropy_rows(&logits).unwrap();
-        assert!(h[0] < h[1], "more confident row must have lower entropy");
     }
 }

@@ -71,50 +71,6 @@ impl Layer for GlobalAvgPool {
     }
 }
 
-/// Flattens NCHW `(n, c, h, w)` → `(n, c*h*w)`, remembering the original
-/// shape for the backward pass.
-#[derive(Debug, Default)]
-pub struct Flatten {
-    cached_shape: Option<Vec<usize>>,
-}
-
-impl Flatten {
-    /// Creates a flatten layer.
-    pub fn new() -> Self {
-        Flatten::default()
-    }
-}
-
-impl Layer for Flatten {
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
-        let dims = input.shape().dims().to_vec();
-        if dims.is_empty() {
-            return Err(NnError::Tensor(hadas_tensor::TensorError::RankMismatch {
-                expected: 2,
-                got: 0,
-            }));
-        }
-        let n = dims[0];
-        let rest: usize = dims[1..].iter().product();
-        self.cached_shape = Some(dims);
-        Ok(input.reshape(&[n, rest])?)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
-        let dims =
-            self.cached_shape.take().ok_or(NnError::BackwardBeforeForward { layer: "Flatten" })?;
-        Ok(grad_out.reshape(&dims)?)
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        Vec::new()
-    }
-
-    fn name(&self) -> &'static str {
-        "Flatten"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,16 +92,6 @@ mod tests {
         gap.forward(&x).unwrap();
         let g = gap.backward(&Tensor::from_vec(vec![4.0], &[1, 1]).unwrap()).unwrap();
         assert_eq!(g.as_slice(), &[1.0, 1.0, 1.0, 1.0]);
-    }
-
-    #[test]
-    fn flatten_round_trips_shape() {
-        let mut fl = Flatten::new();
-        let x = Tensor::ones(&[2, 3, 4, 5]);
-        let y = fl.forward(&x).unwrap();
-        assert_eq!(y.shape().dims(), &[2, 60]);
-        let g = fl.backward(&y).unwrap();
-        assert_eq!(g.shape().dims(), &[2, 3, 4, 5]);
     }
 
     #[test]

@@ -3,11 +3,10 @@ use crate::{
 };
 use hadas_dataset::SyntheticDataset;
 use hadas_nn::{
-    accuracy, nll_loss, seal, Layer, NnError, Relu, Sgd, TrainCheckpoint, TrainGuard,
-    TrainTelemetry,
+    accuracy, nll_loss, train_guarded, Layer, LoopPlan, Param, Relu, TrainTelemetry, Trainable,
 };
 use hadas_tensor::Tensor;
-use rand::{rngs::StdRng, Rng, SeedableRng};
+use rand::Rng;
 
 /// The elastic micro supernet: a stem, per-stage stacks of shared
 /// convolutions with elastic width and depth, global pooling, and a
@@ -134,20 +133,9 @@ impl MicroSupernet {
         self.classifier.zero_grad();
     }
 
-    fn all_params(&mut self) -> Vec<&mut hadas_nn::Param> {
-        let mut params = self.stem.params_mut();
-        for stage in &mut self.stages {
-            for layer in stage {
-                params.extend(layer.params_mut());
-            }
-        }
-        params.extend(self.classifier.params_mut());
-        params
-    }
-
     /// Total shared parameter count.
     pub fn param_count(&mut self) -> usize {
-        self.all_params().iter().map(|p| p.len()).sum()
+        self.params_mut().iter().map(|p| p.len()).sum()
     }
 
     /// Trains the supernet with the OFA sandwich rule: each step runs the
@@ -173,31 +161,29 @@ impl MicroSupernet {
     }
 
     /// Divergence-guarded sandwich-rule training: per-sample validation
-    /// quarantines poisoned inputs up front, a [`TrainGuard`] checks
-    /// every loss and gradient (escalating a typed
-    /// [`hadas_nn::NumericAnomaly`] instead of propagating NaN into the
-    /// shared weights), epoch boundaries snapshot the full resumable
-    /// state (params, SGD velocity, RNG stream, learning rate) — to
-    /// disk when `opts.checkpoint` is set — and a tripped guard rolls
-    /// back to the last good epoch with the learning rate backed off by
-    /// `opts.lr_backoff`, up to `opts.max_rollbacks` times.
+    /// quarantines poisoned inputs up front, then the shared guarded loop
+    /// ([`train_guarded`]) runs the epochs — a [`hadas_nn::TrainGuard`]
+    /// on every loss and gradient, epoch-boundary snapshots (to disk when
+    /// `opts.guarded.checkpoint` is set), and rollback to the last good
+    /// epoch with the learning rate backed off.
     ///
     /// The kill/resume contract (pinned by `tests/chaos.rs`): a run
-    /// stopped at epoch `k` via `opts.stop_after_epochs` and resumed
-    /// with `opts.resume` produces a **byte-identical** report and
-    /// trained weights to an uninterrupted run.
+    /// stopped at epoch `k` via `stop_after_epochs` and resumed with
+    /// `resume` produces a **byte-identical** report and trained weights
+    /// to an uninterrupted run.
     ///
     /// # Errors
     ///
-    /// Propagates batching, NN, and checkpoint errors; returns
-    /// [`SupernetError::Nn`] wrapping [`NnError::Numeric`] once the
-    /// rollback budget is exhausted.
+    /// Propagates batching, NN, and checkpoint errors; refuses a learning
+    /// rate that is not finite and positive and a batch size that leaves
+    /// an epoch without a full batch; returns [`SupernetError::Nn`]
+    /// wrapping [`hadas_nn::NnError::Numeric`] once the rollback budget is
+    /// exhausted.
     pub fn train_with(
         &mut self,
         data: &SyntheticDataset,
         opts: &TrainOptions,
     ) -> Result<(SupernetTrainReport, TrainTelemetry), SupernetError> {
-        let mut telemetry = TrainTelemetry::default();
         // Per-sample validation: quarantine detectably-poisoned samples
         // before they reach a gradient. A no-op (and a pure copy) on
         // clean data.
@@ -206,142 +192,40 @@ impl MicroSupernet {
         } else {
             (data.clone(), Vec::new())
         };
-        telemetry.quarantined = quarantined.len();
-        telemetry.quarantined_indices = quarantined;
-        let data = &clean;
-
-        let fingerprint = opts.fingerprint(&self.config, data.train().len());
-        let mut rng = StdRng::seed_from_u64(opts.seed);
-        let mut opt = Sgd::new(opts.lr, 0.9, 1e-4);
-        let mut guard = TrainGuard::new(opts.guard.clone());
+        let train_size = clean.train().len();
+        let plan = LoopPlan {
+            epochs: opts.epochs,
+            batches: train_size.checked_div(opts.batch).unwrap_or(0),
+            lr: opts.lr,
+            seed: opts.seed,
+            fingerprint: opts.fingerprint(&self.config, train_size),
+        };
         let max_choice = SubnetChoice::max(&self.config);
         let min_choice = SubnetChoice::min(&self.config);
-        let train_size = data.train().len();
-        let mut steps = 0usize;
-        let mut epoch = 0usize;
-        let mut rollbacks = 0u32;
-        let mut last_epoch_loss = 0.0f32;
-
-        if opts.resume {
-            if let Some(path) = &opts.checkpoint {
-                if path.exists() {
-                    let ckpt: TrainCheckpoint =
-                        seal::load(path).map_err(|e| SupernetError::Nn(e.into()))?;
-                    ckpt.validate_against(fingerprint).map_err(SupernetError::Nn)?;
-                    let mut params = self.all_params();
-                    ckpt.restore(&mut params, &mut opt).map_err(SupernetError::Nn)?;
-                    drop(params);
-                    rng = StdRng::from_state(ckpt.rng_state);
-                    epoch = ckpt.epoch;
-                    steps = ckpt.steps;
-                    rollbacks = ckpt.rollbacks;
-                    telemetry.resumed_from_epoch = Some(ckpt.epoch);
-                }
-            }
-        }
-
-        // The in-memory last-good-epoch snapshot divergence rollback
-        // restores (identical to what goes to disk).
-        let mut last_good = {
-            let params = self.all_params();
-            TrainCheckpoint::capture(
-                fingerprint,
-                epoch,
-                steps,
-                rollbacks,
-                rng.state(),
-                &params,
-                &opt,
-            )
-        };
-
-        'training: while epoch < opts.epochs {
-            let mut epoch_loss = 0.0f32;
-            let mut batches = 0usize;
-            let mut start = 0usize;
-            while start + opts.batch <= train_size {
-                let (images, labels) = data
-                    .train_batch(start, opts.batch)
-                    .map_err(|e| SupernetError::InvalidChoice(e.to_string()))?;
-                self.zero_grad();
-                // Max subnet pass (anchor of the sandwich rule).
-                let logits = self.forward(&images, &max_choice)?;
-                let (loss, grad) = nll_loss(&logits, &labels).map_err(SupernetError::Nn)?;
-                self.backward(&grad, &max_choice)?;
-                // Min subnet anchor.
-                let logits_min = self.forward(&images, &min_choice)?;
-                let (_, grad_min) = nll_loss(&logits_min, &labels).map_err(SupernetError::Nn)?;
-                self.backward(&grad_min, &min_choice)?;
-                // One random subnet pass on the same batch.
-                let sampled = SubnetChoice::sample(&self.config, &mut rng);
-                let logits_s = self.forward(&images, &sampled)?;
-                let (_, grad_s) = nll_loss(&logits_s, &labels).map_err(SupernetError::Nn)?;
-                self.backward(&grad_s, &sampled)?;
-                // Numeric sentinel: loss finiteness + spike window, then
-                // gradient finiteness + optional global-norm clipping.
-                let guarded = guard.observe_loss(loss).and_then(|()| {
-                    let mut params = self.all_params();
-                    guard.clip_gradients(&mut params).map(|_| ())
-                });
-                if let Err(anomaly) = guarded {
-                    telemetry.anomalies.push(anomaly.to_string());
-                    if rollbacks >= opts.max_rollbacks {
-                        return Err(SupernetError::Nn(NnError::Numeric(anomaly)));
-                    }
-                    rollbacks += 1;
-                    telemetry.rollbacks = rollbacks;
-                    // Roll back to the last good epoch with a backed-off
-                    // learning rate and a fresh spike window.
-                    let mut params = self.all_params();
-                    last_good.restore(&mut params, &mut opt).map_err(SupernetError::Nn)?;
-                    drop(params);
-                    let new_lr = (opt.lr() / opts.lr_backoff).max(1e-6);
-                    opt.set_lr(new_lr);
-                    rng = StdRng::from_state(last_good.rng_state);
-                    epoch = last_good.epoch;
-                    steps = last_good.steps;
-                    guard.reset_window();
-                    // Persist the backoff so a second trip (or a resume)
-                    // doesn't undo it.
-                    last_good.lr = new_lr;
-                    last_good.rollbacks = rollbacks;
-                    continue 'training;
-                }
-                opt.step(self.all_params());
-                epoch_loss += loss;
-                batches += 1;
-                steps += 1;
-                start += opts.batch;
-            }
-            last_epoch_loss = epoch_loss / batches.max(1) as f32;
-            epoch += 1;
-            // Epoch boundary: refresh the rollback snapshot, and persist
-            // it if checkpointing is on.
-            last_good = {
-                let params = self.all_params();
-                TrainCheckpoint::capture(
-                    fingerprint,
-                    epoch,
-                    steps,
-                    rollbacks,
-                    rng.state(),
-                    &params,
-                    &opt,
-                )
-            };
-            if let Some(path) = &opts.checkpoint {
-                seal::write(path, &last_good).map_err(|e| SupernetError::Nn(e.into()))?;
-                telemetry.checkpoints_written += 1;
-            }
-            if let Some(stop) = opts.stop_after_epochs {
-                if epoch >= stop && epoch < opts.epochs {
-                    telemetry.interrupted = true;
-                    break 'training;
-                }
-            }
-        }
-        telemetry.clipped_steps = guard.clipped_steps();
-        Ok((SupernetTrainReport { final_loss: last_epoch_loss, steps }, telemetry))
+        let run = train_guarded::<_, SupernetError>(self, &plan, &opts.guarded, |net, rng, b| {
+            let (images, labels) = clean
+                .train_batch(b * opts.batch, opts.batch)
+                .map_err(|e| SupernetError::InvalidChoice(e.to_string()))?;
+            net.zero_grad();
+            // Max subnet pass (anchor of the sandwich rule).
+            let logits = net.forward(&images, &max_choice)?;
+            let (loss, grad) = nll_loss(&logits, &labels)?;
+            net.backward(&grad, &max_choice)?;
+            // Min subnet anchor.
+            let logits_min = net.forward(&images, &min_choice)?;
+            let (_, grad_min) = nll_loss(&logits_min, &labels)?;
+            net.backward(&grad_min, &min_choice)?;
+            // One random subnet pass on the same batch.
+            let sampled = SubnetChoice::sample(&net.config, rng);
+            let logits_s = net.forward(&images, &sampled)?;
+            let (_, grad_s) = nll_loss(&logits_s, &labels)?;
+            net.backward(&grad_s, &sampled)?;
+            Ok(loss)
+        })?;
+        let mut telemetry = run.telemetry;
+        telemetry.quarantined = quarantined.len();
+        telemetry.quarantined_indices = quarantined;
+        Ok((SupernetTrainReport { final_loss: run.final_loss, steps: run.steps }, telemetry))
     }
 
     /// Top-1 accuracy of one subnet on the test split.
@@ -362,10 +246,25 @@ impl MicroSupernet {
     }
 }
 
+impl Trainable for MicroSupernet {
+    fn params_mut(&mut self) -> Vec<&mut Param> {
+        let mut params = self.stem.params_mut();
+        for stage in &mut self.stages {
+            for layer in stage {
+                params.extend(layer.params_mut());
+            }
+        }
+        params.extend(self.classifier.params_mut());
+        params
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use hadas_dataset::{DatasetConfig, DifficultyDistribution};
+    use hadas_nn::{Sgd, WithLoopOptions};
+    use rand::{rngs::StdRng, SeedableRng};
 
     fn tiny_data() -> SyntheticDataset {
         let mut cfg = DatasetConfig::small();
@@ -447,7 +346,7 @@ mod tests {
         let logits = net.forward(&images, &max_choice).unwrap();
         let (_, grad) = nll_loss(&logits, &labels).unwrap();
         net.backward(&grad, &max_choice).unwrap();
-        opt.step(net.all_params());
+        opt.step(net.params_mut());
         let after = net.forward(&images, &min_choice).unwrap();
         assert_ne!(before, after, "shared weights must couple the subnets");
     }
@@ -585,12 +484,21 @@ mod tests {
         let guard =
             hadas_nn::GuardConfig { max_grad_norm: Some(10.0), spike_window: 4, spike_factor: 2.0 };
         let mut opts = TrainOptions::new(3, 16, 5.0, 9).with_guard(guard);
-        opts.max_rollbacks = 12;
-        opts.lr_backoff = 4.0;
+        opts.guarded.max_rollbacks = 12;
+        opts.guarded.lr_backoff = 4.0;
         let (report, telemetry) = net.train_with(&data, &opts).unwrap();
         assert!(telemetry.rollbacks > 0, "lr=5 must trip the spike guard at least once");
         assert!(!telemetry.anomalies.is_empty());
         assert!(report.final_loss.is_finite());
+        // The exact rollback trajectory: a change to the restore, the
+        // backoff or the guard's step accounting moves these values.
+        assert_eq!(
+            (telemetry.rollbacks, telemetry.clipped_steps, report.steps),
+            (1, 1, 18),
+            "{telemetry:?}"
+        );
+        assert_eq!(telemetry.anomalies, ["loss spike 10.042907 (baseline 4.6608887) at step 11"]);
+        assert_eq!(report.final_loss.to_bits(), 1_076_108_993, "loss {}", report.final_loss);
     }
 
     #[test]
@@ -605,7 +513,7 @@ mod tests {
         let guard =
             hadas_nn::GuardConfig { max_grad_norm: Some(10.0), spike_window: 4, spike_factor: 2.0 };
         let mut opts = TrainOptions::new(3, 16, 5.0, 9).with_guard(guard);
-        opts.max_rollbacks = 0;
+        opts.guarded.max_rollbacks = 0;
         let err = net.train_with(&data, &opts);
         assert!(matches!(
             err,

@@ -1,12 +1,11 @@
-//! Options for divergence-guarded supernet training: guard thresholds,
-//! epoch-boundary checkpointing, kill points for the chaos harness, and
-//! the rollback/LR-backoff budget.
+//! Options for divergence-guarded supernet training: the schedule,
+//! per-sample validation, and the shared loop's guard, checkpoint, kill
+//! point and rollback policy ([`LoopOptions`]).
 
 use crate::SupernetConfig;
-use hadas_nn::GuardConfig;
+use hadas_nn::{LoopOptions, WithLoopOptions};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use std::path::PathBuf;
 
 /// Configuration of one guarded training run
 /// ([`crate::MicroSupernet::train_with`]).
@@ -26,21 +25,10 @@ pub struct TrainOptions {
     pub lr: f32,
     /// Seed of the subnet-sampling RNG.
     pub seed: u64,
-    /// Numeric-guard thresholds.
-    pub guard: GuardConfig,
-    /// Epoch-boundary checkpoint file, if any.
-    pub checkpoint: Option<PathBuf>,
-    /// Resume from `checkpoint` when it exists (refused on a
-    /// fingerprint mismatch).
-    pub resume: bool,
-    /// Stop gracefully after this many *completed* epochs — the chaos
-    /// harness's kill point. The final checkpoint is written first.
-    pub stop_after_epochs: Option<usize>,
-    /// Divergence rollbacks allowed before the run fails with the
-    /// escalated [`hadas_nn::NumericAnomaly`].
-    pub max_rollbacks: u32,
-    /// Factor the learning rate is divided by on each rollback.
-    pub lr_backoff: f32,
+    /// Guard, checkpoint and rollback policy of the shared loop
+    /// ([`hadas_nn::train_guarded`]); its builders come with
+    /// [`WithLoopOptions`].
+    pub guarded: LoopOptions,
     /// Per-sample validation bound: pixels beyond this magnitude (or
     /// non-finite) quarantine the sample before training.
     pub max_abs_pixel: f32,
@@ -59,38 +47,10 @@ impl TrainOptions {
             batch,
             lr,
             seed,
-            guard: GuardConfig::monitor_only(),
-            checkpoint: None,
-            resume: false,
-            stop_after_epochs: None,
-            max_rollbacks: 3,
-            lr_backoff: 2.0,
+            guarded: LoopOptions::default(),
             max_abs_pixel: hadas_dataset::MAX_ABS_PIXEL,
             validate_data: true,
         }
-    }
-
-    /// Replaces the guard thresholds.
-    #[must_use]
-    pub fn with_guard(mut self, guard: GuardConfig) -> Self {
-        self.guard = guard;
-        self
-    }
-
-    /// Enables epoch-boundary checkpoints at `path`; `resume` restores
-    /// from an existing checkpoint first.
-    #[must_use]
-    pub fn with_checkpoint(mut self, path: PathBuf, resume: bool) -> Self {
-        self.checkpoint = Some(path);
-        self.resume = resume;
-        self
-    }
-
-    /// Sets the graceful kill point (chaos harness).
-    #[must_use]
-    pub fn stop_after(mut self, epochs: usize) -> Self {
-        self.stop_after_epochs = Some(epochs);
-        self
     }
 
     /// Fingerprint of everything that shapes the training trajectory —
@@ -108,13 +68,17 @@ impl TrainOptions {
         self.lr.to_bits().hash(&mut h);
         self.seed.hash(&mut h);
         format!("{config:?}").hash(&mut h);
-        format!("{:?}", self.guard).hash(&mut h);
-        self.max_rollbacks.hash(&mut h);
-        self.lr_backoff.to_bits().hash(&mut h);
+        self.guarded.hash_policy(&mut h);
         self.max_abs_pixel.to_bits().hash(&mut h);
         self.validate_data.hash(&mut h);
         train_len.hash(&mut h);
         h.finish()
+    }
+}
+
+impl WithLoopOptions for TrainOptions {
+    fn loop_options_mut(&mut self) -> &mut LoopOptions {
+        &mut self.guarded
     }
 }
 

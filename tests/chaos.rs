@@ -66,6 +66,7 @@
 use hadas_suite::core::{seal, Hadas, HadasConfig, SearchCheckpoint, SearchOptions};
 use hadas_suite::dataset::{CorruptionConfig, DatasetConfig, SyntheticDataset};
 use hadas_suite::hw::HwTarget;
+use hadas_suite::nn::WithLoopOptions;
 use hadas_suite::runtime::{
     modes_from_pareto, DegradePolicy, FaultConfig, FaultInjector, PolicyState, RuntimeSimulator,
     ScalingPolicy, SocPolicy, StaticPolicy, TraceConfig, WorkloadTrace,

@@ -104,3 +104,25 @@ fn supernet_training_bits_are_pinned() {
         report.final_loss
     );
 }
+
+/// Golden bits of one one-head exit training call: an 8-channel 4×4
+/// feature simulator of capability 0.5 (seed 3) over 6 classes, a head
+/// from seed 8, three epochs of 12 batches of 16 at the trainer's default
+/// lr, training seed 3. Any change to the draw order (samples, features,
+/// teacher), the hybrid loss or the guarded loop moves these bits.
+#[test]
+fn exit_training_bits_are_pinned() {
+    let classes = 6;
+    let sim = FeatureSimulator::new(3, classes, 8, 4, 0.5);
+    let mut head = ExitHead::new(&mut StdRng::seed_from_u64(8), 8, 4, classes).expect("valid head");
+    let trainer =
+        ExitTrainer::new(classes, DifficultyDistribution::default(), 0.85).with_schedule(3, 12, 16);
+    let report = trainer.train(&mut head, &sim, 3).expect("training runs");
+    assert_eq!(
+        (report.final_loss.to_bits(), report.test_accuracy.to_bits(), report.steps),
+        (1_073_932_611, 1_062_469_632, 36),
+        "loss {} acc {}",
+        report.final_loss,
+        report.test_accuracy
+    );
+}
