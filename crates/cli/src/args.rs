@@ -470,7 +470,7 @@ impl Command {
                     ],
                 )?;
                 let train = Command::Train {
-                    epochs: f.parse("epochs", "epochs")?.unwrap_or(4),
+                    epochs: f.parse_valid("epochs", |&e| e > 0, "at least 1")?.unwrap_or(4),
                     batch: f.parse_valid("batch", |&b| b > 0, "at least 1")?.unwrap_or(16),
                     lr: f
                         .parse_valid("lr", |lr: &f32| lr.is_finite() && *lr > 0.0, "a finite number above 0")?
@@ -971,6 +971,8 @@ mod tests {
             ("train --lr inf", "bad lr 'inf' (expected a finite number above 0)"),
             ("train --batch 0", "bad batch '0' (expected at least 1)"),
             ("train --batch 0 --lr 0", "bad batch '0' (expected at least 1)"),
+            ("train --epochs 0", "bad epochs '0' (expected at least 1)"),
+            ("train --epochs 0 --batch 0", "bad epochs '0' (expected at least 1)"),
             ("train --seed s", "bad seed: invalid digit found in string"),
             ("train --data-chaos wild", "bad data-chaos seed: invalid digit found in string"),
             ("train --max-epochs x", "bad max-epochs: invalid digit found in string"),

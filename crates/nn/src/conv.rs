@@ -2,18 +2,19 @@ use crate::{Layer, NnError, Param};
 use hadas_tensor::{kaiming_uniform, Conv2dGeometry, ConvKernel, Tensor};
 use rand::Rng;
 
-/// A 2-D convolution over NCHW inputs, run on the channel-major
-/// [`ConvKernel`].
+/// A 2-D convolution over NCHW inputs, run on [`ConvKernel`].
 ///
 /// The kernel bank has shape `(c_out, c_in, k, k)`; the layer owns its
 /// geometry, so input spatial dimensions are fixed at construction (which is
 /// all an exit head needs — each head attaches at a known feature-map size).
+/// Between a forward and a backward pass it caches the zero-padded input
+/// the kernel returned, `(n, c_in, h + 2p, w + 2p)`.
 #[derive(Debug)]
 pub struct Conv2d {
     weight: Param,
     bias: Param,
     kernel: ConvKernel,
-    cached_cols: Option<Tensor>,
+    cached_padded: Option<Tensor>,
 }
 
 impl Conv2d {
@@ -38,7 +39,7 @@ impl Conv2d {
         let weight = Param::new(kaiming_uniform(rng, &[c_out, c_in * kernel * kernel], fan_in));
         let bias = Param::new(Tensor::zeros(&[c_out]));
         let kernel = ConvKernel::new(geo, c_in, c_out, c_in);
-        Ok(Conv2d { weight, bias, kernel, cached_cols: None })
+        Ok(Conv2d { weight, bias, kernel, cached_padded: None })
     }
 
     /// The convolution geometry (spatial sizes, kernel, stride, padding).
@@ -54,16 +55,16 @@ impl Conv2d {
 
 impl Layer for Conv2d {
     fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
-        let (y, cols) = self.kernel.forward(input, self.weight.value(), self.bias.value())?;
-        self.cached_cols = Some(cols);
+        let (y, padded) = self.kernel.forward(input, self.weight.value(), self.bias.value())?;
+        self.cached_padded = Some(padded);
         Ok(y)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
-        let cols =
-            self.cached_cols.take().ok_or(NnError::BackwardBeforeForward { layer: "Conv2d" })?;
+        let padded =
+            self.cached_padded.take().ok_or(NnError::BackwardBeforeForward { layer: "Conv2d" })?;
         let (weight, weight_grad) = self.weight.value_and_grad_mut();
-        Ok(self.kernel.backward(grad_out, &cols, weight, weight_grad, self.bias.grad_mut())?)
+        Ok(self.kernel.backward(grad_out, &padded, weight, weight_grad, self.bias.grad_mut())?)
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {

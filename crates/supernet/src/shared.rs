@@ -15,6 +15,10 @@ use hadas_tensor::{kaiming_uniform, Conv2dGeometry, ConvKernel, Tensor};
 use rand::Rng;
 
 /// A convolution whose weights are shared across channel-sliced subnets.
+///
+/// Between a forward and a backward pass it caches the slice's
+/// [`ConvKernel`] and the zero-padded input the kernel returned,
+/// `(n, c_in, h + 2p, w + 2p)`.
 #[derive(Debug)]
 pub struct SharedConv2d {
     weight: Param,
@@ -79,9 +83,16 @@ impl SharedConv2d {
         }
         let geo = Conv2dGeometry::new(h, w, self.kernel, 1, self.kernel / 2)?;
         let kernel = ConvKernel::new(geo, c_in, c_out, self.c_in_max);
-        let (y, cols) = kernel.forward(x, self.weight.value(), self.bias.value())?;
-        self.cache = Some((kernel, cols));
+        let (y, padded) = kernel.forward(x, self.weight.value(), self.bias.value())?;
+        self.cache = Some((kernel, padded));
         Ok(y)
+    }
+
+    /// The slice's kernel and padded input from the last forward pass.
+    fn take_cache(&mut self) -> Result<(ConvKernel, Tensor), SupernetError> {
+        self.cache.take().ok_or(SupernetError::Nn(hadas_nn::NnError::BackwardBeforeForward {
+            layer: "SharedConv2d",
+        }))
     }
 
     /// Sliced backward pass: accumulates gradients into the shared weight
@@ -91,11 +102,21 @@ impl SharedConv2d {
     ///
     /// Returns an error if called before [`SharedConv2d::forward_slice`].
     pub fn backward_slice(&mut self, grad_out: &Tensor) -> Result<Tensor, SupernetError> {
-        let (kernel, cols) = self.cache.take().ok_or(SupernetError::Nn(
-            hadas_nn::NnError::BackwardBeforeForward { layer: "SharedConv2d" },
-        ))?;
+        let (kernel, padded) = self.take_cache()?;
         let (weight, weight_grad) = self.weight.value_and_grad_mut();
-        Ok(kernel.backward(grad_out, &cols, weight, weight_grad, self.bias.grad_mut())?)
+        Ok(kernel.backward(grad_out, &padded, weight, weight_grad, self.bias.grad_mut())?)
+    }
+
+    /// [`SharedConv2d::backward_slice`] for a layer whose input gradient
+    /// nobody reads: accumulates the parameter gradients only.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if called before [`SharedConv2d::forward_slice`].
+    pub fn backward_params_slice(&mut self, grad_out: &Tensor) -> Result<(), SupernetError> {
+        let (kernel, padded) = self.take_cache()?;
+        let weight_grad = self.weight.grad_mut();
+        Ok(kernel.backward_params(grad_out, &padded, weight_grad, self.bias.grad_mut())?)
     }
 
     /// Zeroes the shared gradients.
@@ -261,6 +282,28 @@ mod tests {
         }
         assert!(inside > 0.0, "slice must receive gradient");
         assert_eq!(outside, 0.0, "outside the slice must stay untouched");
+    }
+
+    /// The parameter-only backward adds the same gradient bits as the
+    /// full one, and refuses to run without a forward pass.
+    #[test]
+    fn params_only_backward_matches_the_full_one() {
+        let grads = |params_only: bool| {
+            let mut rng = StdRng::seed_from_u64(5);
+            let mut conv = SharedConv2d::new(&mut rng, 4, 6, 3);
+            let x = hadas_tensor::uniform(&mut rng, &[2, 3, 5, 5], -1.0, 1.0);
+            let y = conv.forward_slice(&x, 5).unwrap();
+            let g = hadas_tensor::uniform(&mut rng, y.shape().dims(), -1.0, 1.0);
+            if params_only {
+                conv.backward_params_slice(&g).unwrap();
+                assert!(conv.backward_params_slice(&g).is_err());
+            } else {
+                conv.backward_slice(&g).unwrap();
+            }
+            let bits = |p: &mut Param| p.grad().as_slice().iter().map(|v| v.to_bits()).collect();
+            conv.params_mut().into_iter().map(bits).collect::<Vec<Vec<u32>>>()
+        };
+        assert_eq!(grads(true), grads(false));
     }
 
     #[test]

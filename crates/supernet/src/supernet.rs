@@ -118,8 +118,8 @@ impl MicroSupernet {
             }
         }
         g = self.stem_relu.backward(&g).map_err(SupernetError::Nn)?;
-        let _ = self.stem.backward_slice(&g)?;
-        Ok(())
+        // The images' gradient is never read: the stem needs only its own.
+        self.stem.backward_params_slice(&g)
     }
 
     /// Zeroes every shared gradient.

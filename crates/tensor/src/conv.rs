@@ -1,4 +1,4 @@
-use crate::linalg::{gemm, MatRef};
+use crate::linalg::{pack_panels, tile, MR, NR, RUN};
 use crate::{Tensor, TensorError};
 
 /// The geometry of a 2-D convolution: spatial sizes, kernel, stride, padding.
@@ -113,43 +113,44 @@ impl Conv2dGeometry {
         Ok((n, c, h, w))
     }
 
-    /// The output rows kernel row `ky` reads inside the image.
-    fn rows_in(&self, ky: usize) -> Option<Span> {
-        Span::new(self.in_h, self.out_h, self.stride, self.padding, ky)
+    /// Height of the zero-padded input: `h + 2p`.
+    fn padded_h(&self) -> usize {
+        self.in_h + 2 * self.padding
     }
 
-    /// The output columns kernel column `kx` reads inside the image.
-    fn cols_in(&self, kx: usize) -> Option<Span> {
-        Span::new(self.in_w, self.out_w, self.stride, self.padding, kx)
-    }
-}
-
-/// Along one axis, the output positions `start..end` at which a kernel
-/// tap reads inside the image rather than the padding, and the input
-/// position `first_in` that `start` reads (output `o` reads
-/// `o·stride + tap − padding`).
-#[derive(Debug, Clone, Copy)]
-struct Span {
-    start: usize,
-    end: usize,
-    first_in: usize,
-}
-
-impl Span {
-    fn new(
-        in_len: usize,
-        out_len: usize,
-        stride: usize,
-        padding: usize,
-        tap: usize,
-    ) -> Option<Self> {
-        let end = (in_len + padding).saturating_sub(tap).div_ceil(stride).min(out_len);
-        let start = padding.saturating_sub(tap).div_ceil(stride);
-        (start < end).then(|| Span { start, end, first_in: start * stride + tap - padding })
+    /// Width of the zero-padded input: `w + 2p`.
+    fn padded_w(&self) -> usize {
+        self.in_w + 2 * self.padding
     }
 
-    fn len(&self) -> usize {
-        self.end - self.start
+    /// `x` `(n, c, h, w)` copied into the middle of a zeroed
+    /// `(n, c, h + 2p, w + 2p)`.
+    fn pad(&self, x: &Tensor) -> Result<Tensor, TensorError> {
+        let (n, c, h, w) = self.check_input(x)?;
+        let (p, hp, wp) = (self.padding, self.padded_h(), self.padded_w());
+        let mut out = vec![0.0f32; n * c * hp * wp];
+        for (dst, src) in
+            out.chunks_exact_mut(hp * wp).zip(x.as_slice().chunks_exact((h * w).max(1)))
+        {
+            for (line, row) in dst[p * wp..].chunks_exact_mut(wp).zip(src.chunks_exact(w.max(1))) {
+                line[p..p + w].copy_from_slice(row);
+            }
+        }
+        Tensor::from_vec(out, &[n, c, hp, wp])
+    }
+
+    /// The `(n, c, h, w)` middle of a padded `(n, c, h + 2p, w + 2p)`
+    /// buffer: the inverse of [`Conv2dGeometry::pad`].
+    fn crop(&self, padded: &[f32], n: usize, c: usize) -> Result<Tensor, TensorError> {
+        let (h, w) = (self.in_h, self.in_w);
+        let (p, hp, wp) = (self.padding, self.padded_h(), self.padded_w());
+        let mut out = vec![0.0f32; n * c * h * w];
+        for (dst, src) in out.chunks_exact_mut((h * w).max(1)).zip(padded.chunks_exact(hp * wp)) {
+            for (row, line) in dst.chunks_exact_mut(w.max(1)).zip(src[p * wp..].chunks_exact(wp)) {
+                row.copy_from_slice(&line[p..p + w]);
+            }
+        }
+        Tensor::from_vec(out, &[n, c, h, w])
     }
 }
 
@@ -250,121 +251,36 @@ pub fn col2im(
     Tensor::from_vec(out, &[n, c, h, w])
 }
 
-/// Unfolds an input image batch `(n, c, h, w)` into channel-major patch
-/// rows of shape `(c * k * k, n * out_h * out_w)`: exactly
-/// `im2col(input, geo)` transposed, with the kernel tap `(ch, ky, kx)` as
-/// the row and the output pixel `(img, oy, ox)` as the column.
-///
-/// Each row is filled one output row at a time, copying the run of
-/// output columns whose tap lands inside the image in one go (a
-/// contiguous copy at stride 1) and leaving the padding zero.
-///
-/// # Errors
-///
-/// Returns [`TensorError::RankMismatch`] unless `input` is rank 4, or
-/// [`TensorError::InvalidGeometry`] if the spatial dims disagree with `geo`.
-pub fn unfold(input: &Tensor, geo: &Conv2dGeometry) -> Result<Tensor, TensorError> {
-    let (n, c, h, w) = geo.check_input(input)?;
-    let (k, s) = (geo.kernel, geo.stride);
-    let (oh, ow) = (geo.out_h, geo.out_w);
-    let width = n * oh * ow;
-    let mut out = vec![0.0f32; c * k * k * width];
-    let src = input.as_slice();
-    for (tap, row) in out.chunks_exact_mut(width.max(1)).enumerate() {
-        let (ch, ky, kx) = (tap / (k * k), tap / k % k, tap % k);
-        let (Some(ys), Some(xs)) = (geo.rows_in(ky), geo.cols_in(kx)) else { continue };
-        for (img, block) in row.chunks_exact_mut(oh * ow).enumerate() {
-            let plane = &src[(img * c + ch) * h * w..][..h * w];
-            let lines = plane[ys.first_in * w..].chunks(w).step_by(s);
-            for (dst, line) in block[ys.start * ow..ys.end * ow].chunks_exact_mut(ow).zip(lines) {
-                let (dst, line) = (&mut dst[xs.start..xs.end], &line[xs.first_in..]);
-                if s == 1 {
-                    dst.copy_from_slice(&line[..xs.len()]);
-                } else {
-                    for (d, &v) in dst.iter_mut().zip(line.iter().step_by(s)) {
-                        *d = v;
-                    }
-                }
-            }
-        }
-    }
-    Tensor::from_vec(out, &[c * k * k, width])
-}
-
-/// Folds channel-major patch rows back into an image batch — the adjoint
-/// of [`unfold`], and [`col2im`] of the transposed matrix bit for bit.
-///
-/// `col2im` adds an input pixel's contributions in ascending output
-/// position; an input pixel's kernel tap falls as its output position
-/// rises, so this fold walks the taps of each channel in descending
-/// `(ky, kx)` order and adds every pixel's terms in the same sequence.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if `cols` does not have the shape
-/// `unfold` would produce for `(n, c)` under `geo`.
-pub fn fold(
-    cols: &Tensor,
-    n: usize,
-    c: usize,
-    geo: &Conv2dGeometry,
-) -> Result<Tensor, TensorError> {
-    let (k, s) = (geo.kernel, geo.stride);
-    let (h, w) = (geo.in_h, geo.in_w);
-    let (oh, ow) = (geo.out_h, geo.out_w);
-    let width = n * oh * ow;
-    if cols.shape().dims() != [c * k * k, width] {
-        return Err(TensorError::ShapeMismatch {
-            left: cols.shape().dims().to_vec(),
-            right: vec![c * k * k, width],
-        });
-    }
-    let mut out = vec![0.0f32; n * c * h * w];
-    let src = cols.as_slice();
-    for ch in 0..c {
-        for ky in (0..k).rev() {
-            for kx in (0..k).rev() {
-                let (Some(ys), Some(xs)) = (geo.rows_in(ky), geo.cols_in(kx)) else { continue };
-                let row = &src[((ch * k + ky) * k + kx) * width..][..width];
-                for (img, block) in row.chunks_exact(oh * ow).enumerate() {
-                    let plane = &mut out[(img * c + ch) * h * w..][..h * w];
-                    let lines = plane[ys.first_in * w..].chunks_mut(w).step_by(s);
-                    for (run, line) in block[ys.start * ow..ys.end * ow].chunks_exact(ow).zip(lines)
-                    {
-                        let (run, line) = (&run[xs.start..xs.end], &mut line[xs.first_in..]);
-                        if s == 1 {
-                            for (d, &v) in line[..run.len()].iter_mut().zip(run) {
-                                *d += v;
-                            }
-                        } else {
-                            for (d, &v) in line.iter_mut().step_by(s).zip(run) {
-                                *d += v;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    Tensor::from_vec(out, &[n, c, h, w])
-}
-
 /// The forward and backward pass of one 2-D convolution over NCHW
-/// batches, on the channel-major [`unfold`]: the output is `W · cols`, one
-/// row of width `n·oh·ow` per output channel, so the inner loops run over
-/// pixels rather than over a handful of channels.
+/// batches, as an implicit GEMM over a zero-padded copy of the input:
+/// output channel `co` at pixel `(oy, ox)` is the sum over the filter's
+/// taps `(ch, ky, kx)` of its weight times the padded input at
+/// `(ch, oy·s + ky, ox·s + kx)`, so no patch matrix is ever built.
 ///
 /// The weight bank is row-major with one filter of `c_in_max · k²` taps
 /// per row; the kernel reads the leading `c_out` filters and, of each,
 /// the leading `c_in · k²` taps (an input-channel prefix is a contiguous
 /// column prefix). A layer that uses its whole bank has `c_in_max = c_in`.
 ///
+/// All three products run on one `4 × 8` register tile
+/// (`linalg::tile`): the forward tile reads each tap's eight output
+/// pixels straight from the padded input (contiguous runs when they lie
+/// along rows at stride 1), `dW` packs its left-hand panel from the
+/// padded input, and `dX` adds each tile of `Wᵀ · G` (four taps times
+/// eight pixels) from registers into a zero-padded input gradient, whose
+/// padding is cropped at the end.
+///
+/// The kernel caches nothing: [`ConvKernel::forward`] returns the
+/// zero-padded input, `(n, c_in, h + 2p, w + 2p)` (1.56× the input at
+/// 8 × 8 with padding 1), for the caller to keep until the backward pass.
+///
 /// Every output, weight-gradient and input-gradient element sums its
 /// terms in the order the row-major `im2col` + [`Tensor::matmul`] path
-/// did, from `+0.0`, with no fused multiply-add. That path skipped
-/// terms whose activation or upstream gradient was zero; this kernel
-/// skips none, which gives the same bits whenever the operands are
-/// finite.
+/// did, from `+0.0`, with no fused multiply-add; an input-gradient pixel
+/// adds its taps' terms in descending `(ky, kx)`, as [`col2im`] does.
+/// That path skipped terms whose activation or upstream gradient was
+/// zero; this kernel skips none, which gives the same bits whenever the
+/// operands are finite.
 ///
 /// ```
 /// use hadas_tensor::{Conv2dGeometry, ConvKernel, Tensor};
@@ -372,7 +288,7 @@ pub fn fold(
 /// let geo = Conv2dGeometry::new(3, 3, 2, 1, 0)?;
 /// let conv = ConvKernel::new(geo, 1, 1, 1);
 /// let x = Tensor::from_vec((1..=9).map(|v| v as f32).collect(), &[1, 1, 3, 3])?;
-/// let (y, _cols) = conv.forward(&x, &Tensor::ones(&[1, 4]), &Tensor::zeros(&[1]))?;
+/// let (y, _padded) = conv.forward(&x, &Tensor::ones(&[1, 4]), &Tensor::zeros(&[1]))?;
 /// assert_eq!(y.as_slice(), &[12.0, 16.0, 24.0, 28.0]);
 /// # Ok(())
 /// # }
@@ -407,14 +323,41 @@ impl ConvKernel {
         self.c_in * self.geo.kernel * self.geo.kernel
     }
 
-    /// Elements of one image's `(c_out, oh, ow)` output slab.
-    fn slab_len(&self) -> usize {
-        self.c_out * self.geo.out_h * self.geo.out_w
+    /// Output pixels of one image: `oh · ow`.
+    fn plane(&self) -> usize {
+        self.geo.out_h * self.geo.out_w
     }
 
-    /// The active `c_out × c_in·k²` slice of the weight bank; a layer
-    /// without input or output channels has none.
-    fn weights<'a>(&self, bank: &'a Tensor) -> Result<MatRef<'a>, TensorError> {
+    /// Elements of one image's `(c_out, oh, ow)` output slab.
+    fn slab_len(&self) -> usize {
+        self.c_out * self.plane()
+    }
+
+    /// Elements of one image's `(c_in, h + 2p, w + 2p)` padded input.
+    fn block_len(&self) -> usize {
+        self.c_in * self.geo.padded_h() * self.geo.padded_w()
+    }
+
+    /// Where each tap `(ch, ky, kx)` starts in one image's padded input:
+    /// output pixel `(oy, ox)` reads it [`ConvKernel::pixel_offsets`]
+    /// further on.
+    fn tap_offsets(&self) -> Vec<usize> {
+        let k = self.geo.kernel;
+        let (hp, wp) = (self.geo.padded_h(), self.geo.padded_w());
+        (0..self.taps()).map(|t| (t / (k * k) * hp + t / k % k) * wp + t % k).collect()
+    }
+
+    /// How far past a tap's offset each output pixel `(oy, ox)` reads it:
+    /// `(oy·wp + ox)·s`.
+    fn pixel_offsets(&self) -> Vec<usize> {
+        let (ow, wp) = (self.geo.out_w, self.geo.padded_w());
+        (0..self.plane()).map(|p| (p / ow * wp + p % ow) * self.geo.stride).collect()
+    }
+
+    /// The weight bank and its row stride, `c_in_max · k²`, if the bank
+    /// holds the active `c_out × c_in·k²` slice; a layer without input or
+    /// output channels has none.
+    fn weights<'a>(&self, bank: &'a Tensor) -> Result<(&'a [f32], usize), TensorError> {
         let k2 = self.geo.kernel * self.geo.kernel;
         let stride = self.c_in_max * k2;
         if self.c_in == 0
@@ -427,7 +370,7 @@ impl ConvKernel {
                 right: vec![self.c_out, self.c_in * k2],
             });
         }
-        Ok(MatRef::rows(bank.as_slice(), self.c_out, self.taps(), stride))
+        Ok((bank.as_slice(), stride))
     }
 
     fn check_bias(&self, bias: &Tensor) -> Result<(), TensorError> {
@@ -441,8 +384,8 @@ impl ConvKernel {
     }
 
     /// Forward pass: `x` is `(n, c_in, h, w)`; returns the output
-    /// `(n, c_out, oh, ow)` and the channel-major columns that
-    /// [`ConvKernel::backward`] needs.
+    /// `(n, c_out, oh, ow)` and the zero-padded input
+    /// `(n, c_in, h + 2p, w + 2p)` that [`ConvKernel::backward`] needs.
     ///
     /// # Errors
     ///
@@ -461,17 +404,33 @@ impl ConvKernel {
                 right: vec![n, self.c_in, self.geo.in_h, self.geo.in_w],
             });
         }
-        let w = self.weights(weight)?;
+        let (w, stride) = self.weights(weight)?;
         self.check_bias(bias)?;
-        let cols = unfold(x, &self.geo)?;
-        let plane = self.geo.out_h * self.geo.out_w;
-        let width = n * plane;
-        // Image `img` is columns img·plane.. of `W · cols`, and its
-        // (c_out × plane) block is that image's slab of the NCHW output.
-        let mut out = vec![0.0f32; n * self.c_out * plane];
-        for (img, slab) in out.chunks_exact_mut(self.slab_len()).enumerate() {
-            let block = MatRef::rows(&cols.as_slice()[img * plane..], self.taps(), plane, width);
-            gemm(w, block, slab, plane);
+        let padded = self.geo.pad(x)?;
+        let (taps, plane) = (self.taps(), self.plane());
+        let (tap_at, pixel_at) = (self.tap_offsets(), self.pixel_offsets());
+        let panels = pack_panels(self.c_out, taps, |co, t| w[co * stride + t]);
+        let mut out = vec![0.0f32; n * self.slab_len()];
+        let images = padded.as_slice().chunks_exact(self.block_len());
+        for (slab, src) in out.chunks_exact_mut(self.slab_len()).zip(images) {
+            for (g, panel) in panels.chunks_exact(taps * MR).enumerate() {
+                let rows = MR.min(self.c_out - g * MR);
+                for j0 in (0..plane).step_by(NR) {
+                    // Pixels j0.. read each tap at these offsets from the
+                    // first one's; the lanes past the plane reread it.
+                    let pixels = &pixel_at[j0..plane.min(j0 + NR)];
+                    let mut lanes = [0usize; NR];
+                    for (lane, &at) in lanes.iter_mut().zip(pixels) {
+                        *lane = at - pixels[0];
+                    }
+                    let runs = tap_at.iter().map(|&t| t + pixels[0]);
+                    let acc = tile(panel, src, runs, &lanes);
+                    for (q, acc_row) in acc.iter().take(rows).enumerate() {
+                        let dst = &mut slab[(g * MR + q) * plane + j0..][..pixels.len()];
+                        dst.copy_from_slice(&acc_row[..pixels.len()]);
+                    }
+                }
+            }
             for (channel, &b) in slab.chunks_exact_mut(plane).zip(bias.as_slice()) {
                 for v in channel {
                     *v += b;
@@ -479,53 +438,115 @@ impl ConvKernel {
             }
         }
         let y = Tensor::from_vec(out, &[n, self.c_out, self.geo.out_h, self.geo.out_w])?;
-        Ok((y, cols))
+        Ok((y, padded))
     }
 
     /// Backward pass: given the output gradient `(n, c_out, oh, ow)` and
-    /// the columns [`ConvKernel::forward`] returned, adds `dW = G · colsᵀ`
-    /// into the active slice of `weight_grad` (shaped like the bank) and
-    /// `db` into the leading `c_out` entries of `bias_grad`, and returns
-    /// `dX = fold(Wᵀ · G)`.
+    /// the padded input [`ConvKernel::forward`] returned, adds the
+    /// parameter gradients as [`ConvKernel::backward_params`] does and
+    /// returns the input gradient `dX = Wᵀ · G`, each product added into
+    /// the input pixel it read.
     ///
     /// # Errors
     ///
-    /// Returns a shape error if the gradient, the columns or the parameter
-    /// tensors do not fit the kernel.
+    /// Returns a shape error if the gradient, the padded input or the
+    /// parameter tensors do not fit the kernel.
     pub fn backward(
         &self,
         grad_out: &Tensor,
-        cols: &Tensor,
+        padded: &Tensor,
         weight: &Tensor,
         weight_grad: &mut Tensor,
         bias_grad: &mut Tensor,
     ) -> Result<Tensor, TensorError> {
-        let plane = self.geo.out_h * self.geo.out_w;
-        let (taps, c_out) = (self.taps(), self.c_out);
-        let width = cols.shape().dims().get(1).copied().unwrap_or(0);
-        let n = width.checked_div(plane).unwrap_or(0);
-        if cols.shape().dims() != [taps, n * plane]
-            || grad_out.shape().dims() != [n, c_out, self.geo.out_h, self.geo.out_w]
-        {
-            return Err(TensorError::ShapeMismatch {
-                left: grad_out.shape().dims().to_vec(),
-                right: vec![n, c_out, self.geo.out_h, self.geo.out_w],
-            });
-        }
-        let w = self.weights(weight)?;
-        self.check_bias(bias_grad)?;
+        let (w, stride) = self.weights(weight)?;
         if weight_grad.len() != weight.len() {
             return Err(TensorError::ShapeMismatch {
                 left: weight_grad.shape().dims().to_vec(),
                 right: weight.shape().dims().to_vec(),
             });
         }
+        self.backward_params(grad_out, padded, weight_grad, bias_grad)?;
+        let n = padded.shape().dims()[0];
+        let (taps, plane, c_out) = (self.taps(), self.plane(), self.c_out);
+        let (tap_at, pixel_at) = (self.tap_offsets(), self.pixel_offsets());
+        let panels = pack_panels(taps, c_out, |t, co| w[co * stride + t]);
+        let mut grad_padded = vec![0.0f32; n * self.block_len()];
+        // The lanes of a last, partial tile; those past the plane reread
+        // its first pixel.
+        let mut tail = [0usize; NR];
+        tail[..plane % NR].copy_from_slice(&RUN[..plane % NR]);
+        let images = grad_out.as_slice().chunks_exact(self.slab_len());
+        for (slab, dst) in images.zip(grad_padded.chunks_exact_mut(self.block_len())) {
+            for (g, panel) in panels.chunks_exact(c_out * MR).enumerate().rev() {
+                let group = &tap_at[g * MR..taps.min(g * MR + MR)];
+                for j0 in (0..plane).step_by(NR) {
+                    let pixels = &pixel_at[j0..plane.min(j0 + NR)];
+                    let runs = (0..c_out).map(|co| co * plane + j0);
+                    let acc = match pixels.len() {
+                        NR => tile(panel, slab, runs, &RUN),
+                        _ => tile(panel, slab, runs, &tail),
+                    };
+                    // Eight pixels of one row at stride 1 read eight
+                    // neighbouring inputs.
+                    let row = pixels.len() == NR && pixels[NR - 1] - pixels[0] == NR - 1;
+                    // The last tap first: every input pixel adds its terms
+                    // in descending tap order, as `col2im` does, since
+                    // the groups run in descending order too.
+                    for (acc_row, &t) in acc.iter().zip(group).rev() {
+                        if row {
+                            for (d, &v) in dst[t + pixels[0]..][..NR].iter_mut().zip(acc_row) {
+                                *d += v;
+                            }
+                        } else {
+                            for (&v, &at) in acc_row.iter().zip(pixels) {
+                                dst[t + at] += v;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        self.geo.crop(&grad_padded, n, self.c_in)
+    }
+
+    /// The parameter half of [`ConvKernel::backward`]: adds
+    /// `dW = G · Xᵀ` (`X` the patch matrix the padded input stands for)
+    /// into the active slice of `weight_grad`, shaped like the bank, and
+    /// `db` into the leading `c_out` entries of `bias_grad`, without
+    /// computing the input gradient.
+    ///
+    /// # Errors
+    ///
+    /// Returns a shape error if the gradient, the padded input or the
+    /// parameter gradients do not fit the kernel.
+    pub fn backward_params(
+        &self,
+        grad_out: &Tensor,
+        padded: &Tensor,
+        weight_grad: &mut Tensor,
+        bias_grad: &mut Tensor,
+    ) -> Result<(), TensorError> {
+        let n = padded.shape().dims().first().copied().unwrap_or(0);
+        let (hp, wp) = (self.geo.padded_h(), self.geo.padded_w());
+        if padded.shape().dims() != [n, self.c_in, hp, wp]
+            || grad_out.shape().dims() != [n, self.c_out, self.geo.out_h, self.geo.out_w]
+        {
+            return Err(TensorError::ShapeMismatch {
+                left: grad_out.shape().dims().to_vec(),
+                right: vec![n, self.c_out, self.geo.out_h, self.geo.out_w],
+            });
+        }
+        let (_, stride) = self.weights(weight_grad)?;
+        self.check_bias(bias_grad)?;
+        let (taps, plane, c_out) = (self.taps(), self.plane(), self.c_out);
+        let width = n * plane;
         let g = grad_out.as_slice();
 
-        // dW: (taps × c_out) = cols · Gᵀ, with Gᵀ packed pixel-major and
-        // its channels padded to whole register tiles; each term walks
-        // the pixels (img, p) in ascending order, as Gᵀ's rows do.
-        let lanes = c_out.div_ceil(8) * 8;
+        // dW: (taps × c_out) = X · Gᵀ, with Gᵀ packed pixel-major and its
+        // channels padded to whole register tiles; each term walks the
+        // pixels (img, p) in ascending order, as Gᵀ's rows do.
+        let lanes = c_out.div_ceil(NR) * NR;
         let mut g_t = vec![0.0f32; width * lanes];
         for (img, slab) in g.chunks_exact(self.slab_len()).enumerate() {
             for (c, channel) in slab.chunks_exact(plane).enumerate() {
@@ -534,17 +555,56 @@ impl ConvKernel {
                 }
             }
         }
-        let mut dw_t = vec![0.0f32; taps * lanes];
-        gemm(
-            MatRef::rows(cols.as_slice(), taps, width, width),
-            MatRef::rows(&g_t, width, lanes, lanes),
-            &mut dw_t,
-            lanes,
-        );
-        let stride = w.row_stride;
+        let (tap_at, pixel_at) = (self.tap_offsets(), self.pixel_offsets());
+        let (s, ow) = (self.geo.stride, self.geo.out_w);
+        let mut panel = vec![0.0f32; width * MR];
+        // dW transposed, `(taps × lanes)`: each tile's rows are copied out
+        // whole and added into the bank at the end. (Adding each tile
+        // column straight into a bank row made the compiler keep the
+        // tile transposed in registers, about 1.5× slower.)
+        let mut dw_t = vec![0.0f32; taps.div_ceil(MR) * MR * lanes];
+        for i0 in (0..taps).step_by(MR) {
+            let rows = &tap_at[i0..taps.min(i0 + MR)];
+            if rows.len() < MR {
+                panel.fill(0.0);
+            }
+            let images = padded.as_slice().chunks_exact(self.block_len());
+            for (pixels, src) in panel.chunks_exact_mut(plane * MR).zip(images) {
+                // One output row at a time: tap `q` of its pixels is one
+                // run of the padded input, `s` apart.
+                let starts = pixel_at.iter().step_by(ow);
+                for (line, &at) in pixels.chunks_exact_mut(ow * MR).zip(starts) {
+                    match (rows, s) {
+                        // Four contiguous runs, interleaved in one pass.
+                        (&[t0, t1, t2, t3], 1) => {
+                            let run = |t: usize| &src[t + at..][..ow];
+                            let quads = run(t0).iter().zip(run(t1)).zip(run(t2)).zip(run(t3));
+                            for (lane, (((&a, &b), &c), &d)) in line.chunks_exact_mut(MR).zip(quads)
+                            {
+                                lane.copy_from_slice(&[a, b, c, d]);
+                            }
+                        }
+                        _ => {
+                            for (q, &t) in rows.iter().enumerate() {
+                                let run = src[t + at..].iter().step_by(s);
+                                for (lane, &v) in line.chunks_exact_mut(MR).zip(run) {
+                                    lane[q] = v;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            for j0 in (0..c_out).step_by(NR) {
+                let acc = tile(&panel, &g_t, (0..width).map(|p| p * lanes + j0), &RUN);
+                for (q, acc_row) in acc.iter().enumerate() {
+                    dw_t[(i0 + q) * lanes + j0..][..NR].copy_from_slice(acc_row);
+                }
+            }
+        }
         for (c, dst) in weight_grad.as_mut_slice().chunks_mut(stride).take(c_out).enumerate() {
-            for (p, d) in dst[..taps].iter_mut().enumerate() {
-                *d += dw_t[p * lanes + c];
+            for (t, d) in dst[..taps].iter_mut().enumerate() {
+                *d += dw_t[t * lanes + c];
             }
         }
         // db: each channel's gradient summed over (img, p) ascending.
@@ -556,18 +616,7 @@ impl ConvKernel {
                 }
             }
         }
-
-        // dX = fold(Wᵀ · G), one image's columns at a time.
-        let mut grad_cols = vec![0.0f32; taps * width];
-        for (img, slab) in g.chunks_exact(self.slab_len()).enumerate() {
-            gemm(
-                w.t(),
-                MatRef::rows(slab, c_out, plane, plane),
-                &mut grad_cols[img * plane..],
-                width,
-            );
-        }
-        fold(&Tensor::from_vec(grad_cols, &[taps, width])?, n, self.c_in, &self.geo)
+        Ok(())
     }
 }
 

@@ -7,13 +7,12 @@
 //! `f32` buffers, element-wise maps, reductions, matrix multiplication,
 //! and 2-D convolution.
 //!
-//! Convolution runs on [`ConvKernel`]: the input is unfolded
-//! channel-major ([`unfold`]: one row per kernel tap, one column per
-//! output pixel of the batch), so the output is `W · cols`, one row of
-//! `n·oh·ow` pixels per output channel, and the inner loops run over
-//! pixels rather than over a few channels. [`fold`] is its adjoint. The
-//! row-major [`im2col`]/[`col2im`] remain as the reference they equal,
-//! transposed, bit for bit.
+//! Convolution runs on [`ConvKernel`], an implicit GEMM: the input is
+//! copied once into a zero-padded buffer, and each output channel's
+//! row of `n·oh·ow` pixels is summed straight from it, tap by tap, on a
+//! register tile, so no patch matrix is built. The row-major
+//! [`im2col`]/[`col2im`] remain as the reference the kernel equals bit
+//! for bit.
 //!
 //! Every operation is plain safe Rust over contiguous buffers with a
 //! fixed summation order, so results are deterministic to the bit, and
@@ -38,7 +37,7 @@ mod linalg;
 mod shape;
 mod tensor;
 
-pub use conv::{col2im, fold, im2col, unfold, Conv2dGeometry, ConvKernel};
+pub use conv::{col2im, im2col, Conv2dGeometry, ConvKernel};
 pub use error::TensorError;
 pub use init::{kaiming_uniform, normal, uniform};
 pub use shape::Shape;

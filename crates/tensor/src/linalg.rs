@@ -102,97 +102,94 @@ impl Tensor {
     }
 }
 
-/// A read-only strided matrix view: element `(i, j)` of a `rows × cols`
-/// matrix sits at `data[i·row_stride + j·col_stride]`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct MatRef<'a> {
-    pub(crate) data: &'a [f32],
-    pub(crate) rows: usize,
-    pub(crate) cols: usize,
-    pub(crate) row_stride: usize,
-    pub(crate) col_stride: usize,
-}
+/// Rows one register tile of [`tile`] covers.
+pub(crate) const MR: usize = 4;
+/// Columns one register tile of [`tile`] covers.
+pub(crate) const NR: usize = 8;
 
-impl<'a> MatRef<'a> {
-    /// A row-major view whose rows are `row_stride` apart.
-    pub(crate) fn rows(data: &'a [f32], rows: usize, cols: usize, row_stride: usize) -> Self {
-        MatRef { data, rows, cols, row_stride, col_stride: 1 }
-    }
-
-    /// The same elements seen as the transposed matrix.
-    pub(crate) fn t(self) -> Self {
-        MatRef {
-            rows: self.cols,
-            cols: self.rows,
-            row_stride: self.col_stride,
-            col_stride: self.row_stride,
-            ..self
+/// The rows of an `m × inner` matrix packed `MR` at a time: the panel of
+/// rows `g·MR..` is one contiguous `inner × MR` block holding
+/// `at(g·MR + q, p)` at `p·MR + q`, with zero lanes for rows past `m`.
+pub(crate) fn pack_panels(m: usize, inner: usize, at: impl Fn(usize, usize) -> f32) -> Vec<f32> {
+    let mut panels = vec![0.0f32; m.div_ceil(MR) * inner * MR];
+    for (g, panel) in panels.chunks_exact_mut((inner * MR).max(1)).enumerate() {
+        for (p, lane) in panel.chunks_exact_mut(MR).enumerate() {
+            for (q, v) in lane.iter_mut().enumerate().take(m - g * MR) {
+                *v = at(g * MR + q, p);
+            }
         }
     }
-
-    fn at(&self, i: usize, j: usize) -> f32 {
-        self.data[i * self.row_stride + j * self.col_stride]
-    }
+    panels
 }
 
-/// Rows of `a` one register tile of [`gemm`] covers.
-const MR: usize = 4;
-/// Columns of `b` one register tile of [`gemm`] covers.
-const NR: usize = 8;
+/// The lanes of a tile whose `NR` columns are one contiguous run.
+pub(crate) const RUN: [usize; NR] = [0, 1, 2, 3, 4, 5, 6, 7];
 
-/// `c = a · b`, written into `c` with rows `ldc` apart; `b` must have unit
-/// column stride.
+/// Columns of one half of a tile: one 128-bit vector of `f32`.
+const HALF: usize = NR / 2;
+
+/// One `MR × NR` register tile, the micro-kernel of every convolution
+/// product: `acc[q][j] = Σ_p panel[p·MR + q] · src[offset_p + lanes[j]]`
+/// over the packed `inner × MR` panel, with one offset into `src` per
+/// inner step `p`, as `offsets` yields them. Each step reads one
+/// `NR`-wide run of `src` for [`RUN`], two `NR/2`-wide runs for lanes
+/// whose halves are each contiguous (two image rows of four pixels), and
+/// otherwise gathers the `NR` values one by one. (Reading [`RUN`] as two
+/// halves measured about 15% slower in the input-gradient product, whose
+/// inner dimension is only `c_out` long.)
 ///
-/// Every output element sums its terms in ascending inner index, starting
-/// from `+0.0`, one multiply and one add per term, with no term skipped.
+/// Every element sums its terms in ascending `p`, starting from `+0.0`,
+/// one multiply and one add per term, with no term skipped.
 /// [`Tensor::matmul`] sums in the same order but skips a zero left-hand
 /// factor, so for finite operands the two agree bit for bit.
-///
-/// The work is done in `MR × NR` tiles that stay in registers across the
-/// whole inner dimension: the tile's `MR` rows of `a` are first packed
-/// into one contiguous `inner × MR` panel, and each step of the inner
-/// loop reads one `NR`-wide run of a `b` row.
-pub(crate) fn gemm(a: MatRef<'_>, b: MatRef<'_>, c: &mut [f32], ldc: usize) {
-    debug_assert_eq!(a.cols, b.rows);
-    debug_assert_eq!(b.col_stride, 1);
-    let (m, inner, n) = (a.rows, a.cols, b.cols);
-    let mut panel = vec![0.0f32; inner * MR];
-    for i0 in (0..m).step_by(MR) {
-        let rows = MR.min(m - i0);
-        for (p, lane) in panel.chunks_exact_mut(MR).enumerate() {
-            for (q, v) in lane.iter_mut().enumerate() {
-                *v = if q < rows { a.at(i0 + q, p) } else { 0.0 };
-            }
-        }
-        let mut j0 = 0;
-        while j0 + NR <= n {
-            let acc = tile(&panel, b, j0);
-            for (q, acc_row) in acc.iter().take(rows).enumerate() {
-                c[(i0 + q) * ldc + j0..][..NR].copy_from_slice(acc_row);
-            }
-            j0 += NR;
-        }
-        for j in j0..n {
-            for q in 0..rows {
-                let mut sum = 0.0f32;
-                for (p, lane) in panel.chunks_exact(MR).enumerate() {
-                    sum += lane[q] * b.data[p * b.row_stride + j];
+#[inline(always)]
+pub(crate) fn tile(
+    panel: &[f32],
+    src: &[f32],
+    offsets: impl Iterator<Item = usize>,
+    lanes: &[usize; NR],
+) -> [[f32; NR]; MR] {
+    let (lo, hi) = (lanes[0], lanes[HALF]);
+    if *lanes == RUN {
+        accumulate(
+            panel,
+            offsets.map(|o| {
+                let mut run = [0.0f32; NR];
+                run.copy_from_slice(&src[o..o + NR]);
+                run
+            }),
+        )
+    } else if (0..HALF).all(|j| lanes[j] == lo + j && lanes[HALF + j] == hi + j) {
+        accumulate(
+            panel,
+            offsets.map(|o| {
+                let mut run = [0.0f32; NR];
+                run[..HALF].copy_from_slice(&src[o + lo..][..HALF]);
+                run[HALF..].copy_from_slice(&src[o + hi..][..HALF]);
+                run
+            }),
+        )
+    } else {
+        accumulate(
+            panel,
+            offsets.map(|o| {
+                let mut run = [0.0f32; NR];
+                for (r, &l) in run.iter_mut().zip(lanes) {
+                    *r = src[o + l];
                 }
-                c[(i0 + q) * ldc + j] = sum;
-            }
-        }
+                run
+            }),
+        )
     }
 }
 
-/// One `MR × NR` register tile of [`gemm`]: rows of the packed `panel`
-/// times columns `j0..j0 + NR` of `b`.
+/// The register-resident sum of [`tile`] over ready-made runs.
 #[inline(always)]
-fn tile(panel: &[f32], b: MatRef<'_>, j0: usize) -> [[f32; NR]; MR] {
+fn accumulate(panel: &[f32], runs: impl Iterator<Item = [f32; NR]>) -> [[f32; NR]; MR] {
     let mut acc = [[0.0f32; NR]; MR];
-    for (p, lane) in panel.chunks_exact(MR).enumerate() {
-        let run = &b.data[p * b.row_stride + j0..][..NR];
+    for (lane, run) in panel.chunks_exact(MR).zip(runs) {
         for (acc_row, &w) in acc.iter_mut().zip(lane) {
-            for (o, &x) in acc_row.iter_mut().zip(run) {
+            for (o, &x) in acc_row.iter_mut().zip(&run) {
                 *o += w * x;
             }
         }

@@ -1,9 +1,11 @@
 //! Property-based tests for the tensor substrate: algebraic identities of
 //! matmul/transpose, softmax invariants, the im2col/col2im adjoint
 //! relation over random geometries, and bit-for-bit agreement of the
-//! channel-major convolution with the row-major path it replaced.
+//! convolution kernel with the two paths it replaced: the row-major
+//! `im2col` + matmul, and the channel-major `unfold` + `fold` kept here
+//! as the reference.
 
-use hadas_tensor::{col2im, fold, im2col, unfold, Conv2dGeometry, ConvKernel, Tensor};
+use hadas_tensor::{col2im, im2col, Conv2dGeometry, ConvKernel, Tensor, TensorError};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -238,6 +240,183 @@ impl RowMajorConv {
     }
 }
 
+/// Along one axis, the output positions `start..end` at which a kernel
+/// tap reads inside the image rather than the padding, and the input
+/// position `first_in` that `start` reads (output `o` reads
+/// `o·stride + tap − padding`).
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    start: usize,
+    end: usize,
+    first_in: usize,
+}
+
+impl Span {
+    fn new(in_len: usize, out_len: usize, geo: &Conv2dGeometry, tap: usize) -> Option<Self> {
+        let (stride, padding) = (geo.stride(), geo.padding());
+        let end = (in_len + padding).saturating_sub(tap).div_ceil(stride).min(out_len);
+        let start = padding.saturating_sub(tap).div_ceil(stride);
+        (start < end).then(|| Span { start, end, first_in: start * stride + tap - padding })
+    }
+
+    /// The output rows kernel row `ky` reads inside the image.
+    fn rows(geo: &Conv2dGeometry, ky: usize) -> Option<Self> {
+        Span::new(geo.in_h(), geo.out_h(), geo, ky)
+    }
+
+    /// The output columns kernel column `kx` reads inside the image.
+    fn cols(geo: &Conv2dGeometry, kx: usize) -> Option<Self> {
+        Span::new(geo.in_w(), geo.out_w(), geo, kx)
+    }
+}
+
+/// Unfolds an input image batch `(n, c, h, w)` into channel-major patch
+/// rows of shape `(c * k * k, n * out_h * out_w)`, one row per kernel tap
+/// `(ch, ky, kx)` and one column per output pixel `(img, oy, ox)`, the
+/// padding left zero.
+fn unfold(input: &Tensor, geo: &Conv2dGeometry) -> Result<Tensor, TensorError> {
+    let dims = input.shape().dims();
+    let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
+    let (k, s) = (geo.kernel(), geo.stride());
+    let (oh, ow) = (geo.out_h(), geo.out_w());
+    let width = n * oh * ow;
+    let mut out = vec![0.0f32; c * k * k * width];
+    let src = input.as_slice();
+    for (tap, row) in out.chunks_exact_mut(width.max(1)).enumerate() {
+        let (ch, ky, kx) = (tap / (k * k), tap / k % k, tap % k);
+        let (Some(ys), Some(xs)) = (Span::rows(geo, ky), Span::cols(geo, kx)) else { continue };
+        for (img, block) in row.chunks_exact_mut(oh * ow).enumerate() {
+            let plane = &src[(img * c + ch) * h * w..][..h * w];
+            let lines = plane[ys.first_in * w..].chunks(w).step_by(s);
+            for (dst, line) in block[ys.start * ow..ys.end * ow].chunks_exact_mut(ow).zip(lines) {
+                let (dst, line) = (&mut dst[xs.start..xs.end], &line[xs.first_in..]);
+                for (d, &v) in dst.iter_mut().zip(line.iter().step_by(s)) {
+                    *d = v;
+                }
+            }
+        }
+    }
+    Tensor::from_vec(out, &[c * k * k, width])
+}
+
+/// Folds channel-major patch rows back into an image batch, the adjoint
+/// of [`unfold`]. `col2im` adds an input pixel's contributions in
+/// ascending output position; an input pixel's kernel tap falls as its
+/// output position rises, so this fold walks the taps of each channel in
+/// descending `(ky, kx)` order.
+fn fold(cols: &Tensor, n: usize, c: usize, geo: &Conv2dGeometry) -> Result<Tensor, TensorError> {
+    let (k, s) = (geo.kernel(), geo.stride());
+    let (h, w) = (geo.in_h(), geo.in_w());
+    let (oh, ow) = (geo.out_h(), geo.out_w());
+    let width = n * oh * ow;
+    let mut out = vec![0.0f32; n * c * h * w];
+    let src = cols.as_slice();
+    for ch in 0..c {
+        for ky in (0..k).rev() {
+            for kx in (0..k).rev() {
+                let (Some(ys), Some(xs)) = (Span::rows(geo, ky), Span::cols(geo, kx)) else {
+                    continue;
+                };
+                let row = &src[((ch * k + ky) * k + kx) * width..][..width];
+                for (img, block) in row.chunks_exact(oh * ow).enumerate() {
+                    let plane = &mut out[(img * c + ch) * h * w..][..h * w];
+                    let lines = plane[ys.first_in * w..].chunks_mut(w).step_by(s);
+                    for (run, line) in block[ys.start * ow..ys.end * ow].chunks_exact(ow).zip(lines)
+                    {
+                        let (run, line) = (&run[xs.start..xs.end], &mut line[xs.first_in..]);
+                        for (d, &v) in line.iter_mut().step_by(s).zip(run) {
+                            *d += v;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    Tensor::from_vec(out, &[n, c, h, w])
+}
+
+/// The channel-major convolution over [`unfold`] and [`fold`], the
+/// reference the kernel must equal bit for bit: the output is `W · cols`
+/// plus the bias, `dW = G · colsᵀ` and `db` are added onto the gradients
+/// present, and `dX = fold(Wᵀ · G)`. Every sum runs in ascending inner
+/// index from `+0.0` with no term skipped. `W` is the leading
+/// `c_out × c_in·k²` block of a bank whose rows hold `c_in_max·k²` taps.
+struct ChannelMajorConv {
+    geo: Conv2dGeometry,
+    c_in: usize,
+    c_out: usize,
+    c_in_max: usize,
+}
+
+impl ChannelMajorConv {
+    /// The bank's row stride, the active taps and the output plane.
+    fn sizes(&self) -> (usize, usize, usize) {
+        let k2 = self.geo.kernel() * self.geo.kernel();
+        (self.c_in_max * k2, self.c_in * k2, self.geo.out_h() * self.geo.out_w())
+    }
+
+    fn forward(&self, x: &Tensor, bank: &Tensor, bias: &Tensor) -> Tensor {
+        let n = x.shape().dims()[0];
+        let (stride, taps, plane) = self.sizes();
+        let cols = unfold(x, &self.geo).unwrap();
+        let (w, c) = (bank.as_slice(), cols.as_slice());
+        let mut y = Vec::with_capacity(n * self.c_out * plane);
+        for img in 0..n {
+            for co in 0..self.c_out {
+                for p in 0..plane {
+                    let mut sum = 0.0f32;
+                    for t in 0..taps {
+                        sum += w[co * stride + t] * c[t * n * plane + img * plane + p];
+                    }
+                    y.push(sum + bias.as_slice()[co]);
+                }
+            }
+        }
+        Tensor::from_vec(y, &[n, self.c_out, self.geo.out_h(), self.geo.out_w()]).unwrap()
+    }
+
+    fn backward(
+        &self,
+        x: &Tensor,
+        g: &Tensor,
+        bank: &Tensor,
+        gw: &mut Tensor,
+        gb: &mut Tensor,
+    ) -> Tensor {
+        let n = x.shape().dims()[0];
+        let (stride, taps, plane) = self.sizes();
+        let width = n * plane;
+        let cols = unfold(x, &self.geo).unwrap();
+        let (w, c, g) = (bank.as_slice(), cols.as_slice(), g.as_slice());
+        let grad =
+            |co: usize, pixel: usize| g[(pixel / plane * self.c_out + co) * plane + pixel % plane];
+        for co in 0..self.c_out {
+            for t in 0..taps {
+                let mut sum = 0.0f32;
+                for pixel in 0..width {
+                    sum += c[t * width + pixel] * grad(co, pixel);
+                }
+                gw.as_mut_slice()[co * stride + t] += sum;
+            }
+            for pixel in 0..width {
+                gb.as_mut_slice()[co] += grad(co, pixel);
+            }
+        }
+        let mut grad_cols = Vec::with_capacity(taps * width);
+        for t in 0..taps {
+            for pixel in 0..width {
+                let mut sum = 0.0f32;
+                for co in 0..self.c_out {
+                    sum += w[co * stride + t] * grad(co, pixel);
+                }
+                grad_cols.push(sum);
+            }
+        }
+        let grad_cols = Tensor::from_vec(grad_cols, &[taps, width]).unwrap();
+        fold(&grad_cols, n, self.c_in, &self.geo).unwrap()
+    }
+}
+
 /// A random geometry with kernel 1–3, stride 1–2, padding 0–2 and a
 /// possibly non-square input, if the padded input fits the kernel.
 fn geometry(
@@ -331,6 +510,59 @@ proptest! {
         prop_assert_eq!(bits(&y), bits(&ref_y));
         prop_assert_eq!(bits(&gw), bits(&ref_gw));
         prop_assert_eq!(bits(&gb), bits(&ref_gb));
+        prop_assert_eq!(dx.shape().dims(), ref_dx.shape().dims());
+        prop_assert_eq!(bits(&dx), bits(&ref_dx));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// On inputs up to 17 pixels a side, where the register tile runs
+    /// full 8-wide, with tails and several tiles per output row, the
+    /// kernel's output, its input gradient, and its weight and bias
+    /// gradients (added onto gradients already present, by both backward
+    /// passes) equal the channel-major `unfold` + `fold` reference bit
+    /// for bit, on a bank wider and taller than the active slice.
+    #[test]
+    fn conv_kernel_matches_unfold_and_fold_on_wide_inputs(
+        n in 1usize..3, c_in in 1usize..4, extra_in in 0usize..3,
+        c_out in 1usize..11, extra_out in 0usize..2,
+        h in 1usize..18, w in 1usize..18,
+        kernel in 1usize..4, stride in 1usize..3, padding in 0usize..3,
+        seed in 0u64..10_000,
+    ) {
+        let geo = geometry(h, w, kernel, stride, padding);
+        prop_assume!(geo.is_some());
+        let geo = geo.unwrap();
+        let c_in_max = c_in + extra_in;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let taps_max = c_in_max * kernel * kernel;
+        let bank = sparse(&mut rng, &[c_out + extra_out, taps_max]);
+        let bias = sparse(&mut rng, &[c_out + extra_out]);
+        let x = sparse(&mut rng, &[n, c_in, h, w]);
+        let g = sparse(&mut rng, &[n, c_out, geo.out_h(), geo.out_w()]);
+        let grad_w0 = sparse(&mut rng, &[c_out + extra_out, taps_max]);
+        let grad_b0 = sparse(&mut rng, &[c_out + extra_out]);
+
+        let reference = ChannelMajorConv { geo, c_in, c_out, c_in_max };
+        let (mut ref_gw, mut ref_gb) = (grad_w0.clone(), grad_b0.clone());
+        let ref_y = reference.forward(&x, &bank, &bias);
+        let ref_dx = reference.backward(&x, &g, &bank, &mut ref_gw, &mut ref_gb);
+
+        let conv = ConvKernel::new(geo, c_in, c_out, c_in_max);
+        let (mut gw, mut gb) = (grad_w0.clone(), grad_b0.clone());
+        let (y, padded) = conv.forward(&x, &bank, &bias).unwrap();
+        let dx = conv.backward(&g, &padded, &bank, &mut gw, &mut gb).unwrap();
+        let (mut params_gw, mut params_gb) = (grad_w0, grad_b0);
+        conv.backward_params(&g, &padded, &mut params_gw, &mut params_gb).unwrap();
+
+        prop_assert_eq!(y.shape().dims(), ref_y.shape().dims());
+        prop_assert_eq!(bits(&y), bits(&ref_y));
+        prop_assert_eq!(bits(&gw), bits(&ref_gw));
+        prop_assert_eq!(bits(&gb), bits(&ref_gb));
+        prop_assert_eq!(bits(&params_gw), bits(&ref_gw));
+        prop_assert_eq!(bits(&params_gb), bits(&ref_gb));
         prop_assert_eq!(dx.shape().dims(), ref_dx.shape().dims());
         prop_assert_eq!(bits(&dx), bits(&ref_dx));
     }
