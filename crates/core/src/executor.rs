@@ -11,8 +11,10 @@
 //!
 //! # Supervision
 //!
-//! A supervisor keeps exactly **one dispatch in flight per lane**;
-//! queued work stays supervisor-side, so a dying worker can only ever
+//! A supervisor keeps at most **one dispatch in flight per lane**.
+//! Queued work waits supervisor-side in one shared FIFO queue, and
+//! whenever a lane goes idle it gets the queue's next dispatch, so a
+//! slow job holds up only its own lane and a dying worker can only ever
 //! lose the single job it was holding. Execution-plane chaos — injected
 //! worker crashes, transient failures, stragglers — is scripted by a
 //! [`ChaosPlan`]: a pure function of a [`FateResolver`] (the shared
@@ -22,14 +24,14 @@
 //!
 //! * **crash** — the worker abandons its lane mid-job and dies; the
 //!   RAII `DeathNotice` converts the death into a `Down` message, the
-//!   supervisor respawns the lane and re-dispatches the lost job to the
-//!   next lane;
+//!   supervisor respawns the lane and enqueues the job's next attempt,
+//!   which goes to the next idle lane;
 //! * **transient failure** — the attempt's result is discarded and the
 //!   job retried, up to the [`RetryPolicy`] attempt budget (clamped to
 //!   a single attempt while the [`CircuitBreaker`] is open);
-//! * **straggle** — the attempt lands late; a hedge duplicate is issued
-//!   *concurrently* on another lane and the first result per job wins
-//!   (later duplicates are dropped);
+//! * **straggle** — the attempt lands late; a hedge duplicate is
+//!   enqueued at once (not on reply) and goes to the next idle lane, and
+//!   the first result per job wins (later duplicates are dropped);
 //! * **dead letter** — a job whose every issued attempt failed resolves
 //!   to `None` and is accounted, never silently lost.
 //!
@@ -263,7 +265,9 @@ impl ChaosPlan {
 /// job (attempt chains from the plan, one clean attempt without one).
 /// This is the same modeled-time idiom the serving engine's throughput
 /// uses — a pure function of the schedule, so the scaling curves the
-/// benches assert on are reproducible on any host.
+/// benches assert on are reproducible on any host. It still models
+/// round-robin lanes, although [`run_supervised`] now pulls work from
+/// one shared queue; the committed modeled figures depend on it.
 pub fn modeled_makespan_ms(specs: &[JobSpec], workers: usize, plan: Option<&ChaosPlan>) -> f64 {
     let lanes = workers.max(1);
     let mut load = vec![0.0f64; lanes];
@@ -361,61 +365,51 @@ fn worker_body<J, R, F>(
     }
 }
 
-/// One supervised worker lane: its dispatch channel and the
-/// supervisor-side queue of work not yet in flight. Thread handles are
-/// owned by the surrounding scope, which joins every (re)spawned worker
-/// on exit.
-struct Lane {
-    tx: Sender<Dispatch>,
-    busy: bool,
-    queue: VecDeque<Dispatch>,
-}
-
-/// Sends the lane's next queued dispatch if nothing is in flight.
-fn pump(lane: &mut Lane) -> Result<(), HadasError> {
-    if lane.busy {
-        return Ok(());
-    }
-    let Some(d) = lane.queue.pop_front() else { return Ok(()) };
-    match lane.tx.send(d) {
-        Ok(()) => {
-            lane.busy = true;
-            Ok(())
-        }
-        // One-in-flight discipline makes this unreachable: a lane's
-        // channel only closes after its Down was processed and the lane
-        // respawned. Surface it rather than losing work silently.
-        Err(_) => Err(HadasError::Internal("executor lane disconnected unsupervised".into())),
-    }
-}
-
 /// The fates planned for job `i` (a single clean attempt without a plan).
 fn chain_of(plan: Option<&ChaosPlan>, i: usize) -> &[AttemptFate] {
     const CLEAN: [AttemptFate; 1] = [AttemptFate::Ok];
     plan.and_then(|p| p.chains.get(i)).map_or(&CLEAN[..], Vec::as_slice)
 }
 
-/// Enqueues attempt `start` of job `i` on its rotated lane, chasing
-/// straggler fates: a `Straggle` attempt's hedge duplicate is issued
-/// immediately (concurrently), not on reply.
-fn issue(
-    lanes: &mut [Lane],
-    pending: &mut usize,
-    plan: Option<&ChaosPlan>,
-    i: usize,
-    start: usize,
-) -> Result<(), HadasError> {
-    let mut a = start;
-    loop {
-        let Some(&fate) = chain_of(plan, i).get(a) else { return Ok(()) };
-        let lane_idx = (i + a) % lanes.len();
-        lanes[lane_idx].queue.push_back(Dispatch { index: i, attempt: a as u32, fate });
-        *pending += 1;
-        pump(&mut lanes[lane_idx])?;
-        if fate != AttemptFate::Straggle {
-            return Ok(());
+/// The supervisor's side of the worker lanes: one dispatch channel per
+/// lane, the lanes with nothing in flight, and the one shared FIFO of
+/// work not yet in flight. Thread handles are owned by the surrounding
+/// scope, which joins every (re)spawned worker on exit.
+struct Lanes {
+    txs: Vec<Sender<Dispatch>>,
+    idle: Vec<usize>,
+    queue: VecDeque<Dispatch>,
+    /// Dispatches enqueued or in flight whose reply is still due.
+    pending: usize,
+}
+
+impl Lanes {
+    /// Enqueues attempt `start` of job `i`, chasing straggler fates: a
+    /// `Straggle` attempt's hedge duplicate is enqueued immediately
+    /// (concurrently), not on reply.
+    fn issue(&mut self, plan: Option<&ChaosPlan>, i: usize, start: usize) {
+        for (a, &fate) in chain_of(plan, i).iter().enumerate().skip(start) {
+            self.queue.push_back(Dispatch { index: i, attempt: a as u32, fate });
+            self.pending += 1;
+            if fate != AttemptFate::Straggle {
+                break;
+            }
         }
-        a += 1; // hedge the straggler concurrently
+    }
+
+    /// Hands the queue's next dispatches to idle lanes, one each.
+    fn pump(&mut self) -> Result<(), HadasError> {
+        while let Some(&lane) = self.idle.last() {
+            let Some(d) = self.queue.pop_front() else { break };
+            // One-in-flight discipline makes a send error unreachable: a
+            // lane's channel only closes after its Down was processed and
+            // the lane respawned. Surface it rather than losing work.
+            self.txs[lane].send(d).map_err(|_| {
+                HadasError::Internal("executor lane disconnected unsupervised".into())
+            })?;
+            self.idle.pop();
+        }
+        Ok(())
     }
 }
 
@@ -480,7 +474,6 @@ where
         return Ok((slots, stats));
     }
 
-    let lanes_n = workers;
     let mut outcome: Option<Result<Vec<Option<R>>, HadasError>> = None;
     let run_job = &run_job;
     // The scope wrapper turns an unjoined worker panic into an outer
@@ -496,73 +489,68 @@ where
             tx
         };
         let mut supervise = || -> Result<Vec<Option<R>>, HadasError> {
-            let mut lanes: Vec<Lane> = (0..lanes_n)
-                .map(|idx| Lane { tx: spawn_lane(idx), busy: false, queue: VecDeque::new() })
-                .collect();
+            let mut lanes = Lanes {
+                txs: (0..workers).map(&spawn_lane).collect(),
+                idle: (0..workers).rev().collect(),
+                queue: VecDeque::new(),
+                pending: 0,
+            };
             let mut results: Vec<Option<R>> = (0..jobs.len()).map(|_| None).collect();
             let mut offplan_reissued = vec![false; jobs.len()];
             let mut offplan = ExecTelemetry::default();
-            let mut pending = 0usize;
             for i in 0..jobs.len() {
-                issue(&mut lanes, &mut pending, plan, i, 0)?;
+                lanes.issue(plan, i, 0);
             }
-            while pending > 0 {
+            lanes.pump()?;
+            while lanes.pending > 0 {
                 // Replies land in seq-indexed slots, so completion
                 // order never leaks into the assembled result vector.
                 // lint:allow(det-unordered-reduction) reviewed
                 let reply = reply_rx.recv().map_err(|_| {
                     HadasError::Internal("executor reply stream closed early".into())
                 })?;
-                pending -= 1;
-                match reply {
+                lanes.pending -= 1;
+                let lane = match reply {
                     Reply::Done { lane, index, result } => {
-                        lanes[lane].busy = false;
-                        pump(&mut lanes[lane])?;
                         if results[index].is_none() {
                             results[index] = Some(*result); // first result wins
                         }
+                        lane
                     }
                     Reply::Failed { lane, index, attempt } => {
-                        lanes[lane].busy = false;
-                        pump(&mut lanes[lane])?;
-                        issue(&mut lanes, &mut pending, plan, index, attempt as usize + 1)?;
+                        lanes.issue(plan, index, attempt as usize + 1);
+                        lane
                     }
                     Reply::Down { lane, index, attempt } => {
-                        // The lane is gone: respawn it before pumping its
-                        // queue (the scope joins the dead thread later).
-                        lanes[lane].tx = spawn_lane(lane);
-                        lanes[lane].busy = false;
-                        pump(&mut lanes[lane])?;
+                        // The lane is gone: respawn it (the scope joins
+                        // the dead thread later).
+                        lanes.txs[lane] = spawn_lane(lane);
                         let a = attempt as usize;
                         if chain_of(plan, index).get(a) == Some(&AttemptFate::Crash) {
                             // On-plan crash: re-dispatch the next attempt.
-                            issue(&mut lanes, &mut pending, plan, index, a + 1)?;
+                            lanes.issue(plan, index, a + 1);
                         } else if !offplan_reissued[index] {
                             // A real (off-plan) panic: self-heal with one
-                            // bounded re-issue of the same attempt on a
-                            // fresh thread. The straggle chase already ran
-                            // at the original enqueue, so this is a single
-                            // dispatch.
+                            // bounded re-issue of the same attempt. The
+                            // straggle chase already ran at the original
+                            // enqueue, so this is a single dispatch.
                             offplan_reissued[index] = true;
                             offplan.crashes += 1;
                             offplan.respawns += 1;
                             offplan.redispatches += 1;
                             let fate =
                                 chain_of(plan, index).get(a).copied().unwrap_or(AttemptFate::Ok);
-                            let lane_idx = (index + a) % lanes_n;
-                            lanes[lane_idx].queue.push_back(Dispatch { index, attempt, fate });
-                            pending += 1;
-                            pump(&mut lanes[lane_idx])?;
+                            lanes.queue.push_back(Dispatch { index, attempt, fate });
+                            lanes.pending += 1;
                         }
+                        lane
                     }
-                }
+                };
+                lanes.idle.push(lane);
+                lanes.pump()?;
             }
-            // Drain: close every lane so its worker exits the recv loop;
-            // the surrounding scope joins all (re)spawned threads.
-            for lane in &mut lanes {
-                let (closed_tx, _) = channel::unbounded::<Dispatch>();
-                lane.tx = closed_tx;
-            }
+            // Dropping `lanes` closes every dispatch channel, so each
+            // worker exits its recv loop; the scope joins them all.
             stats.crashes += offplan.crashes;
             stats.respawns += offplan.respawns;
             stats.redispatches += offplan.redispatches;
@@ -692,6 +680,61 @@ mod tests {
         assert_eq!(stats.respawns, 1);
         assert_eq!(stats.redispatches, 1);
         assert_eq!(stats.dead_letter_jobs, 0);
+    }
+
+    /// Runs `n` jobs on two lanes. Job `blocked` waits (up to 20 s)
+    /// until every other job has landed; each job counts how many jobs
+    /// run at once. Returns whether every job saw its condition hold, and
+    /// the peak concurrency. A dispatch handed to the blocked job's lane
+    /// while it holds one could only start after it returns, so the wait
+    /// would time out: passing shows that lane held one dispatch.
+    fn run_with_a_blocked_job(n: usize, blocked: u64, plan: Option<&ChaosPlan>) -> (bool, usize) {
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
+        use std::sync::{mpsc, Mutex};
+        let jobs: Vec<u64> = (0..n as u64).collect();
+        let landed: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
+        let (others, running, peak) =
+            (AtomicUsize::new(0), AtomicUsize::new(0), AtomicUsize::new(0));
+        let (tx, rx) = mpsc::channel::<()>();
+        let (tx, rx) = (Mutex::new(tx), Mutex::new(rx));
+        let job = |x: &u64| {
+            peak.fetch_max(running.fetch_add(1, SeqCst) + 1, SeqCst);
+            let ok = if *x == blocked {
+                let wait = std::time::Duration::from_secs(20);
+                others.load(SeqCst) == n - 1 || rx.lock().unwrap().recv_timeout(wait).is_ok()
+            } else {
+                let first = !landed[*x as usize].swap(true, SeqCst);
+                if first && others.fetch_add(1, SeqCst) + 1 == n - 1 {
+                    tx.lock().unwrap().send(()).unwrap();
+                }
+                true
+            };
+            running.fetch_sub(1, SeqCst);
+            ok
+        };
+        let (slots, stats) = run_supervised(&jobs, 2, job, plan).unwrap();
+        assert_eq!(stats.dead_letter_jobs, 0);
+        (slots.iter().all(|s| *s == Some(true)), peak.load(SeqCst))
+    }
+
+    #[test]
+    fn idle_lanes_pull_the_next_dispatch_from_the_shared_queue() {
+        // Round-robin lanes would queue jobs 2, 4, 6 and 8 behind job 0
+        // (and 6, 8 behind job 4), where they wait out the timeout.
+        let resolver = Scripted {
+            crashes: vec![(3, 0), (5, 0), (5, 1), (8, 0)],
+            fails: vec![(2, 0), (7, 0), (7, 1)],
+        };
+        let retry = RetryPolicy { max_attempts: 4, ..RetryPolicy::default() };
+        let plan = ChaosPlan::build(&resolver, &retry, CircuitBreaker::new(8, 4), 3.0, &specs(9));
+        for blocked in [0, 4] {
+            for plan in [None, Some(&plan)] {
+                let (ok, peak) = run_with_a_blocked_job(9, blocked, plan);
+                let chaos = plan.is_some();
+                assert!(ok, "job {blocked} waited out the others (chaos {chaos})");
+                assert_eq!(peak, 2, "the blocked job overlaps the rest on 2 lanes");
+            }
+        }
     }
 
     #[test]

@@ -59,7 +59,7 @@ const EXEC_BREAKER_THRESHOLD: u32 = 8;
 const EXEC_BREAKER_COOLDOWN: u32 = 4;
 /// Hedge factor of the supervised evaluation phases: an attempt
 /// straggling past `factor × est_ms` gets a concurrent hedge on the
-/// next lane.
+/// next idle lane.
 const EXEC_HEDGE_FACTOR: f64 = 3.0;
 /// Virtual service-time estimate of one static backbone evaluation
 /// (milliseconds). Uniform on purpose: the modeled scaling curve then

@@ -694,7 +694,10 @@ impl<'a> FleetEngine<'a> {
         let mut energy = 0.0f64;
         let mut sag_energy = 0.0f64;
         let mut makespan = 0.0f64;
-        let mut global = Histogram::new();
+        // Sized once; the summary then selects in place, so the merged
+        // samples are copied exactly once.
+        let total = traces.iter().map(|t| t.latencies.len()).sum();
+        let mut global = Histogram::from_samples(Vec::with_capacity(total));
         let mut violations = 0usize;
         let mut interactive = (0usize, 0usize);
         let mut bulk = (0usize, 0usize);
@@ -773,7 +776,7 @@ impl<'a> FleetEngine<'a> {
             throughput_rps: served as f64 / makespan.max(duration_s),
             energy_j: energy,
             sag_energy_j: sag_energy,
-            latency: global.summary(),
+            latency: global.into_summary(),
             slo: SloSummary {
                 target_ms: self.config.slo_ms,
                 violations,

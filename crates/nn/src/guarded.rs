@@ -191,12 +191,14 @@ where
         ckpt.validate_against(plan.fingerprint)?;
         rng = restore(model, &ckpt, &mut opt)?;
         (epoch, steps, rollbacks) = (ckpt.epoch, ckpt.steps, ckpt.rollbacks);
+        last_epoch_loss = ckpt.last_epoch_loss;
         telemetry.resumed_from_epoch = Some(ckpt.epoch);
     }
 
     // The in-memory last-good-epoch snapshot a rollback restores
     // (identical to what goes to disk).
-    let mut last_good = snapshot(model, plan.fingerprint, (epoch, steps, rollbacks), &rng, &opt);
+    let mut last_good =
+        snapshot(model, plan.fingerprint, (epoch, steps, rollbacks, last_epoch_loss), &rng, &opt);
 
     'training: while epoch < plan.epochs {
         let mut epoch_loss = 0.0f32;
@@ -233,7 +235,13 @@ where
         // Exact below 2^24 batches per epoch, far above any schedule here.
         last_epoch_loss = epoch_loss / plan.batches as f32; // lint:allow(cast)
         epoch += 1;
-        last_good = snapshot(model, plan.fingerprint, (epoch, steps, rollbacks), &rng, &opt);
+        last_good = snapshot(
+            model,
+            plan.fingerprint,
+            (epoch, steps, rollbacks, last_epoch_loss),
+            &rng,
+            &opt,
+        );
         if let Some(path) = &opts.checkpoint {
             seal::write(path, &last_good).map_err(NnError::from)?;
             telemetry.checkpoints_written += 1;
@@ -248,18 +256,21 @@ where
 }
 
 /// The whole resumable state at an epoch boundary: `(epoch, steps,
-/// rollbacks)`, the model, the optimizer and the RNG.
+/// rollbacks, last epoch's loss)`, the model, the optimizer and the RNG.
 fn snapshot<M: Trainable + ?Sized>(
     model: &mut M,
     fingerprint: u64,
-    (epoch, steps, rollbacks): (usize, usize, u32),
+    (epoch, steps, rollbacks, last_epoch_loss): (usize, usize, u32, f32),
     rng: &StdRng,
     opt: &Sgd,
 ) -> TrainCheckpoint {
     let buffers = model.state_buffers();
     let params = model.params_mut();
-    TrainCheckpoint::capture(fingerprint, epoch, steps, rollbacks, rng.state(), &params, opt)
-        .with_buffers(buffers)
+    TrainCheckpoint {
+        last_epoch_loss,
+        ..TrainCheckpoint::capture(fingerprint, epoch, steps, rollbacks, rng.state(), &params, opt)
+            .with_buffers(buffers)
+    }
 }
 
 /// Puts `ckpt`'s weights, velocity, learning rate and layer buffers back
@@ -328,6 +339,29 @@ mod tests {
         .unwrap_err();
         assert_eq!(err, NnError::EmptyEpoch);
         assert_eq!(steps, 0);
+    }
+
+    #[test]
+    fn resuming_a_finished_run_reports_its_final_loss() {
+        let path =
+            std::env::temp_dir().join(format!("hadas-guarded-final-{}.json", std::process::id()));
+        let straight = train_guarded(&mut scalar(), &plan(), &LoopOptions::default(), fit).unwrap();
+        let opts = LoopOptions::default().with_checkpoint(path.clone(), false);
+        train_guarded(&mut scalar(), &plan(), &opts, fit).unwrap();
+        // The checkpoint sits at the final epoch: the resumed run takes no
+        // step and must still report the loss the run finished with.
+        let opts = LoopOptions::default().with_checkpoint(path.clone(), true);
+        let mut calls = 0;
+        let resumed = train_guarded(&mut scalar(), &plan(), &opts, |m, rng, b| {
+            calls += 1;
+            fit(m, rng, b)
+        })
+        .unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!((calls, resumed.steps), (0, straight.steps));
+        assert_eq!(resumed.telemetry.resumed_from_epoch, Some(plan().epochs));
+        assert_ne!(straight.final_loss, 0.0);
+        assert_eq!(resumed.final_loss.to_bits(), straight.final_loss.to_bits());
     }
 
     #[test]

@@ -19,7 +19,9 @@ use serde::{Deserialize, Serialize};
 /// layout change.
 /// v2: sealed, with a content fingerprint; the configuration hash moved
 /// to `config_fingerprint`.
-pub const TRAIN_CHECKPOINT_SCHEMA: u32 = 2;
+/// v3: carries the last completed epoch's mean loss, so a run resumed at
+/// its final epoch reports the loss it finished with.
+pub const TRAIN_CHECKPOINT_SCHEMA: u32 = 3;
 
 /// The whole resumable training state at one epoch boundary.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -43,6 +45,8 @@ pub struct TrainCheckpoint {
     /// Rollbacks performed so far (carried so the rollback budget is not
     /// reset by a kill/resume cycle).
     pub rollbacks: u32,
+    /// Mean loss over the last completed epoch (`0` before the first).
+    pub last_epoch_loss: f32,
     /// The training RNG's xoshiro256** state at the epoch boundary.
     pub rng_state: [u64; 4],
     /// Flat copies of every parameter tensor, in parameter-list order.
@@ -78,6 +82,7 @@ impl TrainCheckpoint {
             steps,
             lr: opt.lr(),
             rollbacks,
+            last_epoch_loss: 0.0,
             rng_state,
             params: params.iter().map(|p| p.value().as_slice().to_vec()).collect(),
             velocity: opt.velocity_tensors().iter().map(|t| t.as_slice().to_vec()).collect(),
@@ -260,7 +265,7 @@ mod tests {
         let json = std::fs::read_to_string(&path).unwrap();
         let edited_param = json.replacen("1.5", "1.6", 1);
         assert_ne!(edited_param, json);
-        let stale_schema = json.replacen("\"schema\": 2", "\"schema\": 1", 1);
+        let stale_schema = json.replacen("\"schema\": 3", "\"schema\": 2", 1);
         for (corrupt, refusal) in [(edited_param, "fingerprint"), (stale_schema, "schema")] {
             std::fs::write(&path, corrupt).unwrap();
             let err = NnError::from(seal::load::<TrainCheckpoint>(&path).unwrap_err());

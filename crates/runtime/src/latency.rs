@@ -13,8 +13,8 @@ use serde::{Deserialize, Serialize};
 /// An exact (sample-keeping) latency histogram with deterministic
 /// percentile queries.
 ///
-/// Samples are kept in insertion order and sorted on demand; all queries
-/// are pure functions of the recorded multiset, so two runs that record
+/// Samples are kept in insertion order and ranked by selection on demand;
+/// all queries are pure functions of the recorded multiset, so two runs that record
 /// the same values in any order summarize identically.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Histogram {
@@ -97,38 +97,147 @@ impl Histogram {
         if self.samples.is_empty() {
             return 0.0;
         }
-        let mut sorted = self.samples.clone();
+        let p = if p.is_finite() { p.clamp(0.0, 1.0) } else { 1.0 };
+        let mut samples = self.samples.clone();
+        let idx = nearest_rank(samples.len(), p);
+        *samples.select_nth_unstable_by(idx, f64::total_cmp).1
+    }
+
+    /// Mean, p50/p95/p99 and max by selection — the summary embedded in
+    /// [`crate::RuntimeReport`] and `hadas-serve`'s `ServeReport`. Works
+    /// on a copy of the samples; [`Histogram::into_summary`] does not.
+    pub fn summary(&self) -> LatencySummary {
+        self.clone().into_summary()
+    }
+
+    /// [`Histogram::summary`], reordering this histogram's own samples
+    /// instead of copying them. Each percentile is a selection over the
+    /// part of the samples the previous one left above it: p50 over all,
+    /// p95 from p50's index up, p99 from p95's, max from p99's. Under
+    /// `total_cmp` equal means equal bits, so every value is bit for bit
+    /// the one a full sort would put at that index. The mean sums in
+    /// insertion order, before anything moves.
+    pub fn into_summary(mut self) -> LatencySummary {
+        let n = self.samples.len();
+        if n == 0 {
+            return LatencySummary::default();
+        }
+        let mean_ms = self.mean();
+        let (i50, i95, i99) = (nearest_rank(n, 0.5), nearest_rank(n, 0.95), nearest_rank(n, 0.99));
+        let s = &mut self.samples[..];
+        let p50_ms = *s.select_nth_unstable_by(i50, f64::total_cmp).1;
+        let p95_ms = *s[i50..].select_nth_unstable_by(i95 - i50, f64::total_cmp).1;
+        let p99_ms = *s[i95..].select_nth_unstable_by(i99 - i95, f64::total_cmp).1;
+        let max_ms = s[i99..].iter().copied().max_by(f64::total_cmp).unwrap_or(p99_ms);
+        LatencySummary { mean_ms, p50_ms, p95_ms, p99_ms, max_ms }
+    }
+}
+
+/// The zero-based nearest-rank index of `p` in `[0, 1]` over `n > 0`
+/// sorted samples: `floor(n · p)`, clamped to the last. Monotone in `p`.
+fn nearest_rank(n: usize, p: f64) -> usize {
+    ((n as f64 * p) as usize).min(n - 1)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The sort-based percentile that selection replaced: the
+    /// differential reference.
+    fn sorted_percentile(h: &Histogram, p: f64) -> f64 {
+        if h.samples.is_empty() {
+            return 0.0;
+        }
+        let mut sorted = h.samples.clone();
         sorted.sort_by(f64::total_cmp);
         let p = if p.is_finite() { p.clamp(0.0, 1.0) } else { 1.0 };
         let idx = (sorted.len() as f64 * p) as usize;
         sorted.get(idx).or(sorted.last()).copied().unwrap_or(0.0)
     }
 
-    /// Mean, p50/p95/p99 and max in one sort — the summary embedded in
-    /// [`crate::RuntimeReport`] and `hadas-serve`'s `ServeReport`.
-    pub fn summary(&self) -> LatencySummary {
-        if self.samples.is_empty() {
+    /// The sort-based summary that selection replaced.
+    fn sorted_summary(h: &Histogram) -> LatencySummary {
+        if h.samples.is_empty() {
             return LatencySummary::default();
         }
-        let mut sorted = self.samples.clone();
+        let mut sorted = h.samples.clone();
         sorted.sort_by(f64::total_cmp);
         let nearest = |p: f64| -> f64 {
             let idx = (sorted.len() as f64 * p) as usize;
             sorted.get(idx).or(sorted.last()).copied().unwrap_or(0.0)
         };
         LatencySummary {
-            mean_ms: self.mean(),
+            mean_ms: h.mean(),
             p50_ms: nearest(0.5),
             p95_ms: nearest(0.95),
             p99_ms: nearest(0.99),
             max_ms: sorted.last().copied().unwrap_or(0.0),
         }
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    fn summary_bits(s: &LatencySummary) -> [u64; 5] {
+        [s.mean_ms, s.p50_ms, s.p95_ms, s.p99_ms, s.max_ms].map(f64::to_bits)
+    }
+
+    /// One sample: mostly a few small integers (heavy duplicates), else a
+    /// signed zero, an infinity, a NaN of either sign or payload, or any
+    /// value in a wide range.
+    fn sample() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            (0u8..4).prop_map(f64::from),
+            (0u8..4).prop_map(f64::from),
+            (0u8..4).prop_map(f64::from),
+            Just(0.0),
+            Just(-0.0),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            Just(f64::NAN),
+            Just(-f64::NAN),
+            Just(f64::from_bits(0x7ff8_0000_0000_0001)),
+            -1e6f64..1e6,
+        ]
+    }
+
+    /// Sizes over 1..=2000, with extra weight around 1, 20 and 100,
+    /// where the nearest-rank indices sit at the ends of the vector.
+    fn samples() -> impl Strategy<Value = Vec<f64>> {
+        prop_oneof![1usize..=2000, 1usize..=3, 18usize..=22, 98usize..=102]
+            .prop_flat_map(|n| proptest::collection::vec(sample(), n))
+    }
+
+    fn any_p() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(0.0),
+            Just(1.0),
+            Just(f64::NAN),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            -2.0f64..0.0,
+            1.0f64..3.0,
+            0.0f64..=1.0,
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Selection answers every field with the bits the full sort did.
+        #[test]
+        fn selection_matches_the_sorted_reference_bit_for_bit(
+            xs in samples(),
+            p in any_p(),
+        ) {
+            let h = Histogram::from_samples(xs);
+            let want = summary_bits(&sorted_summary(&h));
+            prop_assert_eq!(summary_bits(&h.summary()), want);
+            prop_assert_eq!(summary_bits(&h.clone().into_summary()), want);
+            for q in [p, 0.0, 0.5, 0.95, 0.99, 1.0] {
+                prop_assert_eq!(h.percentile(q).to_bits(), sorted_percentile(&h, q).to_bits());
+            }
+        }
+    }
 
     #[test]
     fn empty_histogram_summarizes_to_zero() {

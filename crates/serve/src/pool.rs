@@ -2,11 +2,11 @@
 //! shared supervised executor (`hadas::executor`, re-exported as
 //! `hadas_runtime::executor`): scheduled batches become executor jobs,
 //! the *pure* per-batch reduction becomes the executor's job closure,
-//! and the supervision machinery — one-dispatch-in-flight lanes, RAII
-//! death notices, lane respawn, retry-on-rotated-lane, concurrent
-//! hedging, circuit-breaker clamping, first-result-wins dedup, and
-//! in-schedule-order folding — lives in the executor, where the OOE/IOE
-//! search plane shares it.
+//! and the supervision machinery — one shared dispatch queue feeding
+//! one-dispatch-in-flight lanes, RAII death notices, lane respawn,
+//! retry on the next idle lane, concurrent hedging, circuit-breaker
+//! clamping, first-result-wins dedup, and in-schedule-order folding —
+//! lives in the executor, where the OOE/IOE search plane shares it.
 //!
 //! The serving-specific residue kept here: the batch job/result shapes,
 //! the pure reduction itself, and the translation of a batch schedule
