@@ -13,9 +13,10 @@ use serde::{Deserialize, Serialize};
 /// An exact (sample-keeping) latency histogram with deterministic
 /// percentile queries.
 ///
-/// Samples are kept in insertion order and ranked by selection on demand;
-/// all queries are pure functions of the recorded multiset, so two runs that record
-/// the same values in any order summarize identically.
+/// Samples are kept in insertion order and ranked by selection on
+/// demand; all queries are pure functions of the recorded multiset, so
+/// two runs that record the same values in any order summarize
+/// identically.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Histogram {
     samples: Vec<f64>,
